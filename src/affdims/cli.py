@@ -23,6 +23,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,15 @@ def resolve_config(path, seed=None, out=None):
             "decay_k_max": _scalar(raw, "multienergy", "decay_k_max", 10, int),
         },
     }
+    for section, key, allowed in (
+        ("estimate", "form", ("mesh", "correlation", "both")),
+        ("multienergy", "mode", ("resample", "collapse")),
+    ):
+        if resolved[section][key] not in allowed:
+            raise ConfigError(
+                f"[{section}] {key}: expected one of {', '.join(allowed)}, "
+                f"got {resolved[section][key]!r}"
+            )
     if seed is not None:
         resolved["run"]["seed"] = int(seed)
     if out is not None:
@@ -422,6 +432,7 @@ def _ladder_r_min(cfg, ifs):
 
 
 def cmd_sample(cfg, out_dir, threads=1):
+    """Sample and write the cloud; returns (payload, the Cloud itself)."""
     ifs, model = build_system(cfg)
     fld = DisplacementField(
         seed=cfg["run"]["seed"],
@@ -454,7 +465,7 @@ def cmd_sample(cfg, out_dir, threads=1):
         "cloud_path": str(cloud_path),
         "cloud_sha256": digest,
         "warnings": warnings,
-    }
+    }, cloud
 
 
 def _estimate_payload(cfg, cloud, out_dir):
@@ -521,8 +532,10 @@ def cmd_verify(cfg, out_dir, threads=1, cloud_path=None):
         cloud = read_cloud(cloud_path)
         sample_payload = {"reused": str(cloud_path), "n": len(cloud)}
     else:
-        sample_payload = cmd_sample(cfg, out_dir, threads=threads)
-        cloud = read_cloud(sample_payload["cloud_path"])
+        sample_payload, cloud = cmd_sample(cfg, out_dir, threads=threads)
+        # Estimation reads positions only; keeping the words would add
+        # n * depth bytes to the run's peak memory.
+        cloud = replace(cloud, words=np.zeros((len(cloud), 0), np.uint8))
     est_payload = _estimate_payload(cfg, cloud, out_dir)
     rows = []
     for entry in est_payload["estimates"]:
@@ -621,13 +634,15 @@ def _build_parser():
 
 
 def run_command(args):
+    if args.threads < 1:
+        raise ConfigError(f"--threads: need at least 1, got {args.threads}")
     cfg = resolve_config(args.config, seed=args.seed, out=args.out)
     out_dir = Path(cfg["run"]["out"])
     started = time.perf_counter()
     if args.command == "solve":
         payload = cmd_solve(cfg, out_dir)
     elif args.command == "sample":
-        payload = cmd_sample(cfg, out_dir, threads=args.threads)
+        payload, _ = cmd_sample(cfg, out_dir, threads=args.threads)
     elif args.command == "estimate":
         payload = cmd_estimate(cfg, out_dir, cloud_path=args.reuse_cloud)
     elif args.command == "verify":

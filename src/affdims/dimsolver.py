@@ -43,12 +43,45 @@ def _check_q(q):
         raise InvalidInputError(f"moment sums need q > 1, got q={q}")
 
 
+class _Level:
+    """Matrix products, log masses and last symbols of all words of a length.
+
+    Entry i is the word whose base-m digits, first symbol most significant,
+    are its symbols minus one; starts at length 1.
+    """
+
+    def __init__(self, ifs, log_init, log_trans):
+        self._base = ifs.matrix_stack()
+        self._log_trans = log_trans
+        self.mats = self._base.copy()
+        self.logmass = log_init.copy()
+        self.lasts = np.arange(ifs.m)
+
+    def grow(self, times=1):
+        """Extend every word by one symbol, last symbol fastest, `times` times.
+
+        This is the one place products of maps are formed along all the
+        words of a length.  Each array is rebound as soon as its successor
+        exists, so the old one is freed before the next is built.
+        """
+        m, dim = self._base.shape[0], self._base.shape[-1]
+        for _ in range(times):
+            self.mats = np.matmul(
+                self.mats[:, np.newaxis, :, :],
+                self._base[np.newaxis, :, :, :],
+            ).reshape(-1, dim, dim)
+            self.logmass = (
+                self.logmass[:, np.newaxis] + self._log_trans[self.lasts, :]
+            ).reshape(-1)
+            self.lasts = np.tile(np.arange(m), self.lasts.shape[0])
+
+
 class _Levels:
     """Per-level singular values and log cylinder masses up to k_max.
 
     Matrices and masses do not depend on (s, q), so one build serves every
     bisection step; a level evaluation is then a single vectorized
-    phi-and-dot pass.
+    phi-and-dot pass.  Levels are in `_Level` word order.
     """
 
     def __init__(self, ifs, model, k_max, max_terms=_SOLVER_MAX_TERMS):
@@ -60,25 +93,18 @@ class _Levels:
                 f"budget of {max_terms}"
             )
         m = ifs.m
-        base = ifs.matrix_stack()
         if model is not None:
             log_init, log_trans = log_prob_tables(model)
         else:
             log_init = np.zeros(m)
             log_trans = np.zeros((m, m))
-        mats = base.copy()
-        logmass = log_init.copy()
-        lasts = np.arange(m)
-        self.alphas = [singular_values_stack(mats)]
-        self.logmass = [logmass]
+        level = _Level(ifs, log_init, log_trans)
+        self.alphas = [singular_values_stack(level.mats)]
+        self.logmass = [level.logmass]
         for _ in range(1, k_max):
-            mats = np.matmul(
-                mats[:, np.newaxis, :, :], base[np.newaxis, :, :, :]
-            ).reshape(-1, ifs.dim, ifs.dim)
-            logmass = (logmass[:, np.newaxis] + log_trans[lasts, :]).reshape(-1)
-            lasts = np.tile(np.arange(m), lasts.shape[0])
-            self.alphas.append(singular_values_stack(mats))
-            self.logmass.append(logmass)
+            level.grow()
+            self.alphas.append(singular_values_stack(level.mats))
+            self.logmass.append(level.logmass)
         self.k_max = k_max
 
     def log_level_sum(self, s, q, k):
@@ -87,64 +113,27 @@ class _Levels:
         return float(logsumexp(terms))
 
 
-def _suffix_table(ifs, model, depth):
-    m = ifs.m
-    base = ifs.matrix_stack()
-    _, log_trans = log_prob_tables(model)
-    mats = base.copy()
-    internal = np.zeros(m)
-    firsts = np.arange(m)
-    lasts = np.arange(m)
-    for _ in range(1, depth):
-        mats = np.matmul(
-            mats[:, np.newaxis, :, :], base[np.newaxis, :, :, :]
-        ).reshape(-1, ifs.dim, ifs.dim)
-        internal = (internal[:, np.newaxis] + log_trans[lasts, :]).reshape(-1)
-        firsts = np.repeat(firsts, m)
-        lasts = np.tile(np.arange(m), lasts.shape[0])
-    return mats, internal, firsts, lasts
-
-
 def _iter_level(ifs, model, k):
-    """Yield (matrix stack, log mass) chunks covering all level-k words."""
+    """Yield (matrix stack, log mass) chunks covering all level-k words.
+
+    Each chunk is one word of the prefix level k - b times the whole
+    suffix level b, in word order; suffix masses start from zero so a
+    prefix's mass and last symbol join them by one transition.
+    """
     m = ifs.m
     log_init, log_trans = log_prob_tables(model)
     b = max(1, min(k, int(math.log(_CHUNK_TERMS) / math.log(m))))
-    mats, internal, firsts, lasts = _suffix_table(ifs, model, b)
+    suffix = _Level(ifs, np.zeros(m), log_trans)
+    suffix.grow(b - 1)
+    mats, internal = suffix.mats, suffix.logmass
+    firsts = np.arange(m ** b) // m ** (b - 1)
     if k == b:
         yield mats, log_init[firsts] + internal
         return
-    base = ifs.matrix_stack()
-    prefix_len = k - b
-    # DFS over prefixes with incremental product / mass stacks.
-    symbols = [0] * prefix_len
-    prods = []
-    masses = []
-    for d in range(prefix_len):
-        prev = prods[d - 1] if d else np.eye(ifs.dim)
-        prods.append(prev @ base[0])
-        prev_mass = masses[d - 1] + log_trans[symbols[d - 1], 0] if d \
-            else log_init[0]
-        masses.append(prev_mass)
-    while True:
-        pmat, pmass, plast = prods[-1], masses[-1], symbols[-1]
-        yield pmat @ mats, pmass + log_trans[plast, firsts] + internal
-        # Odometer increment.
-        d = prefix_len - 1
-        while d >= 0 and symbols[d] == m - 1:
-            d -= 1
-        if d < 0:
-            return
-        symbols[d] += 1
-        del prods[d:], masses[d:]
-        for e in range(d, prefix_len):
-            if e > d:
-                symbols[e] = 0
-            prev = prods[e - 1] if e else np.eye(ifs.dim)
-            prods.append(prev @ base[symbols[e]])
-            prev_mass = masses[e - 1] + log_trans[symbols[e - 1], symbols[e]] \
-                if e else log_init[symbols[e]]
-            masses.append(prev_mass)
+    prefix = _Level(ifs, log_init, log_trans)
+    prefix.grow(k - b - 1)
+    for pmat, pm, plast in zip(prefix.mats, prefix.logmass, prefix.lasts):
+        yield pmat @ mats, pm + log_trans[plast, firsts] + internal
 
 
 def log_moment_sum(ifs, model, s, q, k, max_terms=_DEFAULT_MAX_TERMS):

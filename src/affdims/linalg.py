@@ -39,6 +39,8 @@ class LinearContraction:
         mat = np.asarray(self.matrix, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidInputError(f"matrix must be square, got shape {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise InvalidInputError("matrix entries must be finite")
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)

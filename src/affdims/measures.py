@@ -207,22 +207,26 @@ def sample_word(model, depth, rng):
 
 def sample_words(model, count, depth, rng):
     """i.i.d. words as an array of shape (count, depth), symbols 1-based."""
+    return draw_words(model, count, depth, lambda j: rng.random(count))
+
+
+def draw_words(model, count, depth, uniforms):
+    """Words by inverse CDF, symbol j read off the uniforms `uniforms(j)`.
+
+    `uniforms(j)` returns `count` values in [0, 1) for level j, so the
+    caller picks the source: a numpy Generator or indexed counter streams.
+    """
     if depth < 1:
         raise InvalidInputError(f"depth must be >= 1, got {depth}")
-    init = model.initial_probs()
-    trans = model.transition_probs()
-    out = np.empty((count, depth), dtype=np.uint8)
-    cur = rng.choice(model.m, size=count, p=init)
-    out[:, 0] = cur + 1
-    cum = np.cumsum(trans, axis=1)
+    log_init, log_trans = log_prob_tables(model)
+    init_cdf = np.cumsum(np.exp(log_init))
+    trans_cdf = np.cumsum(np.exp(log_trans), axis=1)
+    init_cdf[-1] = trans_cdf[:, -1] = 1.0
+    words = np.empty((count, depth), dtype=np.uint8)
+    words[:, 0] = np.searchsorted(init_cdf, uniforms(0), side="right")
     for j in range(1, depth):
-        u = rng.random(count)
-        nxt = np.empty(count, dtype=np.int64)
-        for a in range(model.m):
-            sel = cur == a
-            if np.any(sel):
-                nxt[sel] = np.searchsorted(cum[a], u[sel], side="right")
-        np.clip(nxt, 0, model.m - 1, out=nxt)
-        out[:, j] = nxt + 1
-        cur = nxt
-    return out
+        u = uniforms(j)
+        rows = trans_cdf[words[:, j - 1]]
+        words[:, j] = (u[:, np.newaxis] >= rows).sum(axis=1)
+    words += 1
+    return words

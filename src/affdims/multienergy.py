@@ -33,10 +33,9 @@ from .errors import (
     InvalidInputError,
     ResourceLimitError,
 )
-from .linalg import compose, contraction_bounds, log_phi_stack, phi_s, \
-    singular_values
-from .measures import cylinder_mass, sample_words
-from .sampler import truncation_tail
+from .linalg import compose, log_phi_stack, phi_s
+from .measures import sample_words
+from .sampler import _project_block
 
 _MC_LABEL = "multienergy/mc"
 _TRANS_LABEL = "multienergy/transversality"
@@ -54,61 +53,56 @@ def _check_s(s, dim, allow_dim=True):
         )
 
 
-class _PhiCache:
-    """log phi^s(T_w) by word, with incremental matrix products."""
+def _log_tables(ifs, model, s, depth):
+    """log phi^s and log cylinder masses by level 0..depth and word index.
 
-    def __init__(self, ifs, s):
-        self.ifs = ifs
-        self.s = s
-        self._mats = {(): np.eye(ifs.dim)}
-        self._logphi = {(): 0.0}
-
-    def mat(self, word):
-        word = tuple(word)
-        got = self._mats.get(word)
-        if got is None:
-            got = self.mat(word[:-1]) @ self.ifs.matrix(word[-1])
-            self._mats[word] = got
-        return got
-
-    def log_phi(self, word):
-        word = tuple(word)
-        got = self._logphi.get(word)
-        if got is None:
-            alphas = singular_values(self.mat(word))
-            got = float(log_phi_stack(alphas[np.newaxis, :], self.s)[0])
-            self._logphi[word] = got
-        return got
+    Level d is an array over the m^d words of length d in `_Levels` order
+    (first symbol most significant); level 0 holds the empty word.  Raises
+    ResourceLimitError when m^depth exceeds the `_Levels` word budget.
+    """
+    if depth < 1:
+        raise InvalidInputError(f"depth must be >= 1, got {depth}")
+    levels = _Levels(ifs, model, depth)
+    log_phi = [np.zeros(1)] + [log_phi_stack(a, s) for a in levels.alphas]
+    log_mass = [np.zeros(1)] + levels.logmass
+    return log_phi, log_mass
 
 
-def _log_kernel(cache, words):
+def _word_index(word, m):
+    index = 0
+    for sym in word:
+        index = index * m + sym - 1
+    return index
+
+
+def _log_kernel(log_phi, m, words):
     """log of the depth-truncated join kernel of a multiset of equal-depth words.
 
     Recursively descends the trie of the words: a vertex whose rays split
     into r child groups contributes r - 1 copies of phi at that vertex, and
     a full-depth word shared by t rays contributes t - 1 copies (the
     merged unresolved joins).  For distinct, diverging rays this equals
-    the plain join-set kernel.
+    the plain join-set kernel.  log_phi is indexed as `_log_tables` builds
+    it.
     """
     depth = len(words[0])
     total = 0.0
 
-    def descend(prefix, group):
+    def descend(d, index, group):
         nonlocal total
-        d = len(prefix)
         if d == depth:
             if len(group) > 1:
-                total += (len(group) - 1) * cache.log_phi(prefix)
+                total += (len(group) - 1) * log_phi[d][index]
             return
         branches = {}
         for w in group:
             branches.setdefault(w[d], []).append(w)
         if len(branches) > 1:
-            total += (len(branches) - 1) * cache.log_phi(prefix)
+            total += (len(branches) - 1) * log_phi[d][index]
         for sym, sub in branches.items():
-            descend(prefix + (sym,), sub)
+            descend(d + 1, index * m + sym - 1, sub)
 
-    descend((), [tuple(w) for w in words])
+    descend(0, 0, words)
     return total
 
 
@@ -146,6 +140,11 @@ def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
     above 1% of tuples the run aborts), "collapse" keeps it under the
     depth-truncated kernel, which is the exact estimand of
     exact_truncated_multienergy.
+
+    The kernel reads phi^s from a table of every word up to `depth`, so
+    m^depth must stay within the 250,000-word budget of the solver's level
+    table (depth <= 17 for m = 2); past it ResourceLimitError is raised
+    before any sampling.
     """
     _check_nq(n, q)
     _check_s(s, ifs.dim)
@@ -157,7 +156,7 @@ def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
         )
     outer_per_batch = samples // batches
     power = (q - 1.0) / n
-    cache = _PhiCache(ifs, s)
+    log_phi = [lv.tolist() for lv in _log_tables(ifs, model, s, depth)[0]]
     batch_means = []
     failures = 0
     attempts = 0
@@ -184,7 +183,9 @@ def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
                     if len(set(tup)) < n + 1:
                         failures += 1
                         continue
-                bracket_terms.append(math.exp(-_log_kernel(cache, tup)))
+                bracket_terms.append(
+                    math.exp(-_log_kernel(log_phi, ifs.m, tup))
+                )
             if bracket_terms:
                 vals.append(np.mean(bracket_terms) ** power)
         if not vals:
@@ -227,8 +228,6 @@ def exact_truncated_multienergy(ifs, model, s, n, q, depth):
     _check_nq(n, q)
     _check_s(s, ifs.dim)
     m = ifs.m
-    if depth < 1:
-        raise InvalidInputError(f"depth must be >= 1, got {depth}")
     if (n + 1) * depth * math.log(m) > 60.0:
         raise ResourceLimitError(
             f"(n+1) * depth * log(m) = {(n + 1) * depth * math.log(m):.1f} "
@@ -242,27 +241,19 @@ def exact_truncated_multienergy(ifs, model, s, n, q, depth):
         )
     init = np.asarray(model.initial_probs())
     trans = np.asarray(model.transition_probs())
-    cache = _PhiCache(ifs, s)
+    log_phi, log_mass = _log_tables(ifs, model, s, depth)
+    phi_inv = [np.exp(-lp).tolist() for lp in log_phi]
     fact = [math.factorial(t) for t in range(n + 1)]
 
-    # W[word][t]: sum over placements of t inner rays inside the subtree
-    # at `word` of (conditional masses) * (kernel factors inside), with
-    # the factor of `word` itself included.
-    W = {}
+    def edge_probs(d, index):
+        return init if d == 0 else trans[index % m]
 
-    def edge_probs(word):
-        return init if len(word) == 0 else trans[word[-1] - 1]
-
-    def build(word):
-        phi_inv = math.exp(-cache.log_phi(word))
-        if len(word) == depth:
-            W[word] = [1.0] + [phi_inv ** (t - 1) for t in range(1, n + 1)]
-            return
-        kids = [word + (c,) for c in range(1, m + 1)]
-        for kid in kids:
-            build(kid)
-        probs = edge_probs(word)
-        out = [1.0] + [0.0] * n
+    def combine(kid_vals, probs, phi_inv_v, forced=None):
+        # out[t]: t inner rays split among the children in every way, each
+        # occupied child weighted by its edge probability and its own
+        # values, one phi^-1 per occupied child beyond the first.  The
+        # outer ray's child, `forced`, counts as occupied even when empty.
+        out = [1.0]
         for t in range(1, n + 1):
             acc = 0.0
             for comp in _compositions(t, m):
@@ -271,53 +262,38 @@ def exact_truncated_multienergy(ifs, model, s, n, q, depth):
                 occ = 0
                 for c, tc in enumerate(comp):
                     coeff //= fact[tc]
-                    if tc:
+                    if tc or c == forced:
                         occ += 1
-                        term *= probs[c] ** tc * W[kids[c]][tc]
-                acc += coeff * term * phi_inv ** (occ - 1)
-            out[t] = acc
-        W[word] = out
+                        term *= probs[c] ** tc * kid_vals[c][tc]
+                acc += coeff * term * phi_inv_v ** (occ - 1)
+            out.append(acc)
+        return out
 
-    build(())
+    # W[d][i]: sum over placements of t inner rays inside the subtree at
+    # word i of level d of (conditional masses) * (kernel factors inside),
+    # with the factor of the word itself included.
+    W = [None] * (depth + 1)
+    W[depth] = [[1.0] + [p ** (t - 1) for t in range(1, n + 1)]
+                for p in phi_inv[depth]]
+    for d in range(depth - 1, -1, -1):
+        W[d] = [
+            combine(W[d + 1][i * m:(i + 1) * m], edge_probs(d, i),
+                    phi_inv[d][i])
+            for i in range(m ** d)
+        ]
 
+    # Combine down the path of each outer ray j, a depth-D word.
     power = (q - 1.0) / n
     total = 0.0
-
-    def walk(word, logmass):
-        nonlocal total
-        if len(word) == depth:
-            # Combine down the path of the outer ray j = word.
-            G = [math.exp(-cache.log_phi(word)) ** t for t in range(n + 1)]
-            for d in range(depth - 1, -1, -1):
-                v = word[:d]
-                cstar = word[d] - 1
-                phi_inv = math.exp(-cache.log_phi(v))
-                probs = edge_probs(v)
-                kids = [v + (c,) for c in range(1, m + 1)]
-                G2 = [0.0] * (n + 1)
-                for t in range(n + 1):
-                    acc = 0.0
-                    for comp in _compositions(t, m):
-                        coeff = fact[t]
-                        term = 1.0
-                        occ = 1
-                        for c, tc in enumerate(comp):
-                            coeff //= fact[tc]
-                            if c == cstar:
-                                term *= probs[c] ** tc * G[tc]
-                            elif tc:
-                                occ += 1
-                                term *= probs[c] ** tc * W[kids[c]][tc]
-                        acc += coeff * term * phi_inv ** (occ - 1)
-                    G2[t] = acc
-                G = G2
-            total += math.exp(logmass) * G[n] ** power
-            return
-        probs = edge_probs(word)
-        for c in range(1, m + 1):
-            walk(word + (c,), logmass + math.log(probs[c - 1]))
-
-    walk((), 0.0)
+    for j, logmass in enumerate(log_mass[depth].tolist()):
+        G = [phi_inv[depth][j] ** t for t in range(n + 1)]
+        for d in range(depth - 1, -1, -1):
+            v = j // m ** (depth - d)
+            kids = W[d + 1][v * m:(v + 1) * m]
+            c_star = j // m ** (depth - d - 1) % m
+            kids[c_star] = G
+            G = combine(kids, edge_probs(d, v), phi_inv[d][v], c_star)
+        total += math.exp(logmass) * G[n] ** power
     return float(total)
 
 
@@ -336,37 +312,50 @@ def check_prop71_bound(ifs, model, s, q, join_class, depth):
         raise InvalidInputError(
             f"class spread {n} exceeds q={q}; the bound requires q >= spread"
         )
-    root = join_class.root
     if max(join_class.levels) >= depth:
         raise InvalidInputError(
             f"depth {depth} cannot resolve a class with a join at level "
             f"{max(join_class.levels)}"
         )
-    cache = _PhiCache(ifs, s)
-    suffixes = all_words(ifs.m, depth - len(root))
-    rays = [root + suf for suf in suffixes]
-    lhs = 0.0
-    n_fact = math.factorial(n)
-    for combo in combinations(rays, n):
-        cls = canonical_join_class(join_set(combo, root=root))
-        if cls != join_class:
-            continue
-        logmass = sum(math.log(cylinder_mass(model, w)) for w in combo)
-        lhs += n_fact * math.exp(logmass - _log_kernel(cache, list(combo)))
-    rhs = _prop71_rhs(ifs, model, s, q, join_class, cache)
+    log_phi, log_mass = _log_tables(ifs, model, s, depth)
+    found = _class_sums(log_phi, log_mass, ifs.m, join_class.root, depth, n)
+    lhs = found.get(join_class.encoding(), (join_class, 0.0))[1]
+    rhs = _prop71_rhs(log_phi, log_mass, ifs.m, q, join_class)
     return lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-9))
 
 
-def _prop71_rhs(ifs, model, s, q, join_class, cache):
+def _class_sums(log_phi, log_mass, m, root, depth, n):
+    """Restricted sums over ordered n-tuples of distinct depth-D rays below root.
+
+    Returns {class encoding: (join class, sum of kernel^-1 * masses)} over
+    every class the tuples realize.
+    """
+    rays = [root + suf for suf in all_words(m, depth - len(root))]
+    first = _word_index(root, m) * len(rays)
+    masses = log_mass[depth][first:first + len(rays)].tolist()
+    n_fact = math.factorial(n)
+    found = {}
+    for combo in combinations(range(len(rays)), n):
+        words = [rays[i] for i in combo]
+        cls = canonical_join_class(join_set(words, root=root))
+        logmass = sum(masses[i] for i in combo)
+        term = n_fact * math.exp(logmass - _log_kernel(log_phi, m, words))
+        key = cls.encoding()
+        lhs = found[key][1] if key in found else 0.0
+        found[key] = (cls, lhs + term)
+    return found
+
+
+def _prop71_rhs(log_phi, log_mass, m, q, join_class):
     root = join_class.root
     n = join_class.spread
-    out = cylinder_mass(model, root) ** ((q - n) / (q - 1.0))
+    index = _word_index(root, m)
+    out = math.exp(log_mass[len(root)][index]) ** ((q - n) / (q - 1.0))
     for level in join_class.levels:
-        S = 0.0
-        for suf in all_words(ifs.m, level - len(root)):
-            u = root + suf
-            S += math.exp((1.0 - q) * cache.log_phi(u)) \
-                * cylinder_mass(model, u) ** q
+        span = m ** (level - len(root))
+        block = slice(index * span, (index + 1) * span)
+        S = float(np.exp((1.0 - q) * log_phi[level][block]
+                         + q * log_mass[level][block]).sum())
         out *= S ** (1.0 / (q - 1.0))
     return out
 
@@ -389,29 +378,16 @@ def prop71_survey(ifs, model, s, q, depth, max_spread=4, root=()):
     """
     if max_spread < 2:
         raise InvalidInputError("survey needs max_spread >= 2")
-    cache = _PhiCache(ifs, s)
     root = tuple(root)
-    rays = [root + suf for suf in all_words(ifs.m, depth - len(root))]
+    log_phi, log_mass = _log_tables(ifs, model, s, depth)
     rows = []
     for n in range(2, max_spread + 1):
         if n > q:
             continue
-        n_fact = math.factorial(n)
-        sums = {}
-        classes = {}
-        for combo in combinations(rays, n):
-            cls = canonical_join_class(join_set(combo, root=root))
-            key = (cls.root, cls.encoding())
-            logmass = sum(
-                math.log(cylinder_mass(model, w)) for w in combo
-            )
-            term = n_fact * math.exp(logmass - _log_kernel(cache, list(combo)))
-            sums[key] = sums.get(key, 0.0) + term
-            classes[key] = cls
-        for key in sorted(sums):
-            cls = classes[key]
-            lhs = sums[key]
-            rhs = _prop71_rhs(ifs, model, s, q, cls, cache)
+        found = _class_sums(log_phi, log_mass, ifs.m, root, depth, n)
+        for key in sorted(found):
+            cls, lhs = found[key]
+            rhs = _prop71_rhs(log_phi, log_mass, ifs.m, q, cls)
             rows.append(ClassBoundRow(
                 join_class=cls, lhs=lhs, rhs=rhs,
                 holds=bool(lhs <= rhs * (1.0 + 1e-9)),
@@ -463,6 +439,8 @@ def simulate_transversality(ifs, fld, u, v, s, trials, seed_offset=0):
         raise InvalidInputError("need two distinct rays")
     if len(u) != len(v):
         raise InvalidInputError("rays must share a common depth")
+    if not all(1 <= sym <= ifs.m for sym in u + v):
+        raise InvalidInputError(f"ray symbols must lie in 1..{ifs.m}")
     _check_s(s, ifs.dim, allow_dim=False)
     if trials < 1:
         raise InvalidInputError(f"need at least 1 trial, got {trials}")
@@ -477,31 +455,12 @@ def simulate_transversality(ifs, fld, u, v, s, trials, seed_offset=0):
     idx = np.arange(seed_offset, seed_offset + trials, dtype=np.uint64)
 
     def positions(word):
+        words = np.tile(np.asarray(word, dtype=np.uint8), (trials, 1))
         states = crng.offset_states(key, idx)
-        pos = np.zeros((trials, ifs.dim))
-        prefix = np.eye(ifs.dim)
-        for sym in word:
-            states = crng.advance(
-                states, np.full(trials, sym, dtype=np.uint64)
-            )
-            omega = (2.0 * crng.unit_uniforms(states, ifs.dim) - 1.0) \
-                * fld.region_radius
-            pos += omega @ prefix.T
-            prefix = prefix @ ifs.matrix(sym)
-        return pos
+        return _project_block(ifs, states, words, fld.region_radius)
 
     gaps = np.linalg.norm(positions(u) - positions(v), axis=1)
     empirical = float(np.mean(gaps ** (-s)))
     bound = 1.0 / phi_s(compose(ifs, meet), s)
     return empirical, bound
 
-
-def resolution_depth(ifs, fld, r_min):
-    """Depth at which truncation error drops below a target scale."""
-    _, a_plus = contraction_bounds(ifs)
-    K = 1
-    while truncation_tail(a_plus, fld.region_radius, ifs.dim, K) >= r_min:
-        K += 1
-        if K > 10_000:
-            raise ResourceLimitError("target scale unreachable by truncation")
-    return K

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import counterrng as crng
 from .errors import InvalidInputError, ResourceLimitError
-from .measures import log_prob_tables
+from .measures import draw_words
 from .linalg import contraction_bounds
 
 _MAX_POINTS = 50_000_000
@@ -107,13 +107,6 @@ class Cloud:
             yield self[i]
 
 
-def _advance_through(fld, word):
-    states = crng.root_states(fld.key(), 1)
-    for sym in word:
-        states = crng.advance(states, np.array([sym], dtype=np.uint64))
-    return states
-
-
 def project(ifs, fld, word, K):
     """Depth-K partial sum of the displacement series along `word`."""
     if K < 1:
@@ -140,43 +133,21 @@ def project(ifs, fld, word, K):
     )
 
 
-def _sample_words_indexed(model, key, start, count, depth):
-    """Depth-`depth` words for points start..start+count-1.
+def _project_block(ifs, states, words, region_radius):
+    """Vectorized series evaluation for a block of equal-depth words.
 
-    Symbol j of point i depends only on (key, i, j), so any contiguous or
-    interleaved chunking reproduces the same words.
+    states are the counter-stream states the words' symbols advance, one
+    per word; region_radius scales the displacements.
     """
-    log_init, log_trans = log_prob_tables(model)
-    init_cdf = np.cumsum(np.exp(log_init))
-    trans_cdf = np.cumsum(np.exp(log_trans), axis=1)
-    init_cdf[-1] = trans_cdf[:, -1] = 1.0
-    m = init_cdf.size
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    words = np.empty((count, depth), dtype=np.uint8)
-    u = crng.indexed_uniforms(key, idx, 0)
-    words[:, 0] = np.searchsorted(init_cdf, u, side="right")
-    for j in range(1, depth):
-        u = crng.indexed_uniforms(key, idx, j)
-        rows = trans_cdf[words[:, j - 1]]
-        words[:, j] = np.clip(
-            (u[:, np.newaxis] >= rows).sum(axis=1), 0, m - 1
-        )
-    words += 1
-    return words
-
-
-def _project_block(ifs, fld, words):
-    """Vectorized series evaluation for a block of equal-depth words."""
     count, depth = words.shape
     dim = ifs.dim
     mats = ifs.matrix_stack()
-    states = crng.root_states(fld.key(), count)
     pos = np.zeros((count, dim))
     prefix = np.broadcast_to(np.eye(dim), (count, dim, dim)).copy()
     for j in range(depth):
         states = crng.advance(states, words[:, j].astype(np.uint64))
         u = crng.unit_uniforms(states, dim)
-        omega = (2.0 * u - 1.0) * fld.region_radius
+        omega = (2.0 * u - 1.0) * region_radius
         pos += np.einsum("nij,nj->ni", prefix, omega)
         if j + 1 < depth:
             prefix = np.matmul(prefix, mats[words[:, j] - 1])
@@ -184,8 +155,18 @@ def _project_block(ifs, fld, words):
 
 
 def _cloud_chunk(ifs, model, fld, start, count, K, word_key):
-    words = _sample_words_indexed(model, word_key, start, count, K)
-    return words, _project_block(ifs, fld, words)
+    """Words and positions of points start..start+count-1.
+
+    Symbol j of point i depends only on (word_key, i, j), so any
+    contiguous or interleaved chunking reproduces the same words.
+    """
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    words = draw_words(
+        model, count, K, lambda j: crng.indexed_uniforms(word_key, idx, j)
+    )
+    del idx  # projection holds the chunk's largest arrays; free this first
+    states = crng.root_states(fld.key(), count)
+    return words, _project_block(ifs, states, words, fld.region_radius)
 
 
 def sample_cloud(ifs, model, fld, n, K, threads=1, chunk=65536):

@@ -1,12 +1,14 @@
 """Config-driven command line runs, exercised in process."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from affdims import BernoulliModel, d_q_minus
-from affdims.cli import config_hash, main, resolve_config
+from affdims.cli import _build_parser, config_hash, main, resolve_config
 
 from checks import diag_ifs
 
@@ -267,3 +269,61 @@ def test_markov_config_accepted(tmp_path, capsys):
     assert code == 0
     d = json.loads(stdout)["payload"]["dimensions"][0]["d_q"]
     assert 0 < d < 2
+
+
+@pytest.mark.parametrize("command, text, argv, named", [
+    ("sample", BASE_INI + "[estimate]\nform = bogus\n", [], "form"),
+    ("multienergy", BASE_INI + "[multienergy]\nmode = bogus\n", [], "mode"),
+    ("sample", BASE_INI, ["--threads", "0"], "--threads"),
+    ("sample", BASE_INI.replace("map1 = 0.5 0", "map1 = nan 0"), [],
+     "must be finite"),
+], ids=["form", "mode", "threads", "nan-entry"])
+def test_bad_input_rejected_before_work(tmp_path, capsys, command, text,
+                                        argv, named):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, command, "--config", str(path),
+                           "--out", str(out), *argv)
+    assert code == 2
+    assert named in err
+    assert not out.exists()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_ini():
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def test_readme_config_resolves_verbatim(tmp_path):
+    path = tmp_path / "readme.ini"
+    path.write_text(_readme_ini())
+    cfg = resolve_config(path)
+    assert cfg["measure"] == {"type": "bernoulli",
+                              "probs": [0.40, 0.35, 0.25]}
+
+
+def test_readme_config_markov_variant(tmp_path):
+    # The README says a Markov measure swaps the type for markov and
+    # gives a potential matrix in the same row syntax.
+    text = re.sub(r"(?m)^(\w+) = bernoulli$", r"\1 = markov", _readme_ini())
+    text = re.sub(r"(?m)^probs = .*$",
+                  "potential = 0 -1 0 / -1 0 0 / 0 0 -1", text)
+    path = tmp_path / "readme_markov.ini"
+    path.write_text(text)
+    cfg = resolve_config(path)
+    assert cfg["measure"]["type"] == "markov"
+    assert cfg["measure"]["potential"][0] == [0.0, -1.0, 0.0]
+
+
+def test_readme_cli_flags_exist():
+    text = README.read_text()
+    section = text[text.index("## CLI"):text.index("### Config format")]
+    flags = set(re.findall(r"--[a-z][a-z-]*", section))
+    for flag in flags:
+        # Every flag takes a value; an unknown one exits with usage errors.
+        _build_parser().parse_args(["verify", "--config", "x.ini", flag, "1"])

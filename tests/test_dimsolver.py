@@ -17,7 +17,7 @@ from affdims import (
 )
 from affdims.errors import InvalidInputError, NoRootError
 
-from checks import diag_ifs
+from checks import diag_ifs, random_bernoulli, random_ifs
 
 
 def worked_system():
@@ -45,6 +45,18 @@ def test_moment_table_lengths_and_consistency():
     table = moment_table(ifs, model, 0.8, 2.0, 5)
     assert len(table.sums) == 5
     assert table.sums[0] == pytest.approx(moment_sum(ifs, model, 0.8, 2.0, 1))
+
+
+@pytest.mark.parametrize("m, k", [(2, 17), (3, 11)])
+def test_streamed_moment_sum_matches_in_memory_table(m, k):
+    # Levels past one 65,536-term chunk are summed prefix by prefix.
+    rng = np.random.default_rng(17)
+    ifs = random_ifs(rng, m, 2, max_norm=0.7)
+    for model in (random_bernoulli(rng, m),
+                  MarkovGibbsModel(potential=rng.normal(size=(m, m)))):
+        got = moment_sum(ifs, model, 0.9, 2.5, k)
+        want = moment_table(ifs, model, 0.9, 2.5, k).sums[-1]
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_growth_rate_increasing_in_s():

@@ -106,6 +106,13 @@ def test_singular_map_rejected():
         AffineIFS(maps=(np.diag([0.5, 0.0]), np.diag([0.4, 0.3])))
 
 
+def test_non_finite_entries_rejected():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            AffineIFS(maps=(np.array([[0.5, bad], [0.0, 0.3]]),
+                            np.diag([0.4, 0.3])))
+
+
 def test_single_map_rejected():
     with pytest.raises(InvalidInputError):
         AffineIFS(maps=(np.diag([0.5, 0.3]),))

@@ -23,7 +23,6 @@ from affdims import (
     simulate_transversality,
 )
 from affdims.errors import DepthInsufficientError, InvalidInputError, ResourceLimitError
-from affdims.multienergy import resolution_depth
 
 from checks import diag_ifs
 
@@ -128,6 +127,16 @@ def test_budget_guard():
     ifs, model = hetero_system()
     with pytest.raises(ResourceLimitError):
         exact_truncated_multienergy(ifs, model, s=0.55, n=3, q=3.5, depth=40)
+
+
+def test_mc_depth_limited_by_level_table_budget():
+    # 2^18 words exceed the 250,000-word table; 2^17 fit.
+    ifs, model = hetero_system()
+    with pytest.raises(ResourceLimitError):
+        mc_multienergy(ifs, model, s=0.55, n=1, q=1.8, samples=32, depth=18)
+    est = mc_multienergy(ifs, model, s=0.55, n=1, q=1.8, samples=32,
+                         depth=17, inner=2)
+    assert est.truncation_depth == 17
 
 
 def test_mc_matches_exact_collapse_mode():
@@ -311,11 +320,6 @@ def test_transversality_input_checks():
         simulate_transversality(ifs, fld, (1, 2), (1, 2), s=0.5, trials=10)
     with pytest.raises(InvalidInputError):
         simulate_transversality(ifs, fld, (1,), (1, 2), s=0.5, trials=10)
+    with pytest.raises(InvalidInputError):
+        simulate_transversality(ifs, fld, (1, 3), (1, 2), s=0.5, trials=10)
 
-
-def test_resolution_depth_monotone():
-    ifs, _ = hetero_system()
-    fld = DisplacementField(seed=5, region_radius=1.0)
-    d_coarse = resolution_depth(ifs, fld, 1e-2)
-    d_fine = resolution_depth(ifs, fld, 1e-4)
-    assert d_fine > d_coarse > 0
