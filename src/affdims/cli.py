@@ -19,8 +19,10 @@ Exit codes: 0 success, 2 config or input error, 3 resource limit,
 
 import argparse
 import configparser
+import copy
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -38,7 +40,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .estimator import build_ladder, estimate_dimension
-from .linalg import AffineIFS, contraction_bounds
+from .linalg import AffineIFS, LinearContraction, contraction_bounds
 from .measures import BernoulliModel, MarkovGibbsModel
 from .multienergy import (
     check_decay_criterion,
@@ -78,8 +80,9 @@ def _load_raw(path):
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: top level must be an object")
+        if not isinstance(raw, dict) or not all(
+                isinstance(v, dict) for v in raw.values()):
+            raise ConfigError(f"{path}: expected an object of section objects")
         return {str(k): dict(v) for k, v in raw.items()}
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -90,38 +93,121 @@ def _load_raw(path):
 
 
 def _floats(value, where):
-    if isinstance(value, (list, tuple)):
-        return [float(x) for x in value]
+    items = value if isinstance(value, (list, tuple)) else str(value).split()
     try:
-        return [float(x) for x in str(value).split()]
-    except ValueError as exc:
+        return [float(x) for x in items]
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: expected numbers, got {value!r}") from exc
 
 
 def _matrix(value, where):
-    if isinstance(value, (list, tuple)):
-        return [[float(x) for x in row] for row in value]
-    rows = [r.strip() for r in str(value).split("/")]
-    return [_floats(r, where) for r in rows]
+    rows = value if isinstance(value, (list, tuple)) else str(value).split("/")
+    return [_floats(row, where) for row in rows]
 
 
-def _scalar(raw, section, key, default, kind):
-    block = raw.get(section, {})
-    if key not in block:
-        return default
-    value = block[key]
+# Section -> key -> default.  The default's type is the key's type: int is
+# strict, a list holds numbers, a tuple lists the allowed words (default
+# first) and a bare type marks a required key.  The ifs maps and the
+# measure's probs/potential depend on other keys and are resolved by hand.
+_SCHEMA = {
+    "run": {"seed": 0, "out": "affdims-out"},
+    "ifs": {"dim": int, "region_radius": 1.0},
+    "measure": {"type": ("bernoulli", "markov")},
+    "solve": {
+        "q": [2.0], "tol": 1e-4, "k_max": 0, "scan": False,
+        "q_grid_start": 1.5, "q_grid_stop": 4.0, "q_grid_step": 0.05,
+    },
+    "sample": {"n": 100_000, "depth": 0},
+    "estimate": {
+        "q": [2.0], "rho": 0.5, "rungs": 12,
+        "form": ("mesh", "correlation", "both"), "r0": 0.0,
+        "min_occupied": 5, "min_per_cube": 10.0, "cloud": "",
+    },
+    "multienergy": {
+        "s": 0.55, "n": 2, "q": 2.5, "samples": 320, "inner": 64,
+        "depth": 6, "mode": ("collapse", "resample"), "survey_depth": 4,
+        "decay_k_max": 10,
+    },
+}
+# Open bounds lo < value < hi (on every entry of a list), for the values
+# that would otherwise fail deep in a run or only after sampling.
+_RANGES = {
+    ("solve", "tol"): (0, math.inf),
+    ("solve", "q_grid_step"): (0, math.inf),
+    ("estimate", "q"): (1, math.inf),
+    ("estimate", "rho"): (0, 1),
+    ("estimate", "rungs"): (2, math.inf),
+}
+_TRUE, _FALSE = ("true", "yes", "1", "on"), ("false", "no", "0", "off")
+
+
+def _parse(value, default, where):
+    kind = default if isinstance(default, type) else type(default)
     try:
-        if kind is bool and isinstance(value, str):
-            if value.lower() in ("true", "yes", "1", "on"):
-                return True
-            if value.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(value)
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        word = str(value).strip().lower()
+        if kind is tuple:
+            if word in default:
+                return word
+        elif kind is list:
+            return _floats(value, where)
+        elif kind is bool:
+            if isinstance(value, bool):
+                return value
+            if word in _TRUE + _FALSE:
+                return word in _TRUE
+        elif kind is str:
+            return str(value)
+        elif kind is float and not isinstance(value, bool):
+            return float(value)
+        elif kind is int and not isinstance(value, bool):
+            # "3", 3 and 3.0 parse; "3.7", 3.7 and true do not
+            if isinstance(value, str) or float(value).is_integer():
+                return int(value)
+    except (TypeError, ValueError):
+        pass
+    expected = "one of " + ", ".join(default) if kind is tuple \
+        else kind.__name__
+    raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+
+
+def _resolve_maps(block, dim):
+    """Pop the maps from the [ifs] block: a JSON "maps" list or map1..mapK."""
+    if "maps" in block:
+        entries = block.pop("maps")
+        if not isinstance(entries, list):
+            raise ConfigError("[ifs] maps: expected a list of matrices")
+    else:
+        entries = []
+        while f"map{len(entries) + 1}" in block:
+            entries.append(block.pop(f"map{len(entries) + 1}"))
+    if len(entries) < 2:
         raise ConfigError(
-            f"[{section}] {key}: expected {kind.__name__}, got {value!r}"
-        ) from exc
+            f"[ifs] map1, map2, ...: need at least 2 maps, found {len(entries)}"
+        )
+    maps = [_matrix(e, f"[ifs] map{j}") for j, e in enumerate(entries, 1)]
+    for j, rows in enumerate(maps, start=1):
+        if len(rows) != dim or any(len(r) != dim for r in rows):
+            raise ConfigError(f"[ifs] map{j}: expected a {dim} x {dim} matrix")
+    return maps
+
+
+def _resolve_weights(block, measure_type, m):
+    """Pop the measure's weights from the [measure] block: probs or potential."""
+    key, other = ("probs", "potential") if measure_type == "bernoulli" \
+        else ("potential", "probs")
+    if other in block:
+        raise ConfigError(f"[measure] {other}: not used with type={measure_type}")
+    if key not in block:
+        raise ConfigError(f"[measure] {key}: required for type={measure_type}")
+    if key == "probs":
+        probs = _floats(block.pop(key), "[measure] probs")
+        if len(probs) != m:
+            raise ConfigError(f"[measure] probs: {len(probs)} entries for {m} maps")
+        return {key: probs}
+    pot = _matrix(block.pop(key), "[measure] potential")
+    if len(pot) != m or any(len(r) != m for r in pot):
+        raise ConfigError(f"[measure] potential: expected {m} x {m}")
+    return {key: pot}
 
 
 def resolve_config(path, seed=None, out=None):
@@ -132,150 +218,53 @@ def resolve_config(path, seed=None, out=None):
     """
     raw = _load_raw(path)
     for section in raw:
-        if section not in (
-            "run", "ifs", "measure", "solve", "sample", "estimate",
-            "multienergy",
-        ):
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-    if "ifs" not in raw:
-        raise ConfigError("missing required section [ifs]")
-    if "measure" not in raw:
-        raise ConfigError("missing required section [measure]")
-
-    ifs_block = raw["ifs"]
-    dim = _scalar(raw, "ifs", "dim", None, int)
-    if dim is None:
-        raise ConfigError("[ifs] dim: required")
-    maps = []
-    if "maps" in ifs_block:
-        # JSON configs may give the whole list at once
-        for j, entry in enumerate(ifs_block["maps"], start=1):
-            maps.append(_matrix(entry, f"[ifs] maps[{j}]"))
-    else:
-        i = 1
-        while f"map{i}" in ifs_block:
-            maps.append(_matrix(ifs_block[f"map{i}"], f"[ifs] map{i}"))
-            i += 1
-    if len(maps) < 2:
-        raise ConfigError(
-            f"[ifs] map1, map2, ...: need at least 2 maps, found {len(maps)}"
-        )
-    for j, rows in enumerate(maps, start=1):
-        if len(rows) != dim or any(len(r) != dim for r in rows):
-            raise ConfigError(f"[ifs] map{j}: expected a {dim} x {dim} matrix")
-
-    measure_type = str(
-        raw["measure"].get("type", "bernoulli")
-    ).strip().lower()
-    if measure_type == "bernoulli":
-        if "probs" not in raw["measure"]:
-            raise ConfigError("[measure] probs: required for type=bernoulli")
-        probs = _floats(raw["measure"]["probs"], "[measure] probs")
-        if len(probs) != len(maps):
-            raise ConfigError(
-                f"[measure] probs: {len(probs)} entries for {len(maps)} maps"
-            )
-        measure = {"type": "bernoulli", "probs": probs}
-    elif measure_type == "markov":
-        if "potential" not in raw["measure"]:
-            raise ConfigError("[measure] potential: required for type=markov")
-        pot = _matrix(raw["measure"]["potential"], "[measure] potential")
-        if len(pot) != len(maps) or any(len(r) != len(maps) for r in pot):
-            raise ConfigError(
-                f"[measure] potential: expected {len(maps)} x {len(maps)}"
-            )
-        measure = {"type": "markov", "potential": pot}
-    else:
-        raise ConfigError(
-            f"[measure] type: expected bernoulli or markov, got {measure_type!r}"
-        )
-
-    resolved = {
-        "run": {
-            "seed": _scalar(raw, "run", "seed", 0, int),
-            "out": str(raw.get("run", {}).get("out", "affdims-out")),
-        },
-        "ifs": {
-            "dim": dim,
-            "maps": maps,
-            "region_radius": _scalar(raw, "ifs", "region_radius", 1.0, float),
-        },
-        "measure": measure,
-        "solve": {
-            "q": _floats(raw.get("solve", {}).get("q", "2"), "[solve] q"),
-            "tol": _scalar(raw, "solve", "tol", 1e-4, float),
-            "k_max": _scalar(raw, "solve", "k_max", 0, int),
-            "scan": _scalar(raw, "solve", "scan", False, bool),
-            "q_grid_start": _scalar(raw, "solve", "q_grid_start", 1.5, float),
-            "q_grid_stop": _scalar(raw, "solve", "q_grid_stop", 4.0, float),
-            "q_grid_step": _scalar(raw, "solve", "q_grid_step", 0.05, float),
-        },
-        "sample": {
-            "n": _scalar(raw, "sample", "n", 100_000, int),
-            "depth": _scalar(raw, "sample", "depth", 0, int),
-        },
-        "estimate": {
-            "q": _floats(raw.get("estimate", {}).get("q", "2"),
-                         "[estimate] q"),
-            "rho": _scalar(raw, "estimate", "rho", 0.5, float),
-            "rungs": _scalar(raw, "estimate", "rungs", 12, int),
-            "form": str(raw.get("estimate", {}).get("form", "mesh")),
-            "r0": _scalar(raw, "estimate", "r0", 0.0, float),
-            "min_occupied": _scalar(raw, "estimate", "min_occupied", 5, int),
-            "min_per_cube": _scalar(
-                raw, "estimate", "min_per_cube", 10.0, float
-            ),
-            "cloud": str(raw.get("estimate", {}).get("cloud", "")),
-        },
-        "multienergy": {
-            "s": _scalar(raw, "multienergy", "s", 0.55, float),
-            "n": _scalar(raw, "multienergy", "n", 2, int),
-            "q": _scalar(raw, "multienergy", "q", 2.5, float),
-            "samples": _scalar(raw, "multienergy", "samples", 320, int),
-            "inner": _scalar(raw, "multienergy", "inner", 64, int),
-            "depth": _scalar(raw, "multienergy", "depth", 6, int),
-            "mode": str(raw.get("multienergy", {}).get("mode", "collapse")),
-            "survey_depth": _scalar(raw, "multienergy", "survey_depth", 4, int),
-            "decay_k_max": _scalar(raw, "multienergy", "decay_k_max", 10, int),
-        },
-    }
-    for section, key, allowed in (
-        ("estimate", "form", ("mesh", "correlation", "both")),
-        ("multienergy", "mode", ("resample", "collapse")),
-    ):
-        if resolved[section][key] not in allowed:
-            raise ConfigError(
-                f"[{section}] {key}: expected one of {', '.join(allowed)}, "
-                f"got {resolved[section][key]!r}"
-            )
+    cfg = {}
+    for section, schema in _SCHEMA.items():
+        block = raw.get(section, {})
+        values = cfg[section] = {}
+        for key, default in schema.items():
+            where = f"[{section}] {key}"
+            if key in block:
+                values[key] = _parse(block.pop(key), default, where)
+            elif isinstance(default, type):
+                raise ConfigError(f"{where}: required")
+            else:
+                values[key] = default[0] if isinstance(default, tuple) \
+                    else copy.copy(default)
+            if (section, key) in _RANGES:
+                lo, hi = _RANGES[section, key]
+                value = values[key]
+                for v in value if isinstance(value, list) else [value]:
+                    if not lo < v < hi:
+                        raise ConfigError(
+                            f"{where}: expected {lo} < {key} < {hi}, got {v!r}"
+                        )
+        if section == "ifs":
+            values["maps"] = _resolve_maps(block, values["dim"])
+        elif section == "measure":
+            values.update(_resolve_weights(
+                block, values["type"], len(cfg["ifs"]["maps"])
+            ))
+        if block:
+            raise ConfigError(f"[{section}] {next(iter(block))}: unknown key")
     if seed is not None:
-        resolved["run"]["seed"] = int(seed)
+        cfg["run"]["seed"] = int(seed)
     if out is not None:
-        resolved["run"]["out"] = str(out)
-    return resolved
+        cfg["run"]["out"] = str(out)
+    return cfg
 
 
 def build_system(cfg):
     """Instantiate the contraction system and measure from a resolved config."""
-    try:
-        ifs = AffineIFS(maps=tuple(
-            np.array(rows, dtype=np.float64) for rows in cfg["ifs"]["maps"]
-        ))
-    except InvalidInputError as exc:
-        # Re-validate map by map so the error names the offender.
-        from .linalg import LinearContraction
-
-        for j, rows in enumerate(cfg["ifs"]["maps"], start=1):
-            try:
-                LinearContraction(np.array(rows, dtype=np.float64))
-            except InvalidInputError as inner:
-                raise ConfigError(f"[ifs] map{j}: {inner}") from inner
-        raise ConfigError(f"[ifs] maps: {exc}") from exc
-    if ifs.dim != cfg["ifs"]["dim"]:
-        raise ConfigError(
-            f"[ifs] dim: declared {cfg['ifs']['dim']} but maps are "
-            f"{ifs.dim} x {ifs.dim}"
-        )
+    maps = []
+    for j, rows in enumerate(cfg["ifs"]["maps"], start=1):
+        try:
+            maps.append(LinearContraction(rows))
+        except InvalidInputError as exc:
+            raise ConfigError(f"[ifs] map{j}: {exc}") from exc
+    ifs = AffineIFS(maps=tuple(maps))
     measure = cfg["measure"]
     try:
         if measure["type"] == "bernoulli":

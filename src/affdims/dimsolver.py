@@ -215,8 +215,18 @@ def _default_k_max(m, max_terms):
 class DimensionResult:
     """Root of the growth-rate equation with solver diagnostics.
 
-    bracket holds the final (s_lo, s_hi) with growth below 1 on the left
-    and above 1 on the right; value is the bracket midpoint.
+    bracket holds the final (s_lo, s_hi) of the bisection on the growth
+    estimate at the fixed depth k_max (the depth field), with growth below
+    1 on the left and above 1 on the right; value is the bracket midpoint.
+    The bracket bounds the root of that depth-k_max estimate, not d_q: it
+    is not an error bar on d_q.
+
+    The estimate sits on a known side.  For d_q (q > 1) the growth
+    estimate is a lower bound of lambda(s), which increases in s, so its
+    root lies at or above d_q.  For the affinity dimension it is an upper
+    bound of a growth that decreases in s, so its root again lies at or
+    above the true value.  Either way value is an upper estimate (to
+    within half the bracket width) that does not increase as k_max grows.
     """
 
     value: float

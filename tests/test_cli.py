@@ -64,12 +64,42 @@ def test_solve_roundtrip(tmp_path, capsys):
 
 def test_resolved_config_fills_defaults(tmp_path):
     cfg = resolve_config(write_ini(tmp_path))
-    assert cfg["run"]["seed"] == 77
-    assert cfg["solve"]["tol"] == 1e-4
-    assert cfg["sample"]["n"] == 100_000
-    assert cfg["estimate"]["rho"] == 0.5
-    assert cfg["estimate"]["rungs"] == 12
-    assert cfg["multienergy"]["mode"] == "collapse"
+    expected = {
+        "run": {"seed": 77, "out": "affdims-out"},
+        "ifs": {"dim": 2, "maps": [[[0.5, 0.0], [0.0, 0.3]],
+                                   [[0.4, 0.0], [0.0, 0.35]]],
+                "region_radius": 1.0},
+        "measure": {"type": "bernoulli", "probs": [0.6, 0.4]},
+        "solve": {"q": [2.0], "tol": 1e-4, "k_max": 0, "scan": False,
+                  "q_grid_start": 1.5, "q_grid_stop": 4.0,
+                  "q_grid_step": 0.05},
+        "sample": {"n": 100_000, "depth": 0},
+        "estimate": {"q": [2.0], "rho": 0.5, "rungs": 12, "form": "mesh",
+                     "r0": 0.0, "min_occupied": 5, "min_per_cube": 10.0,
+                     "cloud": ""},
+        "multienergy": {"s": 0.55, "n": 2, "q": 2.5, "samples": 320,
+                        "inner": 64, "depth": 6, "mode": "collapse",
+                        "survey_depth": 4, "decay_k_max": 10},
+    }
+    # Compared as JSON so an int default that turns float (or back) fails.
+    assert json.dumps(cfg, sort_keys=True) == json.dumps(expected,
+                                                         sort_keys=True)
+
+
+def test_archived_config_reruns_to_same_hash(tmp_path, capsys):
+    markov = BASE_INI.replace("type = bernoulli", "type = markov").replace(
+        "probs = 0.6 0.4", "potential = -0.7 -1.6 / -1.05 -0.8")
+    for name, text in (("bernoulli", BASE_INI), ("markov", markov)):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text + "[solve]\nq = 2 3\nk_max = 4\n"
+                        "[estimate]\nform = both\n")
+        out = tmp_path / name
+        code, stdout, _ = run_cli(capsys, "solve", "--config", str(path),
+                                  "--out", str(out), "--seed", "9")
+        assert code == 0
+        archived = resolve_config(out / "resolved_config.json")
+        assert config_hash(archived) == json.loads(stdout)["config_hash"]
+        assert archived == resolve_config(path, seed=9, out=str(out))
 
 
 def test_seed_and_out_overrides(tmp_path):
@@ -277,7 +307,30 @@ def test_markov_config_accepted(tmp_path, capsys):
     ("sample", BASE_INI, ["--threads", "0"], "--threads"),
     ("sample", BASE_INI.replace("map1 = 0.5 0", "map1 = nan 0"), [],
      "must be finite"),
-], ids=["form", "mode", "threads", "nan-entry"])
+    ("solve", BASE_INI + "[solve]\ntolerance = 1e-8\n", [],
+     "[solve] tolerance"),
+    ("solve", BASE_INI.replace("dim = 2", "dim = 2\nregion_radus = 5"), [],
+     "[ifs] region_radus"),
+    ("solve", BASE_INI.replace("type = bernoulli", "model = markov"), [],
+     "[measure] model"),
+    ("solve", BASE_INI + "[solve]\ntol = 0\n", [], "[solve] tol"),
+    ("solve", BASE_INI + "[solve]\nscan = true\nq_grid_step = 0\n", [],
+     "[solve] q_grid_step"),
+    ("verify", BASE_INI + "[sample]\nn = 2000\n[estimate]\nrungs = 2\n", [],
+     "[estimate] rungs"),
+    ("verify", BASE_INI + "[sample]\nn = 2000\n[estimate]\nrho = 1.5\n", [],
+     "[estimate] rho"),
+    ("verify", BASE_INI + "[sample]\nn = 2000\n[estimate]\nq = 2 1\n", [],
+     "[estimate] q"),
+    ("sample", json.dumps({
+        "ifs": {"dim": 2, "maps": [[[0.5, 0], [0, 0.3]], [[0.4, 0], [0, 0.35]]]},
+        "measure": {"type": "bernoulli", "probs": [0.6, 0.4]},
+        "sample": {"n": 3.7, "depth": 10},
+    }), [], "[sample] n"),
+], ids=["form", "mode", "threads", "nan-entry", "unknown-solve-key",
+        "unknown-ifs-key", "unknown-measure-key", "tol-zero",
+        "grid-step-zero", "two-rungs", "rho-above-one", "estimate-q-one",
+        "json-fractional-int"])
 def test_bad_input_rejected_before_work(tmp_path, capsys, command, text,
                                         argv, named):
     path = tmp_path / "bad.ini"
