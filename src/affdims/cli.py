@@ -130,9 +130,12 @@ _SCHEMA = {
     },
 }
 # Open bounds lo < value < hi (on every entry of a list), for the values
-# that would otherwise fail deep in a run or only after sampling.
+# that would otherwise fail deep in a run or only after sampling.  k_max and
+# depth take 0 for "choose automatically".
 _RANGES = {
     ("solve", "tol"): (0, math.inf),
+    ("solve", "k_max"): (-1, math.inf),
+    ("sample", "depth"): (-1, math.inf),
     ("solve", "q_grid_step"): (0, math.inf),
     ("estimate", "q"): (1, math.inf),
     ("estimate", "rho"): (0, 1),
@@ -247,6 +250,10 @@ def resolve_config(path, seed=None, out=None):
             values.update(_resolve_weights(
                 block, values["type"], len(cfg["ifs"]["maps"])
             ))
+        elif section == "estimate" and values["form"] == "correlation" \
+                and any(q != int(q) for q in values["q"]):
+            raise ConfigError("[estimate] q: form = correlation needs "
+                              f"integer q, got {values['q']}")
         if block:
             raise ConfigError(f"[{section}] {next(iter(block))}: unknown key")
     if seed is not None:
@@ -580,6 +587,7 @@ def cmd_multienergy(cfg, out_dir):
             "stderr": est.stderr,
             "sample_count": est.sample_count,
             "failures": est.failures,
+            "attempts": est.attempts,
             "mode": me["mode"],
         },
         "exact_truncated": exact,

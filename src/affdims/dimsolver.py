@@ -277,17 +277,21 @@ def d_q_minus(ifs, model, q, tol=1e-4, k_max=None, max_terms=_SOLVER_MAX_TERMS):
     """
     _check_q(q)
     k_max = k_max or _default_k_max(ifs.m, max_terms)
-    levels = _Levels(ifs, model, k_max, max_terms)
-    c_min, _ = product_ratio_bounds(model)
-    log_w = q * math.log(c_min)
+    return _solve_q(_Levels(ifs, model, k_max, max_terms), model, q,
+                    ifs.dim, tol)
+
+
+def _solve_q(levels, model, q, dim, tol):
+    """Bisect the weighted growth estimate of one level table at q."""
+    log_w = q * math.log(product_ratio_bounds(model)[0])
 
     def g(s):
         return float(np.exp(_log_growth(levels, s, q, log_w)))
 
-    s_lo, s_hi, g_lo, g_hi, iters = _bisect_root(g, ifs.dim, tol, True)
+    s_lo, s_hi, g_lo, g_hi, iters = _bisect_root(g, dim, tol, True)
     return DimensionResult(
         value=0.5 * (s_lo + s_hi), q=float(q), bracket=(s_lo, s_hi),
-        depth=k_max, iterations=iters, growth_lo=g_lo, growth_hi=g_hi,
+        depth=levels.k_max, iterations=iters, growth_lo=g_lo, growth_hi=g_hi,
     )
 
 
@@ -386,17 +390,7 @@ def phase_transition_scan(ifs, model, q_grid, tol=1e-4, k_max=None,
         raise InvalidInputError("q grid must be strictly increasing")
     k_max = k_max or _default_k_max(ifs.m, max_terms)
     levels = _Levels(ifs, model, k_max, max_terms)
-    c_min, _ = product_ratio_bounds(model)
-
-    values = []
-    for q in qs:
-        log_w = q * math.log(c_min)
-
-        def g(s, _q=q, _w=log_w):
-            return float(np.exp(_log_growth(levels, s, _q, _w)))
-
-        s_lo, s_hi, *_ = _bisect_root(g, ifs.dim, tol, True)
-        values.append(0.5 * (s_lo + s_hi))
+    values = [_solve_q(levels, model, q, ifs.dim, tol).value for q in qs]
 
     steps = np.diff(qs)
     slopes = np.diff(values) / steps

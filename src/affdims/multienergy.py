@@ -26,7 +26,7 @@ import numpy as np
 from scipy.stats import linregress
 
 from . import counterrng as crng
-from .codespace import all_words, canonical_join_class, join_set
+from .codespace import all_words, canonical_join_class, join_set, wedge
 from .dimsolver import _Levels
 from .errors import (
     DepthInsufficientError,
@@ -34,7 +34,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .linalg import compose, log_phi_stack, phi_s
-from .measures import sample_words
+from .measures import draw_words, sample_words
 from .sampler import _project_block
 
 _MC_LABEL = "multienergy/mc"
@@ -68,42 +68,30 @@ def _log_tables(ifs, model, s, depth):
     return log_phi, log_mass
 
 
-def _word_index(word, m):
-    index = 0
-    for sym in word:
-        index = index * m + sym - 1
-    return index
+def _word_index(words, m):
+    """Base-m index over the last axis, first symbol most significant."""
+    words = np.asarray(words, dtype=np.int64)
+    return (words - 1) @ m ** np.arange(words.shape[-1] - 1, -1, -1)
 
 
-def _log_kernel(log_phi, m, words):
-    """log of the depth-truncated join kernel of a multiset of equal-depth words.
+def _log_kernels(log_phi, m, depth, codes):
+    """log of the depth-truncated join kernel of tuples of depth-D words.
 
-    Recursively descends the trie of the words: a vertex whose rays split
-    into r child groups contributes r - 1 copies of phi at that vertex, and
-    a full-depth word shared by t rays contributes t - 1 copies (the
-    merged unresolved joins).  For distinct, diverging rays this equals
-    the plain join-set kernel.  log_phi is indexed as `_log_tables` builds
-    it.
+    codes holds base-m word indices (`_log_tables` order), sorted over the
+    last axis.  Sorted rays meet their neighbours exactly at the join
+    vertices: a vertex whose rays split into r child groups is the wedge
+    of r - 1 adjacent pairs, and a full-depth word shared by t rays is the
+    "wedge" of its t - 1 equal pairs (the merged unresolved joins).  So the
+    kernel is the sum of log phi at the wedges of adjacent codes; for
+    distinct rays it equals the plain join-set kernel.
     """
-    depth = len(words[0])
-    total = 0.0
-
-    def descend(d, index, group):
-        nonlocal total
-        if d == depth:
-            if len(group) > 1:
-                total += (len(group) - 1) * log_phi[d][index]
-            return
-        branches = {}
-        for w in group:
-            branches.setdefault(w[d], []).append(w)
-        if len(branches) > 1:
-            total += (len(branches) - 1) * log_phi[d][index]
-        for sym, sub in branches.items():
-            descend(d + 1, index * m + sym - 1, sub)
-
-    descend(0, 0, words)
-    return total
+    flat = np.concatenate(log_phi[:depth + 1])
+    starts = np.cumsum([0] + [lv.size for lv in log_phi[:depth]])
+    a, b = codes[..., :-1], codes[..., 1:]
+    # Levels from the bottom up to the wedge: the prefixes differ below it.
+    up = sum((a // m ** k != b // m ** k).astype(np.int64)
+             for k in range(depth))
+    return flat[starts[depth - up] + a // m ** up].sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -117,6 +105,7 @@ class MultiEnergyEstimate:
     sample_count: int
     truncation_depth: int
     failures: int = 0
+    attempts: int = 0
 
 
 def _check_nq(n, q):
@@ -135,11 +124,19 @@ def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
     inner mean, and outer draws are averaged; stderr comes from the spread
     across independent batches.
 
-    unresolved controls rays that collide at `depth`: "resample" redraws
-    the tuple up to 3 times and then discards it (counted in failures;
-    above 1% of tuples the run aborts), "collapse" keeps it under the
-    depth-truncated kernel, which is the exact estimand of
-    exact_truncated_multienergy.
+    Each batch has its own numpy Generator and reads one block of
+    depth * P * (1 + inner * n) uniforms, P = samples // batches: first
+    the P outer words level by level, then, for each outer word in turn,
+    its inner * n inner words level by level.
+
+    unresolved controls tuples whose rays collide at `depth`: "resample"
+    redraws the inner rays of all still-colliding tuples of a batch
+    together, in up to 3 rounds after the block, and discards a tuple that
+    still collides (counted in failures).  An outer draw left with no
+    tuple is dropped, a batch left with no outer draw raises
+    DepthInsufficientError, and failures above 1% of the `attempts` tuples
+    abort the run.  "collapse" keeps every tuple under the depth-truncated
+    kernel, which is the exact estimand of exact_truncated_multienergy.
 
     The kernel reads phi^s from a table of every word up to `depth`, so
     m^depth must stay within the 250,000-word budget of the solver's level
@@ -154,46 +151,51 @@ def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
         raise InvalidInputError(
             f"need at least one outer draw per batch: {samples} < {batches}"
         )
-    outer_per_batch = samples // batches
+    per_batch = samples // batches
     power = (q - 1.0) / n
-    log_phi = [lv.tolist() for lv in _log_tables(ifs, model, s, depth)[0]]
+    m = ifs.m
+    log_phi = _log_tables(ifs, model, s, depth)[0]
+
+    def sorted_tuples(inner_codes, outer_codes):
+        codes = np.sort(np.concatenate([inner_codes, outer_codes], axis=-1))
+        return codes, (np.diff(codes) != 0).all(axis=-1)
+
     batch_means = []
     failures = 0
-    attempts = 0
     for b in range(batches):
         rng = np.random.default_rng(crng.derive_key(seed, f"{_MC_LABEL}/{b}"))
-        outer_words = sample_words(model, outer_per_batch, depth, rng)
-        vals = []
-        for o in range(outer_per_batch):
-            j_word = tuple(int(x) for x in outer_words[o])
-            inner_words = sample_words(model, inner * n, depth, rng)
-            inner_words = inner_words.reshape(inner, n, depth)
-            bracket_terms = []
-            for rep in range(inner):
-                tup = [tuple(int(x) for x in inner_words[rep, l])
-                       for l in range(n)] + [j_word]
-                attempts += 1
-                if unresolved == "resample":
-                    tries = 0
-                    while len(set(tup)) < n + 1 and tries < 3:
-                        redraw = sample_words(model, n, depth, rng)
-                        tup = [tuple(int(x) for x in redraw[l])
-                               for l in range(n)] + [j_word]
-                        tries += 1
-                    if len(set(tup)) < n + 1:
-                        failures += 1
-                        continue
-                bracket_terms.append(
-                    math.exp(-_log_kernel(log_phi, ifs.m, tup))
-                )
-            if bracket_terms:
-                vals.append(np.mean(bracket_terms) ** power)
-        if not vals:
+        u = rng.random(depth * per_batch * (1 + inner * n))
+        outer_u = u[:depth * per_batch].reshape(depth, per_batch)
+        inner_u = u[depth * per_batch:].reshape(per_batch, depth, inner * n)
+        outer = _word_index(
+            draw_words(model, per_batch, depth, lambda j: outer_u[j]), m)
+        outer = np.repeat(outer, inner).reshape(per_batch, inner, 1)
+        inner_words = draw_words(model, per_batch * inner * n, depth,
+                                 lambda j: inner_u[:, j].reshape(-1))
+        codes, kept = sorted_tuples(
+            _word_index(inner_words, m).reshape(per_batch, inner, n), outer)
+        if unresolved == "collapse":
+            kept[:] = True
+        for _ in range(3):
+            redo = np.nonzero(~kept)
+            if not redo[0].size:
+                break
+            fresh = sample_words(model, redo[0].size * n, depth, rng)
+            codes[redo], kept[redo] = sorted_tuples(
+                _word_index(fresh, m).reshape(-1, n), outer[redo])
+        failures += int((~kept).sum())
+        terms = np.where(kept, np.exp(-_log_kernels(log_phi, m, depth, codes)),
+                         0.0)
+        counts = kept.sum(axis=1)
+        drawn = counts > 0
+        if not drawn.any():
             raise DepthInsufficientError(
                 f"every tuple of a batch unresolved at depth {depth}"
             )
-        batch_means.append(np.mean(vals))
-    if unresolved == "resample" and failures > 0.01 * attempts:
+        batch_means.append(
+            np.mean((terms[drawn].sum(axis=1) / counts[drawn]) ** power))
+    attempts = per_batch * batches * inner
+    if failures > 0.01 * attempts:
         raise DepthInsufficientError(
             f"{failures} of {attempts} tuples unresolved at depth {depth}; "
             "increase depth"
@@ -203,8 +205,8 @@ def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
         value=float(batch_means.mean()),
         stderr=float(batch_means.std(ddof=1) / math.sqrt(batches)),
         n=n, s=float(s), q=float(q), outer_power=power,
-        sample_count=outer_per_batch * batches,
-        truncation_depth=depth, failures=failures,
+        sample_count=per_batch * batches,
+        truncation_depth=depth, failures=failures, attempts=attempts,
     )
 
 
@@ -332,14 +334,15 @@ def _class_sums(log_phi, log_mass, m, root, depth, n):
     """
     rays = [root + suf for suf in all_words(m, depth - len(root))]
     first = _word_index(root, m) * len(rays)
-    masses = log_mass[depth][first:first + len(rays)].tolist()
-    n_fact = math.factorial(n)
+    combos = np.array(list(combinations(range(len(rays)), n)),
+                      dtype=np.int64).reshape(-1, n)
+    logmass = log_mass[depth][first + combos].sum(axis=1)
+    kernels = _log_kernels(log_phi, m, depth, first + combos)
+    terms = math.factorial(n) * np.exp(logmass - kernels)
     found = {}
-    for combo in combinations(range(len(rays)), n):
-        words = [rays[i] for i in combo]
-        cls = canonical_join_class(join_set(words, root=root))
-        logmass = sum(masses[i] for i in combo)
-        term = n_fact * math.exp(logmass - _log_kernel(log_phi, m, words))
+    for combo, term in zip(combos.tolist(), terms.tolist()):
+        cls = canonical_join_class(
+            join_set([rays[i] for i in combo], root=root))
         key = cls.encoding()
         lhs = found[key][1] if key in found else 0.0
         found[key] = (cls, lhs + term)
@@ -444,13 +447,6 @@ def simulate_transversality(ifs, fld, u, v, s, trials, seed_offset=0):
     _check_s(s, ifs.dim, allow_dim=False)
     if trials < 1:
         raise InvalidInputError(f"need at least 1 trial, got {trials}")
-    meet = ()
-    for a, b in zip(u, v):
-        if a != b:
-            break
-        meet = meet + (a,)
-    if len(meet) == len(u):
-        raise InvalidInputError("rays do not diverge within their length")
     key = crng.derive_key(fld.seed, _TRANS_LABEL)
     idx = np.arange(seed_offset, seed_offset + trials, dtype=np.uint64)
 
@@ -461,6 +457,6 @@ def simulate_transversality(ifs, fld, u, v, s, trials, seed_offset=0):
 
     gaps = np.linalg.norm(positions(u) - positions(v), axis=1)
     empirical = float(np.mean(gaps ** (-s)))
-    bound = 1.0 / phi_s(compose(ifs, meet), s)
+    bound = 1.0 / phi_s(compose(ifs, wedge(u, v)), s)
     return empirical, bound
 

@@ -210,6 +210,7 @@ def test_multienergy_command(tmp_path, capsys):
     assert code == 0
     payload = json.loads(stdout)["payload"]
     assert payload["estimate"]["failures"] == 0
+    assert payload["estimate"]["attempts"] == 128 // 32 * 32 * 32
     assert payload["exact_truncated"] > 0
     assert payload["prop71"]["all_hold"] is True
     csv_lines = (out / "multienergy.csv").read_text().strip().splitlines()
@@ -322,6 +323,12 @@ def test_markov_config_accepted(tmp_path, capsys):
      "[estimate] rho"),
     ("verify", BASE_INI + "[sample]\nn = 2000\n[estimate]\nq = 2 1\n", [],
      "[estimate] q"),
+    ("verify", BASE_INI + "[sample]\nn = 2000\n[solve]\nk_max = -1\n", [],
+     "[solve] k_max"),
+    ("sample", BASE_INI + "[sample]\nn = 2000\ndepth = -3\n", [],
+     "[sample] depth"),
+    ("verify", BASE_INI + "[sample]\nn = 2000\n"
+     "[estimate]\nform = correlation\nq = 2.5\n", [], "[estimate] q"),
     ("sample", json.dumps({
         "ifs": {"dim": 2, "maps": [[[0.5, 0], [0, 0.3]], [[0.4, 0], [0, 0.35]]]},
         "measure": {"type": "bernoulli", "probs": [0.6, 0.4]},
@@ -330,6 +337,7 @@ def test_markov_config_accepted(tmp_path, capsys):
 ], ids=["form", "mode", "threads", "nan-entry", "unknown-solve-key",
         "unknown-ifs-key", "unknown-measure-key", "tol-zero",
         "grid-step-zero", "two-rungs", "rho-above-one", "estimate-q-one",
+        "k-max-negative", "depth-negative", "correlation-fractional-q",
         "json-fractional-int"])
 def test_bad_input_rejected_before_work(tmp_path, capsys, command, text,
                                         argv, named):

@@ -1,11 +1,16 @@
 """Multienergy integrals, product bounds, decay and transversality checks."""
 
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affdims import (
+    AffineIFS,
     BernoulliModel,
     DisplacementField,
     MarkovGibbsModel,
@@ -18,11 +23,13 @@ from affdims import (
     exact_truncated_multienergy,
     join_set,
     mc_multienergy,
+    multienergy_kernel,
     phi_s,
     prop71_survey,
     simulate_transversality,
 )
 from affdims.errors import DepthInsufficientError, InvalidInputError, ResourceLimitError
+from affdims.multienergy import _log_kernels, _log_tables, _word_index
 
 from checks import diag_ifs
 
@@ -67,6 +74,44 @@ def brute_truncated(ifs, model, s, n, q, depth):
             )
         total += masses[j] * inner ** ((q - 1) / n)
     return total
+
+
+# --- the sorted-neighbour kernel against the oracle ---
+
+_KERNEL_SYSTEMS = {
+    2: hetero_system()[0],
+    3: AffineIFS(maps=(np.diag([0.5, 0.3]), np.array([[0.4, 0.1], [0.0, 0.35]]),
+                       np.diag([0.3, 0.45]))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_table(m, depth):
+    model = BernoulliModel(probs=(1.0 / m,) * m)
+    return _log_tables(_KERNEL_SYSTEMS[m], model, 0.55, depth)[0]
+
+
+@st.composite
+def _ray_tuples(draw):
+    m = draw(st.sampled_from([2, 3]))
+    depth = draw(st.integers(1, 6))
+    word = st.tuples(*[st.integers(1, m)] * depth)
+    pool = draw(st.lists(word, min_size=1, max_size=6, unique=True))
+    return m, depth, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ray_tuples())
+def test_log_kernels_match_brute_oracle(case):
+    m, depth, words = case
+    ifs = _KERNEL_SYSTEMS[m]
+    codes = np.sort(_word_index(words, m))[np.newaxis]
+    got = _log_kernels(_kernel_table(m, depth), m, depth, codes)[0]
+    assert got == pytest.approx(math.log(_mult_kernel(ifs, 0.55, words)),
+                                rel=1e-12, abs=1e-12)
+    if len(set(words)) == len(words):
+        want = math.log(multienergy_kernel(ifs, 0.55, words))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -149,6 +194,35 @@ def test_mc_matches_exact_collapse_mode():
     assert abs(mc.value - exact) < 3 * mc.stderr
     assert mc.failures == 0
     assert mc.outer_power == pytest.approx((2.5 - 1) / 2)
+
+
+@pytest.mark.parametrize("markov, kw, value, stderr", [
+    (False, dict(n=2, q=2.5, samples=320, depth=4, seed=3, inner=128),
+     2.781057726185411, 0.013207932045272786),
+    (True, dict(n=2, q=2.5, samples=64, depth=6, seed=5, inner=16),
+     3.5178978902466542, 0.135139231577473),
+])
+def test_mc_collapse_value_pinned(markov, kw, value, stderr):
+    # Values recorded from a per-tuple implementation with the same draw
+    # order; they pin which uniform of a batch becomes which symbol.
+    ifs, model = hetero_system()
+    if markov:
+        potential = np.log(np.array([[0.50, 0.20], [0.35, 0.45]]))
+        model = MarkovGibbsModel(potential=potential)
+    est = mc_multienergy(ifs, model, s=0.55, unresolved="collapse", **kw)
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12)
+    assert est.attempts == kw["samples"] // 32 * 32 * kw["inner"]
+
+
+def test_mc_resample_equals_collapse_without_collisions():
+    # At depth 17 no tuple collides, so resample draws nothing extra.
+    ifs, model = hetero_system()
+    kw = dict(s=0.55, n=1, q=1.8, samples=32, depth=17, inner=2)
+    resample = mc_multienergy(ifs, model, unresolved="resample", **kw)
+    collapse = mc_multienergy(ifs, model, unresolved="collapse", **kw)
+    assert resample.failures == 0
+    assert (resample.value, resample.stderr) == (collapse.value, collapse.stderr)
 
 
 def test_mc_deterministic_for_seed():
