@@ -10,11 +10,19 @@ where r is the number of child subtrees of v occupied by the rays (the
 largest number of rays that pairwise meet exactly at v).  Total multiplicity
 is always n - 1, and the vertex set is closed under pairwise meets.
 
+One meet rule serves every tree computation here: in lexicographic order
+the wedge of two words is the shortest wedge of adjacent words between
+them.  So sorted rays meet their neighbours exactly at the join vertices
+(r occupied child subtrees give r - 1 adjacent pairs), a vertex set is
+meet-closed when the wedges of its adjacent sorted vertices belong to it,
+and sorted vertices come in tree preorder.
+
 A join class is a join set up to automorphisms of the rooted tree, i.e. up
 to permuting child subtrees below the root; the canonical form is a
 recursive child-sorted encoding.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,9 +34,7 @@ def wedge(u, v):
     """Longest common prefix of two words."""
     u, v = tuple(u), tuple(v)
     k = 0
-    for a, b in zip(u, v):
-        if a != b:
-            break
+    while k < min(len(u), len(v)) and u[k] == v[k]:
         k += 1
     return u[:k]
 
@@ -41,12 +47,7 @@ def is_prefix(u, v):
 
 def all_words(m, k):
     """All words of length k over {1..m} in lexicographic order."""
-    if k == 0:
-        return [()]
-    words = [()]
-    for _ in range(k):
-        words = [w + (c,) for w in words for c in range(1, m + 1)]
-    return words
+    return list(itertools.product(range(1, m + 1), repeat=k))
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,11 @@ class JoinSet:
             if not is_prefix(root, w):
                 raise InvalidInputError(f"vertex {w} does not extend root {root}")
         words = sorted(verts)
-        for i, u in enumerate(words):
-            for v in words[i + 1 :]:
-                if wedge(u, v) not in verts:
-                    raise InvalidInputError(
-                        f"not meet-closed: wedge of {u} and {v} missing"
-                    )
+        for u, v in zip(words, words[1:]):
+            if wedge(u, v) not in verts:
+                raise InvalidInputError(
+                    f"not meet-closed: wedge of {u} and {v} missing"
+                )
         object.__setattr__(self, "root", root)
         object.__setattr__(
             self, "vertices", tuple((w, verts[w]) for w in words)
@@ -96,10 +96,8 @@ class JoinSet:
 
     def levels(self):
         """Sorted multiset of vertex depths, counted with multiplicity."""
-        out = []
-        for w, mult in self.vertices:
-            out.extend([len(w)] * mult)
-        return tuple(sorted(out))
+        return tuple(sorted(len(w) for w, mult in self.vertices
+                            for _ in range(mult)))
 
 
 def join_set(words, root=()):
@@ -114,28 +112,24 @@ def join_set(words, root=()):
     root : tuple, optional
         Root vertex; all rays must extend it.
     """
-    rays = [tuple(w) for w in words]
+    # A duplicate or a prefix sorts next to the ray it extends.
+    rays = sorted(tuple(w) for w in words)
     if len(rays) < 2:
         raise InvalidInputError(f"need at least 2 rays, got {len(rays)}")
     root = tuple(root)
     for r in rays:
         if not is_prefix(root, r):
             raise InvalidInputError(f"ray {r} does not extend root {root}")
-    meet_points = set()
-    for i, u in enumerate(rays):
-        for v in rays[i + 1 :]:
-            w = wedge(u, v)
-            if len(w) == len(u) or len(w) == len(v):
-                raise InvalidInputError(
-                    f"rays {u} and {v} do not diverge within their length; "
-                    "extend them to resolve the join"
-                )
-            meet_points.add(w)
-    verts = []
-    for v in meet_points:
-        children = {r[len(v)] for r in rays if is_prefix(v, r)}
-        verts.append((v, len(children) - 1))
-    return JoinSet(root=root, vertices=tuple(verts))
+    verts = {}
+    for u, v in zip(rays, rays[1:]):
+        w = wedge(u, v)
+        if len(w) == min(len(u), len(v)):
+            raise InvalidInputError(
+                f"rays {u} and {v} do not diverge within their length; "
+                "extend them to resolve the join"
+            )
+        verts[w] = verts.get(w, 0) + 1
+    return JoinSet(root=root, vertices=tuple(verts.items()))
 
 
 def multienergy_kernel(ifs, s, words):
@@ -168,9 +162,13 @@ def cut_set(ifs, s, r, max_size=250000):
     below.  Every infinite ray passes through exactly one member, and each
     member w satisfies a_minus * r < alpha_j(T_w) <= r.
     """
-    n = ifs.dim
-    if not 0.0 < s <= n:
-        raise InvalidInputError(f"cut sets need 0 < s <= {n}, got s={s}")
+    return [w for w, _ in _cut_set_products(ifs, s, r, max_size)]
+
+
+def _cut_set_products(ifs, s, r, max_size=250000):
+    """Sorted (word, T_word) pairs of the cut set J^s(r); see cut_set."""
+    if not 0.0 < s <= ifs.dim:
+        raise InvalidInputError(f"cut sets need 0 < s <= {ifs.dim}, got s={s}")
     if not 0.0 < r < 1.0:
         raise InvalidInputError(f"radius must lie in (0, 1), got {r}")
     j = math.ceil(s)
@@ -183,14 +181,14 @@ def cut_set(ifs, s, r, max_size=250000):
             m2 = mat @ ifs.matrix(c)
             alpha = singular_values(m2)[j - 1]
             if alpha <= r:
-                out.append(w2)
+                out.append((w2, m2))
             else:
                 stack.append((w2, m2))
             if len(out) + len(stack) > max_size:
                 raise ResourceLimitError(
                     f"cut set for r={r} exceeds budget of {max_size} words"
                 )
-    out.sort()
+    out.sort(key=lambda pair: pair[0])
     return out
 
 
@@ -219,26 +217,21 @@ class JoinClass:
 
 def _encode_join_set(jset):
     verts = dict(jset.vertices)
-    words = sorted(verts)
     rootlen = len(jset.root)
-    children = {w: [] for w in words}
-    tops = []
-    for w in words:
-        parent = None
-        for v in words:
-            if v != w and is_prefix(v, w):
-                if parent is None or len(v) > len(parent):
-                    parent = v
-        if parent is None:
-            tops.append(w)
-        else:
-            children[parent].append(w)
+    children = {None: [], **{w: [] for w in verts}}
+    ancestors = [None]
+    # Sorted vertices come in tree preorder; None stands above the tops.
+    for w in verts:
+        while ancestors[-1] is not None and not is_prefix(ancestors[-1], w):
+            ancestors.pop()
+        children[ancestors[-1]].append(w)
+        ancestors.append(w)
 
     def enc(w):
         kids = tuple(sorted(enc(u) for u in children[w]))
         return (len(w) - rootlen, verts[w], kids)
 
-    return tuple(sorted(enc(t) for t in tops))
+    return tuple(sorted(enc(t) for t in children[None]))
 
 
 def _realize_encoding(encoding, root):
@@ -324,12 +317,7 @@ def _class_shapes(levels, m, _cache=None):
             choice_sets = [
                 sorted(_class_shapes(p, m, _cache)) for p in parts
             ]
-            if any(not cs for cs in choice_sets):
-                continue
-            stack = [()]
-            for cs in choice_sets:
-                stack = [got + (c,) for got in stack for c in cs]
-            for combo in stack:
+            for combo in itertools.product(*choice_sets):
                 # One encoding node per child part; each part's shape is a
                 # single-top encoding (tuple of length 1).
                 kids = tuple(sorted(node for shape in combo for node in shape))

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .codespace import cut_set
+from .codespace import _cut_set_products
 from .errors import InvalidInputError, NoRootError, ResourceLimitError
-from .linalg import compose, log_phi_stack, phi_s, singular_values_stack
+from .linalg import log_phi_stack, phi_s, singular_values_stack
 from .measures import cylinder_mass, log_prob_tables, product_ratio_bounds
 
 _CHUNK_TERMS = 1 << 16
@@ -355,12 +355,11 @@ def d_q_plus_cutset(ifs, model, q, s, rho=0.5, l_max=8, max_size=250000):
     out = []
     for level in range(1, l_max + 1):
         r = rho ** level
-        words = cut_set(ifs, s, r, max_size=max_size)
+        members = _cut_set_products(ifs, s, r, max_size=max_size)
         total = 0.0
-        for w in words:
-            total += phi_s(compose(ifs, w), s) ** (1.0 - q) \
-                * cylinder_mass(model, w) ** q
-        out.append(CutSetSum(r=r, value=total, size=len(words)))
+        for w, mat in members:
+            total += phi_s(mat, s) ** (1.0 - q) * cylinder_mass(model, w) ** q
+        out.append(CutSetSum(r=r, value=total, size=len(members)))
     return out
 
 

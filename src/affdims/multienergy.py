@@ -74,6 +74,13 @@ def _word_index(words, m):
     return (words - 1) @ m ** np.arange(words.shape[-1] - 1, -1, -1)
 
 
+def _wedge_heights(m, depth, codes):
+    """Levels from depth D up to each adjacent wedge (the prefixes differ)."""
+    a, b = codes[..., :-1], codes[..., 1:]
+    return sum((a // m ** k != b // m ** k).astype(np.int64)
+               for k in range(depth))
+
+
 def _log_kernels(log_phi, m, depth, codes):
     """log of the depth-truncated join kernel of tuples of depth-D words.
 
@@ -87,11 +94,8 @@ def _log_kernels(log_phi, m, depth, codes):
     """
     flat = np.concatenate(log_phi[:depth + 1])
     starts = np.cumsum([0] + [lv.size for lv in log_phi[:depth]])
-    a, b = codes[..., :-1], codes[..., 1:]
-    # Levels from the bottom up to the wedge: the prefixes differ below it.
-    up = sum((a // m ** k != b // m ** k).astype(np.int64)
-             for k in range(depth))
-    return flat[starts[depth - up] + a // m ** up].sum(axis=-1)
+    up = _wedge_heights(m, depth, codes)
+    return flat[starts[depth - up] + codes[..., :-1] // m ** up].sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,12 @@ class MultiEnergyEstimate:
     truncation_depth: int
     failures: int = 0
     attempts: int = 0
+
+
+def _check_root(root, m, depth):
+    if len(root) >= depth or any(sym not in range(1, m + 1) for sym in root):
+        raise InvalidInputError(f"root {root} needs symbols in 1..{m} and "
+                                f"length below depth {depth}")
 
 
 def _check_nq(n, q):
@@ -314,6 +324,7 @@ def check_prop71_bound(ifs, model, s, q, join_class, depth):
         raise InvalidInputError(
             f"class spread {n} exceeds q={q}; the bound requires q >= spread"
         )
+    _check_root(join_class.root, ifs.m, depth)
     if max(join_class.levels) >= depth:
         raise InvalidInputError(
             f"depth {depth} cannot resolve a class with a join at level "
@@ -330,22 +341,23 @@ def _class_sums(log_phi, log_mass, m, root, depth, n):
     """Restricted sums over ordered n-tuples of distinct depth-D rays below root.
 
     Returns {class encoding: (join class, sum of kernel^-1 * masses)} over
-    every class the tuples realize.
+    every class the tuples realize.  Sorted rays' wedge heights fix their
+    tree, so terms are summed per row of heights, one tuple per row classified.
     """
     rays = [root + suf for suf in all_words(m, depth - len(root))]
-    first = _word_index(root, m) * len(rays)
     combos = np.array(list(combinations(range(len(rays)), n)),
                       dtype=np.int64).reshape(-1, n)
-    logmass = log_mass[depth][first + combos].sum(axis=1)
-    kernels = _log_kernels(log_phi, m, depth, first + combos)
-    terms = math.factorial(n) * np.exp(logmass - kernels)
+    codes = _word_index(root, m) * len(rays) + combos
+    terms = math.factorial(n) * np.exp(log_mass[depth][codes].sum(axis=1)
+                                       - _log_kernels(log_phi, m, depth, codes))
+    _, reps, rows = np.unique(_wedge_heights(m, depth, codes), axis=0,
+                              return_index=True, return_inverse=True)
     found = {}
-    for combo, term in zip(combos.tolist(), terms.tolist()):
+    for rep, lhs in zip(reps, np.bincount(rows.reshape(-1), terms).tolist()):
         cls = canonical_join_class(
-            join_set([rays[i] for i in combo], root=root))
+            join_set([rays[i] for i in combos[rep]], root=root))
         key = cls.encoding()
-        lhs = found[key][1] if key in found else 0.0
-        found[key] = (cls, lhs + term)
+        found[key] = (cls, found.get(key, (cls, 0.0))[1] + lhs)
     return found
 
 
@@ -382,6 +394,7 @@ def prop71_survey(ifs, model, s, q, depth, max_spread=4, root=()):
     if max_spread < 2:
         raise InvalidInputError("survey needs max_spread >= 2")
     root = tuple(root)
+    _check_root(root, ifs.m, depth)
     log_phi, log_mass = _log_tables(ifs, model, s, depth)
     rows = []
     for n in range(2, max_spread + 1):

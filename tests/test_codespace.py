@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affdims import (
+    JoinSet,
     all_words,
     canonical_join_class,
     count_join_configurations,
@@ -16,7 +19,7 @@ from affdims import (
     multienergy_kernel,
     wedge,
 )
-from affdims.codespace import is_prefix
+from affdims.codespace import _encode_join_set, is_prefix
 from affdims.errors import InvalidInputError
 
 from checks import diag_ifs
@@ -81,6 +84,78 @@ def test_join_set_closure_and_total_multiplicity_random():
             assert any(
                 wedge(a, b) == v for a, b in itertools.combinations(words, 2)
             )
+
+
+# --- the adjacent-wedge rule against brute pairwise oracles ---
+
+def _pairwise_join(rays):
+    """Every pairwise wedge, multiplicity = occupied children - 1, or None
+    when some ray is a prefix of (or equal to) another."""
+    pairs = list(itertools.combinations(rays, 2))
+    if any(len(wedge(u, v)) == min(len(u), len(v)) for u, v in pairs):
+        return None
+    meets = {wedge(u, v) for u, v in pairs}
+    return {w: len({r[len(w)] for r in rays if is_prefix(w, r)}) - 1
+            for w in meets}
+
+
+def _pairwise_closed(words):
+    return all(wedge(u, v) in words for u, v in itertools.combinations(words, 2))
+
+
+def _nested_encoding(verts, rootlen):
+    """Canonical encoding with each vertex's parent found by full search."""
+    def parent(w):
+        above = [v for v in verts if v != w and is_prefix(v, w)]
+        return max(above, key=len) if above else None
+
+    def enc(w):
+        kids = tuple(sorted(enc(u) for u in verts if parent(u) == w))
+        return (len(w) - rootlen, verts[w], kids)
+
+    return tuple(sorted(enc(w) for w in verts if parent(w) is None))
+
+
+@st.composite
+def _rooted_families(draw):
+    m = draw(st.sampled_from([2, 3]))
+    sym = st.integers(1, m)
+    root = tuple(draw(st.lists(sym, min_size=1, max_size=2)))
+    rays = [root + tuple(w) for w in draw(st.lists(
+        st.lists(sym, min_size=2, max_size=5), min_size=2, max_size=5))]
+    # Sometimes add a duplicate or a prefix of a drawn ray.
+    extra = draw(st.sampled_from(["none", "none", "duplicate", "prefix"]))
+    if extra != "none":
+        ray = draw(st.sampled_from(rays))
+        cut = len(ray) if extra == "duplicate" else draw(
+            st.integers(len(root), len(ray) - 1))
+        rays.insert(draw(st.integers(0, len(rays))), ray[:cut])
+    verts = draw(st.lists(st.lists(sym, max_size=3), min_size=1, max_size=6))
+    mults = draw(st.lists(st.integers(1, 2), min_size=len(verts),
+                          max_size=len(verts)))
+    return root, rays, {root + tuple(v): k for v, k in zip(verts, mults)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rooted_families())
+def test_join_set_and_closure_match_pairwise_oracles(case):
+    root, rays, verts = case
+    want = _pairwise_join(rays)
+    if want is None:
+        with pytest.raises(InvalidInputError):
+            join_set(rays, root=root)
+    else:
+        js = join_set(rays, root=root)
+        assert dict(js.vertices) == want
+        assert _encode_join_set(js) == _nested_encoding(want, len(root))
+    # JoinSet accepts exactly the pairwise meet-closed vertex sets.
+    if _pairwise_closed(list(verts)):
+        js = JoinSet(root=root, vertices=tuple(verts.items()))
+        assert js.vertices == tuple(sorted(verts.items()))
+        assert _encode_join_set(js) == _nested_encoding(verts, len(root))
+    else:
+        with pytest.raises(InvalidInputError):
+            JoinSet(root=root, vertices=tuple(verts.items()))
 
 
 def test_canonical_class_invariant_under_relabeling():

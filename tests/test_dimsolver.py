@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from affdims import (
+    AffineIFS,
     BernoulliModel,
     MarkovGibbsModel,
     affinity_dimension,
+    compose,
+    cut_set,
+    cylinder_mass,
     d_q_minus,
     d_q_plus_cutset,
     dq_identical_selfadjoint,
@@ -14,6 +18,7 @@ from affdims import (
     moment_sum,
     moment_table,
     phase_transition_scan,
+    phi_s,
 )
 from affdims.errors import InvalidInputError, NoRootError
 
@@ -200,3 +205,23 @@ def test_cutset_sums_diagnostic_shape():
     assert len(rows) == 5
     assert all(row.size > 0 for row in rows)
     assert all(row.value > 0 for row in rows)
+
+
+@pytest.mark.parametrize("sheared", [False, True])
+def test_cutset_sums_equal_per_word_loop(sheared):
+    # The sums reuse the cut-set descent's products; they must equal a
+    # per-word compose loop bit for bit, also for non-commuting maps.
+    ifs, model = worked_system()
+    if sheared:
+        ifs = AffineIFS(maps=(np.diag([0.5, 0.3]),
+                              np.array([[0.4, 0.1], [0.0, 0.35]])))
+        model = MarkovGibbsModel(
+            potential=np.log(np.array([[0.50, 0.20], [0.35, 0.45]])))
+    s, q = 1.3, 2.5
+    for row in d_q_plus_cutset(ifs, model, q, s, l_max=6):
+        words = cut_set(ifs, s, row.r)
+        total = 0.0
+        for w in words:
+            total += phi_s(compose(ifs, w), s) ** (1.0 - q) \
+                * cylinder_mass(model, w) ** q
+        assert (row.value, row.size) == (total, len(words))

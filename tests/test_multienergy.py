@@ -29,7 +29,9 @@ from affdims import (
     simulate_transversality,
 )
 from affdims.errors import DepthInsufficientError, InvalidInputError, ResourceLimitError
-from affdims.multienergy import _log_kernels, _log_tables, _word_index
+from affdims import multienergy
+from affdims.codespace import all_words
+from affdims.multienergy import _class_sums, _log_kernels, _log_tables, _word_index
 
 from checks import diag_ifs
 
@@ -322,6 +324,59 @@ def test_survey_all_hold_at_high_q():
     rows = prop71_survey(ifs, model, s=0.40, q=16.0, depth=4, max_spread=4)
     assert len(rows) == 24
     assert all(r.holds for r in rows)
+
+
+def _class_sums_per_tuple(log_phi, log_mass, m, root, depth, n):
+    """Reference: classify every tuple with join_set + canonical_join_class
+    and take its kernel from the join-set vertices."""
+    found = {}
+    rays = [root + suf for suf in all_words(m, depth - len(root))]
+    for combo in itertools.combinations(rays, n):
+        jset = join_set(combo, root=root)
+        log_term = sum(log_mass[depth][_word_index(w, m)] for w in combo) - sum(
+            mult * log_phi[len(w)][_word_index(w, m)] for w, mult in jset.vertices)
+        cls = canonical_join_class(jset)
+        lhs = found[cls.encoding()][1] if cls.encoding() in found else 0.0
+        found[cls.encoding()] = (cls, lhs + math.factorial(n) * math.exp(log_term))
+    return found
+
+
+@pytest.mark.parametrize("m, depth, n, root", [
+    (2, 4, 2, ()), (2, 4, 3, ()), (2, 4, 4, ()), (2, 4, 4, (2,)),
+    (2, 3, 3, (1,)), (2, 4, 3, (1, 2)),
+    (3, 2, 3, ()), (3, 3, 2, ()), (3, 3, 4, ()), (3, 4, 3, (2,)),
+    (3, 4, 2, (3, 1)),
+])
+def test_class_sums_match_per_tuple_oracle(m, depth, n, root):
+    model = (MarkovGibbsModel(potential=np.log([[0.50, 0.20], [0.35, 0.45]]))
+             if m == 2 else BernoulliModel(probs=(0.5, 0.3, 0.2)))
+    log_phi, log_mass = _log_tables(_KERNEL_SYSTEMS[m], model, 0.55, depth)
+    got = _class_sums(log_phi, log_mass, m, root, depth, n)
+    want = _class_sums_per_tuple(log_phi, log_mass, m, root, depth, n)
+    assert got.keys() == want.keys()
+    for key, (cls, lhs) in want.items():
+        assert got[key][0] == cls
+        assert got[key][1] == pytest.approx(lhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("call, root", [
+    ("survey", (0,)), ("survey", (3,)), ("survey", (1, 1, 1, 1)),
+    ("bound", (0, 1)), ("bound", (1, 3)),
+])
+def test_bad_root_rejected_before_work(monkeypatch, call, root):
+    ifs, model = hetero_system()
+
+    def no_tables(*args):
+        raise AssertionError("level tables built before the root was checked")
+
+    monkeypatch.setattr(multienergy, "_log_tables", no_tables)
+    with pytest.raises(InvalidInputError, match="root"):
+        if call == "survey":
+            prop71_survey(ifs, model, s=0.55, q=4.0, depth=4, root=root)
+        else:
+            jc = canonical_join_class(
+                join_set((root + (1, 1), root + (2, 1)), root=root))
+            check_prop71_bound(ifs, model, 0.55, 4.0, jc, depth=4)
 
 
 def test_spread_above_q_rejected():
