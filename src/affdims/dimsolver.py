@@ -26,12 +26,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .codespace import _cut_set_products
 from .errors import InvalidInputError, NoRootError, ResourceLimitError
 from .linalg import log_phi_stack, phi_s, singular_values_stack
 from .measures import cylinder_mass, log_prob_tables, product_ratio_bounds
+from .numerics import logsumexp
 
 _CHUNK_TERMS = 1 << 16
 _DEFAULT_MAX_TERMS = 20_000_000
@@ -77,7 +77,7 @@ class _Level:
 
 
 class _Levels:
-    """Per-level singular values and log cylinder masses up to k_max.
+    """Per-level log singular values and log cylinder masses up to k_max.
 
     Matrices and masses do not depend on (s, q), so one build serves every
     bisection step; a level evaluation is then a single vectorized
@@ -99,18 +99,18 @@ class _Levels:
             log_init = np.zeros(m)
             log_trans = np.zeros((m, m))
         level = _Level(ifs, log_init, log_trans)
-        self.alphas = [singular_values_stack(level.mats)]
+        self.log_alphas = [np.log(singular_values_stack(level.mats))]
         self.logmass = [level.logmass]
         for _ in range(1, k_max):
             level.grow()
-            self.alphas.append(singular_values_stack(level.mats))
+            self.log_alphas.append(np.log(singular_values_stack(level.mats)))
             self.logmass.append(level.logmass)
         self.k_max = k_max
 
     def log_level_sum(self, s, q, k):
-        terms = (1.0 - q) * log_phi_stack(self.alphas[k - 1], s) \
+        terms = (1.0 - q) * log_phi_stack(self.log_alphas[k - 1], s) \
             + q * self.logmass[k - 1]
-        return float(logsumexp(terms))
+        return logsumexp(terms)
 
 
 def _iter_level(ifs, model, k):
@@ -147,10 +147,11 @@ def log_moment_sum(ifs, model, s, q, k, max_terms=_DEFAULT_MAX_TERMS):
         )
     pieces = []
     for mats, logmass in _iter_level(ifs, model, k):
-        terms = (1.0 - q) * log_phi_stack(singular_values_stack(mats), s) \
+        log_alphas = np.log(singular_values_stack(mats))
+        terms = (1.0 - q) * log_phi_stack(log_alphas, s) \
             + q * logmass
         pieces.append(logsumexp(terms))
-    return float(logsumexp(pieces))
+    return logsumexp(pieces)
 
 
 def moment_sum(ifs, model, s, q, k, max_terms=_DEFAULT_MAX_TERMS):

@@ -12,10 +12,9 @@ mesh-free route to the same exponent via multi-point counting.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.stats import linregress
 
 from .errors import InsufficientDataError, InvalidInputError
+from .numerics import fit_line
 
 _MIN_OCCUPIED = 5
 _MIN_PER_CUBE = 10.0
@@ -79,6 +78,10 @@ def correlation_integral(points, r, q):
     n = pos.shape[0]
     if n < q:
         raise InvalidInputError(f"need at least q={q} points, got {n}")
+    # Imported here: scipy.spatial takes longer to load than the rest of
+    # the package, and only this form needs it.
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(pos)
     counts = tree.query_ball_point(pos, r, return_length=True)
     est = np.ones(n)
@@ -169,13 +172,12 @@ def estimate_dimension(ladder):
         )
     x = (ladder.q - 1.0) * np.log([ladder.radii[i] for i in idx])
     y = np.log([ladder.sums[i] for i in idx])
-    fit = linregress(x, y)
-    value = float(fit.slope)
+    value, stderr = fit_line(x, y)
     clamped = False
     if value < 0.0 or value > ladder.dim:
         value = min(max(value, 0.0), float(ladder.dim))
         clamped = True
     return DimEstimate(
-        value=value, stderr=float(fit.stderr), window=(idx[0], idx[-1]),
+        value=value, stderr=stderr, window=(idx[0], idx[-1]),
         q=ladder.q, form=ladder.form, clamped=clamped,
     )

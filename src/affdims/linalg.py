@@ -158,16 +158,16 @@ def singular_values_stack(mats):
     return np.linalg.svd(mats, compute_uv=False)
 
 
-def log_phi_stack(alphas, s):
-    """log phi^s from stacked singular values (..., N), vectorized over words.
+def log_phi_stack(logs, s):
+    """log phi^s from stacked log singular values (..., N), over words.
 
-    Singular values must be positive; use only on products of nonsingular
-    contractions.
+    Takes the logs so that callers evaluating one stack at many s (the
+    solver's level tables) take them once.  Use only on products of
+    nonsingular contractions, whose singular values are positive.
     """
-    n = alphas.shape[-1]
+    n = logs.shape[-1]
     if s <= 0.0:
         raise InvalidInputError(f"phi^s needs s > 0, got {s}")
-    logs = np.log(alphas)
     if s > n:
         return logs.sum(axis=-1) * (s / n)
     j = math.ceil(s)
@@ -192,7 +192,7 @@ def phi_s(T, s):
         alphas = singular_values(T)
     if np.any(alphas <= 0.0):
         raise InvalidInputError("phi^s requires a nonsingular matrix")
-    return float(np.exp(log_phi_stack(alphas, s)))
+    return float(np.exp(log_phi_stack(np.log(alphas), s)))
 
 
 def compose(ifs, word):

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.stats import linregress
 
 from . import counterrng as crng
 from .codespace import all_words, canonical_join_class, join_set, wedge
@@ -35,11 +34,13 @@ from .errors import (
 )
 from .linalg import compose, log_phi_stack, phi_s
 from .measures import draw_words, sample_words
+from .numerics import fit_line
 from .sampler import _project_block
 
 _MC_LABEL = "multienergy/mc"
 _TRANS_LABEL = "multienergy/transversality"
 _MAX_TREE_VERTICES = 20_000
+_MAX_CLASS_TUPLES = 1_000_000
 
 
 def _check_s(s, dim, allow_dim=True):
@@ -63,7 +64,7 @@ def _log_tables(ifs, model, s, depth):
     if depth < 1:
         raise InvalidInputError(f"depth must be >= 1, got {depth}")
     levels = _Levels(ifs, model, depth)
-    log_phi = [np.zeros(1)] + [log_phi_stack(a, s) for a in levels.alphas]
+    log_phi = [np.zeros(1)] + [log_phi_stack(la, s) for la in levels.log_alphas]
     log_mass = [np.zeros(1)] + levels.logmass
     return log_phi, log_mass
 
@@ -116,6 +117,18 @@ def _check_root(root, m, depth):
     if len(root) >= depth or any(sym not in range(1, m + 1) for sym in root):
         raise InvalidInputError(f"root {root} needs symbols in 1..{m} and "
                                 f"length below depth {depth}")
+
+
+def _check_tuple_budget(m, depth, root, spreads):
+    """Raise before any work when a class sum would list too many tuples."""
+    rays = m ** (depth - len(root))
+    for n in sorted(spreads, reverse=True):
+        count = math.comb(rays, n)
+        if count > _MAX_CLASS_TUPLES:
+            raise ResourceLimitError(
+                f"spread {n} at depth {depth} below root {root} has {count} "
+                f"tuples of rays, over the budget of {_MAX_CLASS_TUPLES}"
+            )
 
 
 def _check_nq(n, q):
@@ -315,7 +328,8 @@ def check_prop71_bound(ifs, model, s, q, join_class, depth):
     lhs sums kernel^{-1} * masses over ordered tuples of distinct depth-D
     rays below the class root whose join set falls in the class; rhs is
     the closed-form product over the class levels.  Returns (lhs, rhs,
-    holds) with holds = lhs <= rhs up to 1e-9 relative slack.
+    holds) with holds = lhs <= rhs up to 1e-9 relative slack.  Raises
+    ResourceLimitError, before any work, past 1,000,000 tuples.
     """
     n = join_class.spread
     if n < 2:
@@ -330,6 +344,7 @@ def check_prop71_bound(ifs, model, s, q, join_class, depth):
             f"depth {depth} cannot resolve a class with a join at level "
             f"{max(join_class.levels)}"
         )
+    _check_tuple_budget(ifs.m, depth, join_class.root, (n,))
     log_phi, log_mass = _log_tables(ifs, model, s, depth)
     found = _class_sums(log_phi, log_mass, ifs.m, join_class.root, depth, n)
     lhs = found.get(join_class.encoding(), (join_class, 0.0))[1]
@@ -389,17 +404,19 @@ def prop71_survey(ifs, model, s, q, depth, max_spread=4, root=()):
     Enumerates all tuples of 2..max_spread distinct depth-D rays below the
     root in one sweep, accumulates the restricted sums per canonical
     class, and compares each against its closed-form bound.  Spreads above
-    q are skipped (outside the bound's hypothesis).
+    q are skipped (outside the bound's hypothesis).  Raises
+    ResourceLimitError, before any work, when a spread has more than
+    1,000,000 tuples.
     """
     if max_spread < 2:
         raise InvalidInputError("survey needs max_spread >= 2")
     root = tuple(root)
     _check_root(root, ifs.m, depth)
+    spreads = [n for n in range(2, max_spread + 1) if n <= q]
+    _check_tuple_budget(ifs.m, depth, root, spreads)
     log_phi, log_mass = _log_tables(ifs, model, s, depth)
     rows = []
-    for n in range(2, max_spread + 1):
-        if n > q:
-            continue
+    for n in spreads:
         found = _class_sums(log_phi, log_mass, ifs.m, root, depth, n)
         for key in sorted(found):
             cls, lhs = found[key]
@@ -431,13 +448,13 @@ def check_decay_criterion(ifs, model, s, q, k_max, max_terms=250000):
     levels = _Levels(ifs, model, k_max, max_terms)
     ks = np.arange(1, k_max + 1, dtype=np.float64)
     logs = np.array([levels.log_level_sum(s, q, int(k)) for k in ks])
-    fit = linregress(ks, logs)
-    margin = 2.0 * fit.stderr + 1e-3
+    slope, stderr = fit_line(ks, logs)
+    margin = 2.0 * stderr + 1e-3
     return DecayCheck(
-        lambda_fit=float(np.exp(fit.slope)),
-        geometric=bool(fit.slope < -margin),
-        slope=float(fit.slope),
-        stderr=float(fit.stderr),
+        lambda_fit=float(np.exp(slope)),
+        geometric=bool(slope < -margin),
+        slope=slope,
+        stderr=stderr,
     )
 
 

@@ -1,12 +1,17 @@
 """Config-driven command line runs, exercised in process."""
 
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import affdims
 from affdims import BernoulliModel, d_q_minus
 from affdims.cli import _build_parser, config_hash, main, resolve_config
 
@@ -271,6 +276,49 @@ def test_resource_limit_exit_code(tmp_path, capsys):
     path = write_ini(tmp_path, "[multienergy]\nn = 3\nq = 3.5\ndepth = 40\n")
     code, _, err = run_cli(capsys, "multienergy", "--config", str(path))
     assert code == 3
+
+
+def test_survey_tuple_budget_exit_code(tmp_path, capsys):
+    # 2^11 depth-11 rays give comb(2048, 2) pairs, over the survey budget.
+    path = write_ini(tmp_path, "[multienergy]\nsamples = 32\ninner = 2\n"
+                     "depth = 3\nsurvey_depth = 11\n")
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "multienergy", "--config", str(path),
+                           "--out", str(out))
+    assert code == 3
+    assert str(math.comb(2 ** 11, 2)) in err and "1000000" in err
+    assert not out.exists()
+
+
+_IMPORT_PROBE = """\
+import json, sys
+import affdims, affdims.cli
+
+def scipy_modules():
+    return sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+
+seen = {"import": scipy_modules()}
+for command in ("solve", "verify"):
+    code = affdims.cli.main([command, "--config", sys.argv[1],
+                             "--out", sys.argv[2] + "/" + command])
+    seen[command] = scipy_modules() if code == 0 else f"exit {code}"
+print(json.dumps(seen))
+"""
+
+
+def test_package_and_mesh_runs_import_no_scipy(tmp_path):
+    # scipy.spatial is loaded only by the correlation form; importing the
+    # package and running solve and a mesh verify must not load any scipy.
+    path = write_ini(tmp_path, "[sample]\nn = 20000\ndepth = 18\n"
+                     "[estimate]\nq = 2\nrungs = 9\nform = mesh\n")
+    src = str(Path(affdims.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(path), str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True, timeout=300,
+    )
+    seen = json.loads(done.stdout.strip().splitlines()[-1])
+    assert seen == {"import": [], "solve": [], "verify": []}
 
 
 def test_insufficient_data_exit_code(tmp_path, capsys):

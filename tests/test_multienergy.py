@@ -379,6 +379,35 @@ def test_bad_root_rejected_before_work(monkeypatch, call, root):
             check_prop71_bound(ifs, model, 0.55, 4.0, jc, depth=4)
 
 
+@pytest.mark.parametrize("call", ["survey", "bound"])
+def test_tuple_budget_raises_before_work(monkeypatch, call):
+    # 3^5 = 243 depth-5 ternary rays hold comb(243, 4) = 141,722,460
+    # spread-4 tuples, far over the budget.
+    ifs = _KERNEL_SYSTEMS[3]
+    model = BernoulliModel(probs=(0.5, 0.3, 0.2))
+
+    def no_tables(*args):
+        raise AssertionError("level tables built before the tuple budget")
+
+    monkeypatch.setattr(multienergy, "_log_tables", no_tables)
+    with pytest.raises(ResourceLimitError, match="141722460"):
+        if call == "survey":
+            prop71_survey(ifs, model, s=0.55, q=4.0, depth=5, max_spread=4)
+        else:
+            jc = canonical_join_class(join_set(
+                ((1, 1, 1), (1, 2, 1), (2, 1, 1), (3, 1, 1))))
+            check_prop71_bound(ifs, model, 0.55, 4.0, jc, depth=5)
+
+
+def test_tuple_budget_admits_spread4_depth5_check():
+    ifs, model = hetero_system()
+    assert math.comb(2 ** 5, 4) == 35_960 < multienergy._MAX_CLASS_TUPLES
+    jc = canonical_join_class(join_set(
+        ((1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1))))
+    lhs, rhs, _ = check_prop71_bound(ifs, model, 0.55, 4.0, jc, depth=5)
+    assert 0.0 < lhs and 0.0 < rhs
+
+
 def test_spread_above_q_rejected():
     ifs, model = hetero_system()
     jc = canonical_join_class(
