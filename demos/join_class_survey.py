@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Survey the per-class product bound over all small join configurations.
 
-Tuples of symbol rays are binned by the shape of their join set (which
-vertices the rays split at, up to relabeling subtrees). For each class
-the truncated integral of the inverse kernel is compared against the
-product bound built from level sums.
+A join class is the shape of the join set of a tuple of symbol rays
+(which vertices the rays split at, up to relabeling subtrees). For each
+class the truncated integral of the inverse kernel, summed by induction
+on the class's tree shape, is compared against the product bound built
+from level sums.
 
 The bound is provable for single-vertex classes and holds with a wide
 margin for flat configurations, but for nested chains of join vertices

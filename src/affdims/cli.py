@@ -560,6 +560,8 @@ def cmd_verify(cfg, out_dir, threads=1, cloud_path=None):
 def cmd_multienergy(cfg, out_dir):
     ifs, model = build_system(cfg)
     me = cfg["multienergy"]
+    # Survey first, so an over-budget survey_depth exits before any sampling.
+    survey = prop71_survey(ifs, model, me["s"], me["q"], me["survey_depth"])
     est = mc_multienergy(
         ifs, model, me["s"], me["n"], me["q"], me["samples"], me["depth"],
         seed=cfg["run"]["seed"], inner=me["inner"],
@@ -570,9 +572,6 @@ def cmd_multienergy(cfg, out_dir):
     )
     decay = check_decay_criterion(
         ifs, model, me["s"], me["q"], me["decay_k_max"]
-    )
-    survey = prop71_survey(
-        ifs, model, me["s"], me["q"], me["survey_depth"]
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "multienergy.csv", "w") as fh:

@@ -20,12 +20,13 @@ monotone nondecreasing in D.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
 from . import counterrng as crng
-from .codespace import all_words, canonical_join_class, join_set, wedge
+from .codespace import (_class_shapes, _realize_encoding,
+                        canonical_join_class, wedge)
 from .dimsolver import _Levels
 from .errors import (
     DepthInsufficientError,
@@ -40,7 +41,6 @@ from .sampler import _project_block
 _MC_LABEL = "multienergy/mc"
 _TRANS_LABEL = "multienergy/transversality"
 _MAX_TREE_VERTICES = 20_000
-_MAX_CLASS_TUPLES = 1_000_000
 
 
 def _check_s(s, dim, allow_dim=True):
@@ -75,13 +75,6 @@ def _word_index(words, m):
     return (words - 1) @ m ** np.arange(words.shape[-1] - 1, -1, -1)
 
 
-def _wedge_heights(m, depth, codes):
-    """Levels from depth D up to each adjacent wedge (the prefixes differ)."""
-    a, b = codes[..., :-1], codes[..., 1:]
-    return sum((a // m ** k != b // m ** k).astype(np.int64)
-               for k in range(depth))
-
-
 def _log_kernels(log_phi, m, depth, codes):
     """log of the depth-truncated join kernel of tuples of depth-D words.
 
@@ -95,8 +88,11 @@ def _log_kernels(log_phi, m, depth, codes):
     """
     flat = np.concatenate(log_phi[:depth + 1])
     starts = np.cumsum([0] + [lv.size for lv in log_phi[:depth]])
-    up = _wedge_heights(m, depth, codes)
-    return flat[starts[depth - up] + codes[..., :-1] // m ** up].sum(axis=-1)
+    a, b = codes[..., :-1], codes[..., 1:]
+    # Levels from depth D up to each adjacent wedge (the prefixes differ).
+    up = sum((a // m ** k != b // m ** k).astype(np.int64)
+             for k in range(depth))
+    return flat[starts[depth - up] + a // m ** up].sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -117,18 +113,6 @@ def _check_root(root, m, depth):
     if len(root) >= depth or any(sym not in range(1, m + 1) for sym in root):
         raise InvalidInputError(f"root {root} needs symbols in 1..{m} and "
                                 f"length below depth {depth}")
-
-
-def _check_tuple_budget(m, depth, root, spreads):
-    """Raise before any work when a class sum would list too many tuples."""
-    rays = m ** (depth - len(root))
-    for n in sorted(spreads, reverse=True):
-        count = math.comb(rays, n)
-        if count > _MAX_CLASS_TUPLES:
-            raise ResourceLimitError(
-                f"spread {n} at depth {depth} below root {root} has {count} "
-                f"tuples of rays, over the budget of {_MAX_CLASS_TUPLES}"
-            )
 
 
 def _check_nq(n, q):
@@ -326,10 +310,9 @@ def check_prop71_bound(ifs, model, s, q, join_class, depth):
     """Test the per-class product bound on the restricted multienergy sum.
 
     lhs sums kernel^{-1} * masses over ordered tuples of distinct depth-D
-    rays below the class root whose join set falls in the class; rhs is
-    the closed-form product over the class levels.  Returns (lhs, rhs,
-    holds) with holds = lhs <= rhs up to 1e-9 relative slack.  Raises
-    ResourceLimitError, before any work, past 1,000,000 tuples.
+    rays below the class root in the class (`_class_lhs` on its shape); rhs
+    is the closed-form product over the class levels.  Returns (lhs, rhs,
+    holds) with holds = lhs <= rhs up to 1e-9 relative slack.
     """
     n = join_class.spread
     if n < 2:
@@ -344,39 +327,64 @@ def check_prop71_bound(ifs, model, s, q, join_class, depth):
             f"depth {depth} cannot resolve a class with a join at level "
             f"{max(join_class.levels)}"
         )
-    _check_tuple_budget(ifs.m, depth, join_class.root, (n,))
     log_phi, log_mass = _log_tables(ifs, model, s, depth)
-    found = _class_sums(log_phi, log_mass, ifs.m, join_class.root, depth, n)
-    lhs = found.get(join_class.encoding(), (join_class, 0.0))[1]
-    rhs = _prop71_rhs(log_phi, log_mass, ifs.m, q, join_class)
-    return lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-9))
+    lhs = _class_lhs(log_phi, log_mass, ifs.m, join_class.root, n,
+                     join_class.encoding(), {})
+    row = _prop71_row(log_phi, log_mass, ifs.m, q, join_class, lhs)
+    return row.lhs, row.rhs, row.holds
 
 
 def _class_sums(log_phi, log_mass, m, root, depth, n):
     """Restricted sums over ordered n-tuples of distinct depth-D rays below root.
 
     Returns {class encoding: (join class, sum of kernel^-1 * masses)} over
-    every class the tuples realize.  Sorted rays' wedge heights fix their
-    tree, so terms are summed per row of heights, one tuple per row classified.
+    every shape with n - 1 joins above depth D that `_class_shapes` lists.
     """
-    rays = [root + suf for suf in all_words(m, depth - len(root))]
-    combos = np.array(list(combinations(range(len(rays)), n)),
-                      dtype=np.int64).reshape(-1, n)
-    codes = _word_index(root, m) * len(rays) + combos
-    terms = math.factorial(n) * np.exp(log_mass[depth][codes].sum(axis=1)
-                                       - _log_kernels(log_phi, m, depth, codes))
-    _, reps, rows = np.unique(_wedge_heights(m, depth, codes), axis=0,
-                              return_index=True, return_inverse=True)
-    found = {}
-    for rep, lhs in zip(reps, np.bincount(rows.reshape(-1), terms).tolist()):
-        cls = canonical_join_class(
-            join_set([rays[i] for i in combos[rep]], root=root))
-        key = cls.encoding()
-        found[key] = (cls, found.get(key, (cls, 0.0))[1] + lhs)
-    return found
+    levels = combinations_with_replacement(range(depth - len(root)), n - 1)
+    shapes, nodes = {}, {}
+    keys = set().union(*(_class_shapes(lv, m, shapes) for lv in levels))
+    return {key: (canonical_join_class(_realize_encoding(key, root)),
+                  _class_lhs(log_phi, log_mass, m, root, n, key, nodes))
+            for key in keys}
 
 
-def _prop71_rhs(log_phi, log_mass, m, q, join_class):
+def _class_lhs(log_phi, log_mass, m, root, n, encoding, nodes):
+    """Sum of kernel^-1 * masses over ordered n-tuples of one class shape.
+
+    By induction on the shape tree: node (d, mult, kids) is an array over
+    the depth-d vertices v below root of phi^s(v)^-mult times the sum, over
+    injective assignments of its mult + 1 slots to v's children, of the
+    product of slot values (a kid's array summed over the child's subtree,
+    or a single ray's cylinder mass), divided by the permutations of
+    identical slots; n! orders the rays.  nodes memoizes node arrays.
+    """
+    base, index = len(root), _word_index(root, m)
+
+    def node_sum(node):
+        if node in nodes:
+            return nodes[node]
+        d, mult, kids = node
+        span, singles = m ** d, mult + 1 - len(kids)
+        below = slice(index * span * m, (index + 1) * span * m)
+        rays = np.exp(log_mass[base + d + 1][below]).reshape(span, m)
+        slots = np.stack([node_sum(kid).reshape(span, m, -1).sum(axis=2)
+                          for kid in kids] + [rays] * singles)
+        # More kids than slots: no ray set realizes the shape.
+        perms = permutations(range(m), mult + 1) if singles >= 0 else ()
+        out = sum((slots[np.arange(mult + 1), :, list(perm)].prod(axis=0)
+                   for perm in perms), np.zeros(span))
+        same = list(kids) + [None] * singles
+        out /= math.prod(math.factorial(same.count(k)) for k in set(same))
+        block = slice(index * span, (index + 1) * span)
+        nodes[node] = out * np.exp(-mult * log_phi[base + d][block])
+        return nodes[node]
+
+    (top,) = encoding
+    return math.factorial(n) * float(node_sum(top).sum())
+
+
+def _prop71_row(log_phi, log_mass, m, q, join_class, lhs):
+    """Bound row of a class: closed-form rhs, holds = lhs <= rhs (rel 1e-9)."""
     root = join_class.root
     n = join_class.spread
     index = _word_index(root, m)
@@ -387,7 +395,8 @@ def _prop71_rhs(log_phi, log_mass, m, q, join_class):
         S = float(np.exp((1.0 - q) * log_phi[level][block]
                          + q * log_mass[level][block]).sum())
         out *= S ** (1.0 / (q - 1.0))
-    return out
+    return ClassBoundRow(join_class=join_class, lhs=lhs, rhs=out,
+                         holds=bool(lhs <= out * (1.0 + 1e-9)))
 
 
 @dataclass(frozen=True)
@@ -401,30 +410,21 @@ class ClassBoundRow:
 def prop71_survey(ifs, model, s, q, depth, max_spread=4, root=()):
     """Product-bound check over every join class realized at this depth.
 
-    Enumerates all tuples of 2..max_spread distinct depth-D rays below the
-    root in one sweep, accumulates the restricted sums per canonical
-    class, and compares each against its closed-form bound.  Spreads above
-    q are skipped (outside the bound's hypothesis).  Raises
-    ResourceLimitError, before any work, when a spread has more than
-    1,000,000 tuples.
+    For each spread 2..max_spread not above q (the bound's hypothesis), sums
+    every class of distinct depth-D rays below the root by tree recursion over
+    its shape (`_class_sums`) and compares it against its closed-form bound.
+    Past m^depth = 250,000 words ResourceLimitError is raised before any work.
     """
     if max_spread < 2:
         raise InvalidInputError("survey needs max_spread >= 2")
     root = tuple(root)
     _check_root(root, ifs.m, depth)
-    spreads = [n for n in range(2, max_spread + 1) if n <= q]
-    _check_tuple_budget(ifs.m, depth, root, spreads)
     log_phi, log_mass = _log_tables(ifs, model, s, depth)
     rows = []
-    for n in spreads:
+    for n in [n for n in range(2, max_spread + 1) if n <= q]:
         found = _class_sums(log_phi, log_mass, ifs.m, root, depth, n)
-        for key in sorted(found):
-            cls, lhs = found[key]
-            rhs = _prop71_rhs(log_phi, log_mass, ifs.m, q, cls)
-            rows.append(ClassBoundRow(
-                join_class=cls, lhs=lhs, rhs=rhs,
-                holds=bool(lhs <= rhs * (1.0 + 1e-9)),
-            ))
+        rows += [_prop71_row(log_phi, log_mass, ifs.m, q, *found[key])
+                 for key in sorted(found)]
     return rows
 
 

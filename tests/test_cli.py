@@ -1,7 +1,6 @@
 """Config-driven command line runs, exercised in process."""
 
 import json
-import math
 import os
 import re
 import subprocess
@@ -278,15 +277,20 @@ def test_resource_limit_exit_code(tmp_path, capsys):
     assert code == 3
 
 
-def test_survey_tuple_budget_exit_code(tmp_path, capsys):
-    # 2^11 depth-11 rays give comb(2048, 2) pairs, over the survey budget.
+def test_survey_tuple_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # 2^18 depth-18 words exceed the survey's 250,000-word level table; the
+    # survey runs first, so the run exits 3 before any Monte Carlo work.
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the survey's limit check")
+
+    monkeypatch.setattr(affdims.cli, "mc_multienergy", no_sampling)
     path = write_ini(tmp_path, "[multienergy]\nsamples = 32\ninner = 2\n"
-                     "depth = 3\nsurvey_depth = 11\n")
+                     "depth = 3\nsurvey_depth = 18\n")
     out = tmp_path / "out"
     code, _, err = run_cli(capsys, "multienergy", "--config", str(path),
                            "--out", str(out))
     assert code == 3
-    assert str(math.comb(2 ** 11, 2)) in err and "1000000" in err
+    assert str(2 ** 18) in err and "250000" in err
     assert not out.exists()
 
 

@@ -30,7 +30,7 @@ from affdims import (
 )
 from affdims.errors import DepthInsufficientError, InvalidInputError, ResourceLimitError
 from affdims import multienergy
-from affdims.codespace import all_words
+from affdims.codespace import JoinSet, all_words
 from affdims.multienergy import _class_sums, _log_kernels, _log_tables, _word_index
 
 from checks import diag_ifs
@@ -379,33 +379,67 @@ def test_bad_root_rejected_before_work(monkeypatch, call, root):
             check_prop71_bound(ifs, model, 0.55, 4.0, jc, depth=4)
 
 
-@pytest.mark.parametrize("call", ["survey", "bound"])
-def test_tuple_budget_raises_before_work(monkeypatch, call):
-    # 3^5 = 243 depth-5 ternary rays hold comb(243, 4) = 141,722,460
-    # spread-4 tuples, far over the budget.
+def test_ternary_spread4_depth5_survey_matches_bound():
+    # 3^5 = 243 depth-5 ternary rays hold 141,722,460 spread-4 tuples; the
+    # tree recursion sums each class shape without listing them.
     ifs = _KERNEL_SYSTEMS[3]
     model = BernoulliModel(probs=(0.5, 0.3, 0.2))
+    rows = prop71_survey(ifs, model, s=0.55, q=4.0, depth=5, max_spread=4)
+    jc = canonical_join_class(join_set(
+        ((1, 1, 1), (1, 2, 1), (2, 1, 1), (3, 1, 1))))
+    (row,) = [r for r in rows if r.join_class == jc]
+    assert row.lhs > 0.0
+    assert check_prop71_bound(ifs, model, 0.55, 4.0, jc, depth=5) == (
+        row.lhs, row.rhs, row.holds)
 
-    def no_tables(*args):
-        raise AssertionError("level tables built before the tuple budget")
 
-    monkeypatch.setattr(multienergy, "_log_tables", no_tables)
-    with pytest.raises(ResourceLimitError, match="141722460"):
-        if call == "survey":
-            prop71_survey(ifs, model, s=0.55, q=4.0, depth=5, max_spread=4)
-        else:
-            jc = canonical_join_class(join_set(
-                ((1, 1, 1), (1, 2, 1), (2, 1, 1), (3, 1, 1))))
-            check_prop71_bound(ifs, model, 0.55, 4.0, jc, depth=5)
+@pytest.mark.parametrize("vertices", [
+    (((), 1), ((1,), 1), ((2,), 1), ((3,), 1)),  # three kids, two slots
+    (((), 3),),  # four children of one vertex in a ternary tree
+])
+def test_unrealizable_class_has_zero_lhs(vertices):
+    ifs = _KERNEL_SYSTEMS[3]
+    model = BernoulliModel(probs=(0.5, 0.3, 0.2))
+    jc = canonical_join_class(JoinSet(root=(), vertices=vertices))
+    lhs, rhs, holds = check_prop71_bound(ifs, model, 0.55, 5.0, jc, depth=3)
+    assert lhs == 0.0 and rhs > 0.0 and holds
 
 
 def test_tuple_budget_admits_spread4_depth5_check():
     ifs, model = hetero_system()
-    assert math.comb(2 ** 5, 4) == 35_960 < multienergy._MAX_CLASS_TUPLES
     jc = canonical_join_class(join_set(
         ((1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1))))
     lhs, rhs, _ = check_prop71_bound(ifs, model, 0.55, 4.0, jc, depth=5)
     assert 0.0 < lhs and 0.0 < rhs
+
+
+@pytest.mark.parametrize("m, depth, root", [
+    (2, 10, ()), (2, 10, (2, 1)), (3, 5, ()), (3, 5, (3,)),
+])
+@pytest.mark.parametrize("markov", [False, True])
+def test_class_sums_add_up_to_elementary_symmetric_masses(m, depth, root,
+                                                           markov):
+    # With phi^s = 1 every kernel is 1, so the class sums of one spread
+    # together cover each n-set of distinct rays below root once per order:
+    # n! e_n(masses), with e_n built ray by ray.
+    if markov:
+        model = MarkovGibbsModel(
+            potential=np.log(np.arange(1.0, m * m + 1).reshape(m, m)))
+    else:
+        model = BernoulliModel(probs=(0.6, 0.4) if m == 2 else (0.5, 0.3, 0.2))
+    _, log_mass = _log_tables(_KERNEL_SYSTEMS[m], model, 0.55, depth)
+    log_phi = [np.zeros_like(lv) for lv in log_mass]
+    span = m ** (depth - len(root))
+    index = _word_index(root, m)
+    masses = np.exp(log_mass[depth][index * span:(index + 1) * span])
+    e = [1.0, 0.0, 0.0, 0.0, 0.0]
+    for x in masses.tolist():
+        for k in range(4, 0, -1):
+            e[k] += x * e[k - 1]
+    for n in (2, 3, 4):
+        found = _class_sums(log_phi, log_mass, m, root, depth, n)
+        total = math.fsum(lhs for _, lhs in found.values())
+        assert total == pytest.approx(math.factorial(n) * e[n], rel=1e-12)
 
 
 def test_spread_above_q_rejected():
