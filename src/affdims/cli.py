@@ -43,6 +43,9 @@ from .estimator import build_ladder, estimate_dimension
 from .linalg import AffineIFS, LinearContraction, contraction_bounds
 from .measures import BernoulliModel, MarkovGibbsModel
 from .multienergy import (
+    _check_decay,
+    _check_exact,
+    _check_mc,
     check_decay_criterion,
     exact_truncated_multienergy,
     mc_multienergy,
@@ -560,7 +563,12 @@ def cmd_verify(cfg, out_dir, threads=1, cloud_path=None):
 def cmd_multienergy(cfg, out_dir):
     ifs, model = build_system(cfg)
     me = cfg["multienergy"]
-    # Survey first, so an over-budget survey_depth exits before any sampling.
+    # Every input is checked before any work; the survey, which runs first,
+    # checks its own depth against its word table.
+    _check_mc(ifs, me["s"], me["n"], me["q"], me["samples"], me["depth"],
+              unresolved=me["mode"])
+    _check_exact(ifs, me["s"], me["n"], me["q"], me["depth"])
+    _check_decay(ifs, me["decay_k_max"])
     survey = prop71_survey(ifs, model, me["s"], me["q"], me["survey_depth"])
     est = mc_multienergy(
         ifs, model, me["s"], me["n"], me["q"], me["samples"], me["depth"],

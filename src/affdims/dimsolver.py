@@ -76,6 +76,17 @@ class _Level:
             self.lasts = np.tile(np.arange(m), self.lasts.shape[0])
 
 
+def _check_levels(m, k_max, max_terms=_SOLVER_MAX_TERMS):
+    """Raise unless a `_Levels` table of k_max levels fits the word budget."""
+    if k_max < 1:
+        raise InvalidInputError(f"k_max must be >= 1, got {k_max}")
+    if m ** k_max > max_terms:
+        raise ResourceLimitError(
+            f"level {k_max} holds {m ** k_max} words, over the "
+            f"budget of {max_terms}"
+        )
+
+
 class _Levels:
     """Per-level log singular values and log cylinder masses up to k_max.
 
@@ -85,13 +96,7 @@ class _Levels:
     """
 
     def __init__(self, ifs, model, k_max, max_terms=_SOLVER_MAX_TERMS):
-        if k_max < 1:
-            raise InvalidInputError(f"k_max must be >= 1, got {k_max}")
-        if ifs.m ** k_max > max_terms:
-            raise ResourceLimitError(
-                f"level {k_max} holds {ifs.m ** k_max} words, over the "
-                f"budget of {max_terms}"
-            )
+        _check_levels(ifs.m, k_max, max_terms)
         m = ifs.m
         if model is not None:
             log_init, log_trans = log_prob_tables(model)

@@ -42,16 +42,19 @@ def _cube_counts(pos, r):
     return counts
 
 
-def mesh_moment_sum(points, r, q):
-    """M_r(q): sum of (cube mass)^q over occupied origin-anchored r-cubes."""
-    pos = _positions(points)
+def _mesh_moment(pos, r, q):
+    """(M_r(q), occupied cube count) from one count of the r-mesh."""
     if not r > 0:
         raise InvalidInputError(f"radius must be positive, got r={r}")
     if not q > 1:
         raise InvalidInputError(f"mesh moments need q > 1, got q={q}")
     counts = _cube_counts(pos, r)
-    n = pos.shape[0]
-    return float(np.sum((counts / n) ** q))
+    return float(np.sum((counts / pos.shape[0]) ** q)), counts.size
+
+
+def mesh_moment_sum(points, r, q):
+    """M_r(q): sum of (cube mass)^q over occupied origin-anchored r-cubes."""
+    return _mesh_moment(_positions(points), r, q)[0]
 
 
 def occupied_cubes(points, r):
@@ -127,16 +130,16 @@ def build_ladder(points, q, r0=None, rho=0.5, rungs=12, form="mesh",
         r0 = float(np.linalg.norm(extent))
         if r0 == 0.0:
             r0 = 1.0
+    if form not in ("mesh", "correlation"):
+        raise InvalidInputError(f"unknown ladder form {form!r}")
     radii, sums, occupied, usable = [], [], [], []
     for level in range(1, rungs + 1):
         r = r0 * rho ** level
-        occ = occupied_cubes(pos, r)
         if form == "mesh":
-            val = mesh_moment_sum(pos, r, q)
-        elif form == "correlation":
-            val = correlation_integral(pos, r, q)
+            val, occ = _mesh_moment(pos, r, q)
         else:
-            raise InvalidInputError(f"unknown ladder form {form!r}")
+            occ = occupied_cubes(pos, r)
+            val = correlation_integral(pos, r, q)
         radii.append(r)
         sums.append(val)
         occupied.append(occ)

@@ -222,11 +222,17 @@ def draw_words(model, count, depth, uniforms):
     init_cdf = np.cumsum(np.exp(log_init))
     trans_cdf = np.cumsum(np.exp(log_trans), axis=1)
     init_cdf[-1] = trans_cdf[:, -1] = 1.0
+    # Symbol j is the number of CDF entries of its row at or below u,
+    # counted one contiguous column at a time.
+    cols = [np.ascontiguousarray(col) for col in trans_cdf.T]
     words = np.empty((count, depth), dtype=np.uint8)
-    words[:, 0] = np.searchsorted(init_cdf, uniforms(0), side="right")
+    sym = np.searchsorted(init_cdf, uniforms(0), side="right").astype(np.uint8)
+    words[:, 0] = sym
     for j in range(1, depth):
         u = uniforms(j)
-        rows = trans_cdf[words[:, j - 1]]
-        words[:, j] = (u[:, np.newaxis] >= rows).sum(axis=1)
+        prev, sym = sym, np.zeros(count, dtype=np.uint8)
+        for col in cols:
+            sym += u >= col[prev]
+        words[:, j] = sym
     words += 1
     return words

@@ -27,7 +27,7 @@ import numpy as np
 from . import counterrng as crng
 from .codespace import (_class_shapes, _realize_encoding,
                         canonical_join_class, wedge)
-from .dimsolver import _Levels
+from .dimsolver import _check_levels, _Levels
 from .errors import (
     DepthInsufficientError,
     InvalidInputError,
@@ -41,6 +41,7 @@ from .sampler import _project_block
 _MC_LABEL = "multienergy/mc"
 _TRANS_LABEL = "multienergy/transversality"
 _MAX_TREE_VERTICES = 20_000
+_BATCHES = 32
 
 
 def _check_s(s, dim, allow_dim=True):
@@ -54,6 +55,12 @@ def _check_s(s, dim, allow_dim=True):
         )
 
 
+def _check_depth(m, depth):
+    if depth < 1:
+        raise InvalidInputError(f"depth must be >= 1, got {depth}")
+    _check_levels(m, depth)
+
+
 def _log_tables(ifs, model, s, depth):
     """log phi^s and log cylinder masses by level 0..depth and word index.
 
@@ -61,8 +68,7 @@ def _log_tables(ifs, model, s, depth):
     (first symbol most significant); level 0 holds the empty word.  Raises
     ResourceLimitError when m^depth exceeds the `_Levels` word budget.
     """
-    if depth < 1:
-        raise InvalidInputError(f"depth must be >= 1, got {depth}")
+    _check_depth(ifs.m, depth)
     levels = _Levels(ifs, model, depth)
     log_phi = [np.zeros(1)] + [log_phi_stack(la, s) for la in levels.log_alphas]
     log_mass = [np.zeros(1)] + levels.logmass
@@ -122,8 +128,22 @@ def _check_nq(n, q):
         raise InvalidInputError(f"need 1 < q <= n + 1 = {n + 1}, got q={q}")
 
 
+def _check_mc(ifs, s, n, q, samples, depth, batches=_BATCHES,
+              unresolved="resample"):
+    """The input checks of mc_multienergy, which callers may run first."""
+    _check_nq(n, q)
+    _check_s(s, ifs.dim)
+    if unresolved not in ("resample", "collapse"):
+        raise InvalidInputError(f"unknown unresolved mode {unresolved!r}")
+    if samples < batches:
+        raise InvalidInputError(
+            f"need at least one outer draw per batch: {samples} < {batches}"
+        )
+    _check_depth(ifs.m, depth)
+
+
 def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
-                   inner=64, batches=32, unresolved="resample"):
+                   inner=64, batches=_BATCHES, unresolved="resample"):
     """Monte Carlo estimate of the order-n multienergy integral.
 
     For each outer ray j, an inner batch of `inner` independent n-tuples
@@ -150,14 +170,7 @@ def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
     table (depth <= 17 for m = 2); past it ResourceLimitError is raised
     before any sampling.
     """
-    _check_nq(n, q)
-    _check_s(s, ifs.dim)
-    if unresolved not in ("resample", "collapse"):
-        raise InvalidInputError(f"unknown unresolved mode {unresolved!r}")
-    if samples < batches:
-        raise InvalidInputError(
-            f"need at least one outer draw per batch: {samples} < {batches}"
-        )
+    _check_mc(ifs, s, n, q, samples, depth, batches, unresolved)
     per_batch = samples // batches
     power = (q - 1.0) / n
     m = ifs.m
@@ -226,14 +239,8 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
-def exact_truncated_multienergy(ifs, model, s, n, q, depth):
-    """Exact depth-D truncation of the order-n multienergy integral.
-
-    Sums over all (n + 1)-tuples of depth-D cylinders with the truncated
-    kernel, the outer power applied exactly per outer cylinder.  Runs in
-    O(m^D) tree vertices via a rays-per-subtree recursion rather than the
-    m^{D(n+1)} tuple enumeration.
-    """
+def _check_exact(ifs, s, n, q, depth):
+    """The input checks of exact_truncated_multienergy."""
     _check_nq(n, q)
     _check_s(s, ifs.dim)
     m = ifs.m
@@ -248,6 +255,18 @@ def exact_truncated_multienergy(ifs, model, s, n, q, depth):
             f"depth {depth} needs {n_vertices} tree vertices, over the "
             f"budget of {_MAX_TREE_VERTICES}"
         )
+
+
+def exact_truncated_multienergy(ifs, model, s, n, q, depth):
+    """Exact depth-D truncation of the order-n multienergy integral.
+
+    Sums over all (n + 1)-tuples of depth-D cylinders with the truncated
+    kernel, the outer power applied exactly per outer cylinder.  Runs in
+    O(m^D) tree vertices via a rays-per-subtree recursion rather than the
+    m^{D(n+1)} tuple enumeration.
+    """
+    _check_exact(ifs, s, n, q, depth)
+    m = ifs.m
     init = np.asarray(model.initial_probs())
     trans = np.asarray(model.transition_probs())
     log_phi, log_mass = _log_tables(ifs, model, s, depth)
@@ -436,6 +455,13 @@ class DecayCheck:
     stderr: float
 
 
+def _check_decay(ifs, k_max, max_terms=250000):
+    """The input checks of check_decay_criterion."""
+    if k_max < 3:
+        raise InvalidInputError(f"need k_max >= 3 levels, got {k_max}")
+    _check_levels(ifs.m, k_max, max_terms)
+
+
 def check_decay_criterion(ifs, model, s, q, k_max, max_terms=250000):
     """Fit log Phi_k(s, q) against k and flag geometric decay.
 
@@ -443,8 +469,7 @@ def check_decay_criterion(ifs, model, s, q, k_max, max_terms=250000):
     floor) predicts a finite multienergy integral; the fitted
     lambda = exp(slope) is exact for identical-map systems.
     """
-    if k_max < 3:
-        raise InvalidInputError(f"need k_max >= 3 levels, got {k_max}")
+    _check_decay(ifs, k_max, max_terms)
     levels = _Levels(ifs, model, k_max, max_terms)
     ks = np.arange(1, k_max + 1, dtype=np.float64)
     logs = np.array([levels.log_level_sum(s, q, int(k)) for k in ks])

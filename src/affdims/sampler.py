@@ -25,6 +25,7 @@ from .linalg import contraction_bounds
 _MAX_POINTS = 50_000_000
 _WORD_LABEL = "sampler/words"
 _FIELD_LABEL = "sampler/field"
+_WRITE_ROWS = 4096  # rows formatted per write in write_cloud
 
 
 def truncation_tail(a_plus, region_radius, dim, K):
@@ -137,20 +138,33 @@ def _project_block(ifs, states, words, region_radius):
     """Vectorized series evaluation for a block of equal-depth words.
 
     states are the counter-stream states the words' symbols advance, one
-    per word; region_radius scales the displacements.
+    per word; region_radius scales the displacements.  When every map is
+    diagonal the prefix products are kept as their diagonals: the general
+    path's off-diagonal terms are exact zeros, so positions are bitwise
+    the same either way.
     """
     count, depth = words.shape
     dim = ifs.dim
     mats = ifs.matrix_stack()
     pos = np.zeros((count, dim))
-    prefix = np.broadcast_to(np.eye(dim), (count, dim, dim)).copy()
+    if not mats[:, ~np.eye(dim, dtype=bool)].any():
+        mats = np.diagonal(mats, axis1=1, axis2=2)
+        prefix = np.ones((count, dim))
+        apply = step = np.multiply
+    else:
+        prefix = np.broadcast_to(np.eye(dim), (count, dim, dim)).copy()
+        step = np.matmul
+
+        def apply(prefix, omega):
+            return np.einsum("nij,nj->ni", prefix, omega)
+
     for j in range(depth):
         states = crng.advance(states, words[:, j].astype(np.uint64))
         u = crng.unit_uniforms(states, dim)
         omega = (2.0 * u - 1.0) * region_radius
-        pos += np.einsum("nij,nj->ni", prefix, omega)
+        pos += apply(prefix, omega)
         if j + 1 < depth:
-            prefix = np.matmul(prefix, mats[words[:, j] - 1])
+            prefix = step(prefix, mats[words[:, j] - 1])
     return pos
 
 
@@ -187,26 +201,32 @@ def sample_cloud(ifs, model, fld, n, K, threads=1, chunk=65536):
         raise InvalidInputError(
             f"model has {model.m} symbols but the system has {ifs.m} maps"
         )
+    if threads < 1 or chunk < 1:
+        raise InvalidInputError(
+            f"need threads >= 1 and chunk >= 1, got {threads} and {chunk}"
+        )
     word_key = crng.derive_key(fld.seed, _WORD_LABEL)
-    starts = list(range(0, n, chunk))
-    pieces = [None] * len(starts)
+    # Equal chunks of at most `chunk` points, as many as a multiple of the
+    # thread count, so no worker idles while another finishes the tail.
+    pieces = -(-n // chunk)
+    pieces = min(n, pieces + -pieces % threads)
+    bounds = [n * i // pieces for i in range(pieces + 1)]
+    out = [None] * pieces
 
     def run(i):
-        start = starts[i]
-        pieces[i] = _cloud_chunk(
-            ifs, model, fld, start, min(chunk, n - start), K, word_key
-        )
+        out[i] = _cloud_chunk(ifs, model, fld, bounds[i],
+                              bounds[i + 1] - bounds[i], K, word_key)
 
-    if threads > 1 and len(starts) > 1:
+    if threads > 1 and pieces > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(len(starts))))
+            list(pool.map(run, range(pieces)))
     else:
-        for i in range(len(starts)):
+        for i in range(pieces):
             run(i)
-    words = np.concatenate([p[0] for p in pieces], axis=0)
-    positions = np.concatenate([p[1] for p in pieces], axis=0)
+    words = np.concatenate([p[0] for p in out], axis=0)
+    positions = np.concatenate([p[1] for p in out], axis=0)
     _, a_plus = contraction_bounds(ifs)
     bound = truncation_tail(a_plus, fld.region_radius, ifs.dim, K)
     return Cloud(
@@ -235,7 +255,11 @@ def default_depth(ifs, region_radius, r_min):
 
 
 def write_cloud(path, cloud):
-    """Text table: header lines with metadata, then one point per row."""
+    """Text table: header lines with metadata, then one point per row.
+
+    Coordinates are written with "%.17g", which round-trips every double;
+    rows are formatted a block at a time.
+    """
     header = (
         f"seed={cloud.seed} depth={cloud.depth} dim={cloud.dim} "
         f"n={len(cloud)} region_radius={cloud.region_radius!r} "
@@ -245,8 +269,10 @@ def write_cloud(path, cloud):
     with open(path, "w") as fh:
         fh.write("# affdims cloud v1\n")
         fh.write(f"# {header}\n")
-        for row in cloud.positions:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+        row_fmt = " ".join(["%.17g"] * cloud.dim) + "\n"
+        for start in range(0, len(cloud), _WRITE_ROWS):
+            block = cloud.positions[start:start + _WRITE_ROWS]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_cloud(path):

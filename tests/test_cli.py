@@ -180,6 +180,45 @@ def test_sample_reproducible_across_runs_and_threads(tmp_path, capsys):
     assert len(set(digests)) == 1
 
 
+_ACCEPTANCE_4_MAPS = ("map1 = 0.45 0 / 0 0.40\nmap2 = 0.40 0 / 0 0.35\n"
+                      "map3 = 0.35 0 / 0 0.30\n")
+
+
+# cloud.txt digests recorded from an earlier implementation (per-element
+# formatting, full prefix matrices for every system, gather-compare word
+# draws, fixed 65,536-point chunks): any change of a bit fails here.
+@pytest.mark.parametrize("text, threads, digest", [
+    ("[ifs]\ndim = 2\n" + _ACCEPTANCE_4_MAPS + "[measure]\ntype = bernoulli\n"
+     "probs = 0.40 0.35 0.25\n[sample]\nn = 70001\ndepth = 16\n", "2",
+     "b0f968d946d2435280466b02127da58b6f988a48636e35278d0f33c703f910e0"),
+    ("[ifs]\ndim = 2\nmap1 = 0.5 0 / 0 0.3\nmap2 = 0.4 0.1 / 0 0.35\n"
+     "[measure]\ntype = bernoulli\nprobs = 0.6 0.4\n"
+     "[sample]\nn = 5000\ndepth = 20\n", "1",
+     "f8e838b374ce989a8fba9f7c0e36a6a030d81e5051f9e72b7a6490a3ce3599e4"),
+    ("[ifs]\ndim = 2\n" + _ACCEPTANCE_4_MAPS + "[measure]\ntype = markov\n"
+     "potential = -0.7 -1.6 -1.2 / -1.05 -0.8 -0.3 / -0.5 -2.0 -0.9\n"
+     "[sample]\nn = 5000\ndepth = 20\n", "1",
+     "a98c9f629cd041b0c9109d9834342bb7a9a369e3d788d0f3d0f0602362a50cbf"),
+    ("[ifs]\ndim = 1\nmap1 = 0.5\nmap2 = 0.3\nmap3 = -0.4\n"
+     "[measure]\ntype = bernoulli\nprobs = 0.5 0.3 0.2\n"
+     "[sample]\nn = 5000\ndepth = 20\n", "1",
+     "b72d0c53b6f415a993be50f25a72245b42f2756c6ae9c083a924b812d3067757"),
+    ("[ifs]\ndim = 3\nmap1 = 0.5 0 0 / 0 0.4 0 / 0 0 0.3\n"
+     "map2 = 0.3 0 0 / 0 -0.45 0 / 0 0 0.35\n[measure]\ntype = bernoulli\n"
+     "probs = 0.55 0.45\n[sample]\nn = 5000\ndepth = 20\n", "1",
+     "7ec1d7260140e5cdb8f4aade35c4b65619317489f30e29b0ee156c712b7716fd"),
+], ids=["acceptance4-two-threads", "acceptance6-sheared", "markov",
+        "diagonal-1d", "diagonal-3d"])
+def test_cloud_sha256_pinned(tmp_path, capsys, text, threads, digest):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    code, stdout, _ = run_cli(capsys, "sample", "--config", str(path),
+                              "--out", str(tmp_path / "out"), "--seed", "11",
+                              "--threads", threads)
+    assert code == 0
+    assert json.loads(stdout)["payload"]["cloud_sha256"] == digest
+
+
 def test_verify_smoke(tmp_path, capsys):
     cfg = write_ini(
         tmp_path,
@@ -399,6 +438,39 @@ def test_bad_input_rejected_before_work(tmp_path, capsys, command, text,
     code, _, err = run_cli(capsys, command, "--config", str(path),
                            "--out", str(out), *argv)
     assert code == 2
+    assert named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, code, named", [
+    ("s = 1.0\n", 2, "s=1.0 is an integer"),
+    ("s = 2.5\n", 2, "need s in (0, 2]"),
+    ("n = 0\n", 2, "got n=0"),
+    ("n = 2\nq = 3.5\n", 2, "got q=3.5"),
+    ("samples = 16\n", 2, "16 < 32"),
+    ("depth = 0\n", 2, "depth must be >= 1"),
+    ("depth = 18\n", 3, "over the budget of 250000"),
+    ("depth = 15\n", 3, "tree vertices"),
+    ("decay_k_max = 2\n", 2, "k_max >= 3"),
+    ("decay_k_max = 18\n", 3, "over the budget of 250000"),
+], ids=["s-integer", "s-above-dim", "n-zero", "q-above-n-plus-1",
+        "samples-below-batches", "depth-zero", "depth-past-word-table",
+        "depth-past-tree-budget", "decay-k-max-two",
+        "decay-k-max-past-word-table"])
+def test_multienergy_bad_input_rejected_before_work(tmp_path, capsys,
+                                                    monkeypatch, extra, code,
+                                                    named):
+    # The survey is the command's first piece of work; a bad Monte Carlo,
+    # exact or decay input must exit before it starts.
+    def no_survey(*args, **kwargs):
+        raise AssertionError("the survey ran before the input checks")
+
+    monkeypatch.setattr(affdims.cli, "prop71_survey", no_survey)
+    path = write_ini(tmp_path, "[multienergy]\nsurvey_depth = 17\n" + extra)
+    out = tmp_path / "out"
+    got, _, err = run_cli(capsys, "multienergy", "--config", str(path),
+                          "--out", str(out))
+    assert got == code
     assert named in err
     assert not out.exists()
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affdims import (
     BernoulliModel,
@@ -13,6 +15,7 @@ from affdims import (
     sample_words,
 )
 from affdims.errors import InvalidInputError
+from affdims.measures import draw_words, log_prob_tables
 
 
 def test_bernoulli_cylinder_mass_is_product():
@@ -136,3 +139,45 @@ def test_markov_sample_words_match_transition():
     want = cylinder_mass(model, (1, 1)) / cylinder_mass(model, (1,))
     sigma = np.sqrt(want * (1 - want) / len(first_one))
     assert abs(emp - want) < 4 * sigma
+
+
+def _gather_compare_words(model, uniforms):
+    """Inverse CDF by gathering each word's CDF row and comparing u to it."""
+    log_init, log_trans = log_prob_tables(model)
+    init_cdf = np.cumsum(np.exp(log_init))
+    trans_cdf = np.cumsum(np.exp(log_trans), axis=1)
+    init_cdf[-1] = trans_cdf[:, -1] = 1.0
+    words = np.empty(uniforms.shape, dtype=np.uint8)
+    words[:, 0] = np.searchsorted(init_cdf, uniforms[:, 0], side="right")
+    for j in range(1, uniforms.shape[1]):
+        rows = trans_cdf[words[:, j - 1]]
+        words[:, j] = (uniforms[:, j, np.newaxis] >= rows).sum(axis=1)
+    return words + 1
+
+
+@st.composite
+def _markov_uniforms(draw):
+    m = draw(st.integers(2, 4))
+    potential = np.array(draw(st.lists(
+        st.floats(-3.0, 3.0), min_size=m * m, max_size=m * m))).reshape(m, m)
+    model = MarkovGibbsModel(potential=potential)
+    count, depth = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    log_init, log_trans = log_prob_tables(model)
+    # CDF entries below 1, where the comparison is decided by equality.
+    edges = np.concatenate([np.cumsum(np.exp(log_init)),
+                            np.cumsum(np.exp(log_trans), axis=1).ravel()])
+    edges = sorted(set(float(e) for e in edges if e < 1.0)) or [0.0]
+    values = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                       st.sampled_from(edges))
+    u = np.array(draw(st.lists(values, min_size=count * depth,
+                               max_size=count * depth)))
+    return model, u.reshape(count, depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_markov_uniforms())
+def test_draw_words_matches_gather_compare_oracle(case):
+    model, u = case
+    count, depth = u.shape
+    got = draw_words(model, count, depth, lambda j: u[:, j].copy())
+    np.testing.assert_array_equal(got, _gather_compare_words(model, u))

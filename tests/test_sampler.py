@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from affdims import (
+    AffineIFS,
     BernoulliModel,
     DisplacementField,
     displacement,
@@ -12,8 +13,15 @@ from affdims import (
     sample_cloud,
     write_cloud,
 )
+from affdims import counterrng as crng
 from affdims.errors import InvalidInputError
-from affdims.sampler import attractor_radius, default_depth, truncation_tail
+from affdims.sampler import (
+    _WRITE_ROWS,
+    Cloud,
+    attractor_radius,
+    default_depth,
+    truncation_tail,
+)
 
 from checks import diag_ifs
 
@@ -98,6 +106,69 @@ def test_cloud_thread_and_chunk_invariance():
     chunked = sample_cloud(ifs, model, fld, 2000, 10, chunk=97)
     np.testing.assert_array_equal(base.positions, threaded.positions)
     np.testing.assert_array_equal(base.positions, chunked.positions)
+    # 2000 points in 22 or 21 chunks of 90-91 or 95-96 points, and in
+    # 3 chunks of 666-667 points.
+    for threads, chunk in ((2, 97), (3, 97), (2, 65536), (3, 65536)):
+        split = sample_cloud(ifs, model, fld, 2000, 10, threads=threads,
+                             chunk=chunk)
+        np.testing.assert_array_equal(base.positions, split.positions)
+        np.testing.assert_array_equal(base.words, split.words)
+    # Fewer points than threads: one point per chunk.
+    tiny = sample_cloud(ifs, model, fld, 2, 10, threads=3)
+    np.testing.assert_array_equal(base.positions[:2], tiny.positions)
+
+
+def _general_series(ifs, fld, words):
+    """The displacement series with full prefix matrices, for any maps."""
+    count, depth = words.shape
+    mats = ifs.matrix_stack()
+    states = crng.root_states(fld.key(), count)
+    pos = np.zeros((count, ifs.dim))
+    prefix = np.broadcast_to(np.eye(ifs.dim), (count, ifs.dim, ifs.dim)).copy()
+    for j in range(depth):
+        states = crng.advance(states, words[:, j].astype(np.uint64))
+        u = crng.unit_uniforms(states, ifs.dim)
+        pos += np.einsum("nij,nj->ni", prefix, (2.0 * u - 1.0) * fld.region_radius)
+        prefix = np.matmul(prefix, mats[words[:, j] - 1])
+    return pos
+
+
+@pytest.mark.parametrize("diagonals", [
+    ([0.5], [-0.3], [0.2]),
+    ([0.5, 0.3], [0.4, -0.35]),
+    ([0.5, 0.4, 0.3], [-0.3, 0.45, 0.35], [0.2, 0.25, -0.1]),
+], ids=["dim1", "dim2", "dim3"])
+def test_diagonal_series_equals_general_series(diagonals):
+    # Off-diagonal terms of diagonal prefixes are exact zeros, so keeping
+    # only the diagonals changes no bit; 1000 points, not a multiple of
+    # the chunk bound 97, are 11 chunks of 90-91.
+    ifs = diag_ifs(*diagonals)
+    model = BernoulliModel(probs=tuple([1.0 / len(diagonals)] * len(diagonals)))
+    fld = DisplacementField(seed=31, region_radius=1.5)
+    cloud = sample_cloud(ifs, model, fld, 1000, 12, chunk=97)
+    np.testing.assert_array_equal(cloud.positions,
+                                  _general_series(ifs, fld, cloud.words))
+
+
+def test_one_sheared_map_takes_general_series(monkeypatch):
+    calls = []
+    einsum = np.einsum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    ifs, model, fld = small_setup()
+    sample_cloud(ifs, model, fld, 50, 6)
+    assert calls == []  # diagonal maps keep diagonal prefixes
+    sheared = AffineIFS(maps=(np.diag([0.5, 0.3]),
+                              np.array([[0.4, 1e-3], [0.0, 0.35]])))
+    cloud = sample_cloud(sheared, model, fld, 500, 10, chunk=97)
+    assert calls
+    monkeypatch.undo()
+    np.testing.assert_array_equal(cloud.positions,
+                                  _general_series(sheared, fld, cloud.words))
 
 
 def test_cloud_word_frequencies():
@@ -151,6 +222,24 @@ def test_cloud_file_bytes_stable(tmp_path):
     write_cloud(p1, cloud)
     write_cloud(p2, cloud)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("rows", [1, _WRITE_ROWS - 1, _WRITE_ROWS,
+                                  _WRITE_ROWS + 1])
+def test_write_cloud_matches_per_element_format(tmp_path, dim, rows):
+    edge = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1.0 / 3.0,
+            -1.7976931348623157e308, 1.2345678901234567e-300, 2.5,
+            float("nan"), float("inf"), -float("inf")]
+    values = np.resize(np.array(edge), rows * dim).reshape(rows, dim)
+    cloud = Cloud(positions=values, words=np.zeros((rows, 0), np.uint8),
+                  truncation_bound=1e-3, seed=5, depth=7, region_radius=1.0)
+    path = tmp_path / "cloud.txt"
+    write_cloud(path, cloud)
+    body = path.read_text().split("\n", 2)[2]
+    want = "".join(" ".join(f"{x:.17g}" for x in row) + "\n"
+                   for row in values)
+    assert body == want
 
 
 def test_read_cloud_rejects_garbage(tmp_path):
