@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dimsolver import affinity_dimension, d_q_minus, phase_transition_scan
+from .dimsolver import _check_grid, _check_levels, _Levels
 from .errors import (
     ConfigError,
     InsufficientDataError,
@@ -99,7 +99,7 @@ def _floats(value, where):
     items = value if isinstance(value, (list, tuple)) else str(value).split()
     try:
         return [float(x) for x in items]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: expected numbers, got {value!r}") from exc
 
 
@@ -136,10 +136,13 @@ _SCHEMA = {
 # that would otherwise fail deep in a run or only after sampling.  k_max and
 # depth take 0 for "choose automatically".
 _RANGES = {
+    ("solve", "q"): (1, math.inf),
     ("solve", "tol"): (0, math.inf),
     ("solve", "k_max"): (-1, math.inf),
-    ("sample", "depth"): (-1, math.inf),
+    ("solve", "q_grid_start"): (1, math.inf),
+    ("solve", "q_grid_stop"): (1, math.inf),
     ("solve", "q_grid_step"): (0, math.inf),
+    ("sample", "depth"): (-1, math.inf),
     ("estimate", "q"): (1, math.inf),
     ("estimate", "rho"): (0, 1),
     ("estimate", "rungs"): (2, math.inf),
@@ -169,7 +172,7 @@ def _parse(value, default, where):
             # "3", 3 and 3.0 parse; "3.7", 3.7 and true do not
             if isinstance(value, str) or float(value).is_integer():
                 return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     expected = "one of " + ", ".join(default) if kind is tuple \
         else kind.__name__
@@ -377,13 +380,29 @@ def _qtag(q):
 # Commands.
 
 
+def _scan_grid(sol):
+    """The [solve] scan grid as floats, checked before any solver work."""
+    try:
+        return _check_grid(np.arange(
+            sol["q_grid_start"],
+            sol["q_grid_stop"] + 0.5 * sol["q_grid_step"],
+            sol["q_grid_step"],
+        ))
+    except ValueError as exc:  # also numpy's, for a grid too long to hold
+        raise ConfigError(
+            f"[solve] q_grid_start, q_grid_stop, q_grid_step: {exc}"
+        ) from exc
+
+
 def cmd_solve(cfg, out_dir):
     ifs, model = build_system(cfg)
     sol = cfg["solve"]
-    k_max = sol["k_max"] or None
+    grid = _scan_grid(sol) if sol["scan"] else None
+    # One table serves every q, the affinity dimension (q = 0) and the scan.
+    levels = _Levels(ifs, model, sol["k_max"] or None)
     rows = []
     for q in sol["q"]:
-        res = d_q_minus(ifs, model, q, tol=sol["tol"], k_max=k_max)
+        res = levels.solve(q, sol["tol"])
         rows.append({
             "q": q,
             "d_q": res.value,
@@ -394,20 +413,12 @@ def cmd_solve(cfg, out_dir):
             "growth_lo": res.growth_lo,
             "growth_hi": res.growth_hi,
         })
-    aff = affinity_dimension(ifs, tol=sol["tol"], k_max=k_max)
     payload = {
         "dimensions": rows,
-        "affinity_dimension": aff.value,
+        "affinity_dimension": levels.solve(0.0, sol["tol"]).value,
     }
-    if sol["scan"]:
-        grid = np.arange(
-            sol["q_grid_start"],
-            sol["q_grid_stop"] + 0.5 * sol["q_grid_step"],
-            sol["q_grid_step"],
-        )
-        scan = phase_transition_scan(
-            ifs, model, grid, tol=sol["tol"], k_max=k_max
-        )
+    if grid is not None:
+        scan = levels.scan(grid, sol["tol"])
         payload["scan"] = {
             "q": list(scan.qs),
             "d_q": list(scan.values),
@@ -524,7 +535,7 @@ def cmd_estimate(cfg, out_dir, cloud_path=None):
 def cmd_verify(cfg, out_dir, threads=1, cloud_path=None):
     ifs, model = build_system(cfg)
     sol = cfg["solve"]
-    k_max = sol["k_max"] or None
+    k_max = _check_levels(ifs.m, sol["k_max"] or None)
     if cloud_path:
         if not Path(cloud_path).exists():
             raise ConfigError(f"cloud file not found: {cloud_path}")
@@ -536,10 +547,13 @@ def cmd_verify(cfg, out_dir, threads=1, cloud_path=None):
         # n * depth bytes to the run's peak memory.
         cloud = replace(cloud, words=np.zeros((len(cloud), 0), np.uint8))
     est_payload = _estimate_payload(cfg, cloud, out_dir)
+    # One table for every q, built after the ladders so that its memory
+    # does not add to theirs.
+    levels = _Levels(ifs, model, k_max)
     rows = []
     for entry in est_payload["estimates"]:
         q = entry["q"]
-        theory = d_q_minus(ifs, model, q, tol=sol["tol"], k_max=k_max)
+        theory = levels.solve(q, sol["tol"])
         target = min(theory.value, float(ifs.dim))
         for form, got in entry["forms"].items():
             rows.append({
@@ -566,7 +580,7 @@ def cmd_multienergy(cfg, out_dir):
     # Every input is checked before any work; the survey, which runs first,
     # checks its own depth against its word table.
     _check_mc(ifs, me["s"], me["n"], me["q"], me["samples"], me["depth"],
-              unresolved=me["mode"])
+              inner=me["inner"], unresolved=me["mode"])
     _check_exact(ifs, me["s"], me["n"], me["q"], me["depth"])
     _check_decay(ifs, me["decay_k_max"])
     survey = prop71_survey(ifs, model, me["s"], me["q"], me["survey_depth"])

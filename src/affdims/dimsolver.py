@@ -76,8 +76,13 @@ class _Level:
             self.lasts = np.tile(np.arange(m), self.lasts.shape[0])
 
 
-def _check_levels(m, k_max, max_terms=_SOLVER_MAX_TERMS):
-    """Raise unless a `_Levels` table of k_max levels fits the word budget."""
+def _check_levels(m, k_max=None, max_terms=_SOLVER_MAX_TERMS):
+    """The depth of a level table, None for the deepest within the budget.
+
+    Raises unless the m^k_max words of the deepest level fit the budget.
+    """
+    if k_max is None:
+        k_max = max(1, int(math.log(max_terms) / math.log(m)))
     if k_max < 1:
         raise InvalidInputError(f"k_max must be >= 1, got {k_max}")
     if m ** k_max > max_terms:
@@ -85,24 +90,28 @@ def _check_levels(m, k_max, max_terms=_SOLVER_MAX_TERMS):
             f"level {k_max} holds {m ** k_max} words, over the "
             f"budget of {max_terms}"
         )
+    return k_max
 
 
 class _Levels:
     """Per-level log singular values and log cylinder masses up to k_max.
 
     Matrices and masses do not depend on (s, q), so one build serves every
-    bisection step; a level evaluation is then a single vectorized
-    phi-and-dot pass.  Levels are in `_Level` word order.
+    q and every bisection step; a level evaluation is then a single
+    vectorized phi-and-dot pass.  At q = 0 the masses drop out (0 * log
+    mass adds only -0.0), so any table also gives the affinity sums.
+    Levels are in `_Level` word order.
     """
 
-    def __init__(self, ifs, model, k_max, max_terms=_SOLVER_MAX_TERMS):
-        _check_levels(ifs.m, k_max, max_terms)
+    def __init__(self, ifs, model, k_max=None, max_terms=_SOLVER_MAX_TERMS):
+        k_max = _check_levels(ifs.m, k_max, max_terms)
         m = ifs.m
         if model is not None:
             log_init, log_trans = log_prob_tables(model)
+            self._log_c_min = math.log(product_ratio_bounds(model)[0])
         else:
-            log_init = np.zeros(m)
-            log_trans = np.zeros((m, m))
+            log_init, log_trans = np.zeros(m), np.zeros((m, m))
+            self._log_c_min = 0.0
         level = _Level(ifs, log_init, log_trans)
         self.log_alphas = [np.log(singular_values_stack(level.mats))]
         self.logmass = [level.logmass]
@@ -111,11 +120,101 @@ class _Levels:
             self.log_alphas.append(np.log(singular_values_stack(level.mats)))
             self.logmass.append(level.logmass)
         self.k_max = k_max
+        self.dim = ifs.dim
 
-    def log_level_sum(self, s, q, k):
-        terms = (1.0 - q) * log_phi_stack(self.log_alphas[k - 1], s) \
-            + q * self.logmass[k - 1]
-        return logsumexp(terms)
+    def log_sums(self, s, q):
+        """log Phi_k(s, q) for k = 1..k_max."""
+        return [logsumexp((1.0 - q) * log_phi_stack(la, s) + q * lm)
+                for la, lm in zip(self.log_alphas, self.logmass)]
+
+    def log_growth(self, s, q):
+        """log of the growth estimate: for q > 1 the certified lower bound
+        of `growth_rate`, for the affinity sums (q = 0) min_k Phi_k^(1/k),
+        an upper bound since those sums are submultiplicative."""
+        sums = self.log_sums(s, q)
+        if q == 0.0:
+            return min(v / k for k, v in enumerate(sums, 1))
+        log_w = q * self._log_c_min
+        return max((v + log_w) / k for k, v in enumerate(sums, 1))
+
+    def solve(self, q, tol):
+        """Bisect the growth estimate for its root in s: d_q for q > 1, the
+        affinity dimension for q = 0 (where the growth decreases in s)."""
+        if q != 0.0:
+            _check_q(q)
+        sign = -1.0 if q == 0.0 else 1.0
+
+        def g(s):
+            return float(np.exp(self.log_growth(s, q)))
+
+        s_lo, s_hi = 1e-6, 2.0 * self.dim
+        g_lo, g_hi = g(s_lo), g(s_hi)
+        if sign * (g_lo - 1.0) >= 0.0:
+            raise NoRootError(
+                f"no bracket: growth at s={s_lo} is already {g_lo:.6g}"
+            )
+        expansions = 0
+        while sign * (g_hi - 1.0) <= 0.0:
+            expansions += 1
+            if expansions > 3:
+                raise NoRootError(
+                    f"no bracket: growth at s={s_hi} is still {g_hi:.6g}"
+                )
+            s_hi *= 2.0
+            g_hi = g(s_hi)
+        iterations = max(1, math.ceil(math.log2((s_hi - s_lo) / tol)))
+        for _ in range(iterations):
+            mid = 0.5 * (s_lo + s_hi)
+            g_mid = g(mid)
+            if sign * (g_mid - 1.0) < 0.0:
+                s_lo, g_lo = mid, g_mid
+            else:
+                s_hi, g_hi = mid, g_mid
+            if s_hi - s_lo <= tol:
+                break
+        return DimensionResult(
+            value=0.5 * (s_lo + s_hi), q=float(q), bracket=(s_lo, s_hi),
+            depth=self.k_max, iterations=iterations, growth_lo=g_lo,
+            growth_hi=g_hi,
+        )
+
+    def scan(self, qs, tol):
+        """d_q along a grid `_check_grid` returned, with a kink flagged where
+        the jump between adjacent secant slopes exceeds five times the noise
+        floor of the solver tolerance (each value is known to within tol,
+        so each slope carries up to 2 tol / dq of slack)."""
+        values = [self.solve(q, tol).value for q in qs]
+        steps = np.diff(qs)
+        jumps = np.abs(np.diff(np.diff(values) / steps))
+        threshold = 5.0 * (4.0 * tol / steps.min())
+        # One flag per contiguous run above threshold, at the largest jump.
+        kinks = []
+        i = 0
+        while i < jumps.size:
+            if jumps[i] > threshold:
+                j = i
+                while j + 1 < jumps.size and jumps[j + 1] > threshold:
+                    j += 1
+                kinks.append(qs[i + int(np.argmax(jumps[i : j + 1])) + 1])
+                i = j + 1
+            else:
+                i += 1
+        return PhaseScan(
+            qs=tuple(qs), values=tuple(values), kink_qs=tuple(kinks),
+            threshold=float(threshold),
+        )
+
+
+def _check_grid(q_grid):
+    """The grid as floats; raise unless it is a scan grid."""
+    qs = [float(x) for x in q_grid]
+    if len(qs) < 3:
+        raise InvalidInputError("need at least 3 grid points to flag kinks")
+    if any(b <= a for a, b in zip(qs, qs[1:])):
+        raise InvalidInputError("q grid must be strictly increasing")
+    for q in qs:
+        _check_q(q)
+    return qs
 
 
 def _iter_level(ifs, model, k):
@@ -144,12 +243,7 @@ def _iter_level(ifs, model, k):
 def log_moment_sum(ifs, model, s, q, k, max_terms=_DEFAULT_MAX_TERMS):
     """log Phi_k(s, q), streamed in chunks within the term budget."""
     _check_q(q)
-    if k < 1:
-        raise InvalidInputError(f"level must be >= 1, got {k}")
-    if ifs.m ** k > max_terms:
-        raise ResourceLimitError(
-            f"level {k} holds {ifs.m ** k} words, over the budget of {max_terms}"
-        )
+    _check_levels(ifs.m, k, max_terms)
     pieces = []
     for mats, logmass in _iter_level(ifs, model, k):
         log_alphas = np.log(singular_values_stack(mats))
@@ -181,21 +275,8 @@ def moment_table(ifs, model, s, q, k_max, max_terms=_SOLVER_MAX_TERMS):
     """All level sums up to k_max at fixed (s, q)."""
     _check_q(q)
     levels = _Levels(ifs, model, k_max, max_terms)
-    sums = tuple(
-        float(np.exp(levels.log_level_sum(s, q, k)))
-        for k in range(1, k_max + 1)
-    )
+    sums = tuple(float(np.exp(v)) for v in levels.log_sums(s, q))
     return MomentSumTable(s=float(s), q=float(q), sums=sums)
-
-
-def _log_growth(levels, s, q, log_weight):
-    """Certified lower bound of log lambda(s): max_k of weighted sums."""
-    best = -np.inf
-    for k in range(1, levels.k_max + 1):
-        val = (levels.log_level_sum(s, q, k) + log_weight) / k
-        if val > best:
-            best = val
-    return best
 
 
 def growth_rate(ifs, model, s, q, k_max=None, max_terms=_SOLVER_MAX_TERMS):
@@ -207,14 +288,8 @@ def growth_rate(ifs, model, s, q, k_max=None, max_terms=_SOLVER_MAX_TERMS):
     increases to the true limit as k_max grows.
     """
     _check_q(q)
-    k_max = k_max or _default_k_max(ifs.m, max_terms)
     levels = _Levels(ifs, model, k_max, max_terms)
-    c_min, _ = product_ratio_bounds(model)
-    return float(np.exp(_log_growth(levels, s, q, q * math.log(c_min))))
-
-
-def _default_k_max(m, max_terms):
-    return max(1, int(math.log(max_terms) / math.log(m)))
+    return float(np.exp(levels.log_growth(s, q)))
 
 
 @dataclass(frozen=True)
@@ -244,37 +319,6 @@ class DimensionResult:
     growth_hi: float
 
 
-def _bisect_root(growth_fn, dim, tol, increasing):
-    s_lo, s_hi = 1e-6, 2.0 * dim
-    g_lo = growth_fn(s_lo)
-    g_hi = growth_fn(s_hi)
-    sign = 1.0 if increasing else -1.0
-    if sign * (g_lo - 1.0) >= 0.0:
-        raise NoRootError(
-            f"no bracket: growth at s={s_lo} is already {g_lo:.6g}"
-        )
-    expansions = 0
-    while sign * (g_hi - 1.0) <= 0.0:
-        expansions += 1
-        if expansions > 3:
-            raise NoRootError(
-                f"no bracket: growth at s={s_hi} is still {g_hi:.6g}"
-            )
-        s_hi *= 2.0
-        g_hi = growth_fn(s_hi)
-    iterations = max(1, math.ceil(math.log2((s_hi - s_lo) / tol)))
-    for _ in range(iterations):
-        mid = 0.5 * (s_lo + s_hi)
-        g_mid = growth_fn(mid)
-        if sign * (g_mid - 1.0) < 0.0:
-            s_lo, g_lo = mid, g_mid
-        else:
-            s_hi, g_hi = mid, g_mid
-        if s_hi - s_lo <= tol:
-            break
-    return s_lo, s_hi, g_lo, g_hi, iterations
-
-
 def d_q_minus(ifs, model, q, tol=1e-4, k_max=None, max_terms=_SOLVER_MAX_TERMS):
     """The q-dimension: unique root of lim Phi_k(s, q)^(1/k) = 1.
 
@@ -282,23 +326,7 @@ def d_q_minus(ifs, model, q, tol=1e-4, k_max=None, max_terms=_SOLVER_MAX_TERMS):
     k_max; the bracket narrows to width tol around the root.
     """
     _check_q(q)
-    k_max = k_max or _default_k_max(ifs.m, max_terms)
-    return _solve_q(_Levels(ifs, model, k_max, max_terms), model, q,
-                    ifs.dim, tol)
-
-
-def _solve_q(levels, model, q, dim, tol):
-    """Bisect the weighted growth estimate of one level table at q."""
-    log_w = q * math.log(product_ratio_bounds(model)[0])
-
-    def g(s):
-        return float(np.exp(_log_growth(levels, s, q, log_w)))
-
-    s_lo, s_hi, g_lo, g_hi, iters = _bisect_root(g, dim, tol, True)
-    return DimensionResult(
-        value=0.5 * (s_lo + s_hi), q=float(q), bracket=(s_lo, s_hi),
-        depth=levels.k_max, iterations=iters, growth_lo=g_lo, growth_hi=g_hi,
-    )
+    return _Levels(ifs, model, k_max, max_terms).solve(q, tol)
 
 
 def affinity_dimension(ifs, tol=1e-4, k_max=None, max_terms=_SOLVER_MAX_TERMS):
@@ -308,20 +336,7 @@ def affinity_dimension(ifs, tol=1e-4, k_max=None, max_terms=_SOLVER_MAX_TERMS):
     per-level estimates approach the limit from above; the bisection uses
     the smallest computed level estimate.
     """
-    k_max = k_max or _default_k_max(ifs.m, max_terms)
-    levels = _Levels(ifs, None, k_max, max_terms)
-
-    def g(s):
-        best = np.inf
-        for k in range(1, k_max + 1):
-            best = min(best, levels.log_level_sum(s, 0.0, k) / k)
-        return float(np.exp(best))
-
-    s_lo, s_hi, g_lo, g_hi, iters = _bisect_root(g, ifs.dim, tol, False)
-    return DimensionResult(
-        value=0.5 * (s_lo + s_hi), q=0.0, bracket=(s_lo, s_hi),
-        depth=k_max, iterations=iters, growth_lo=g_lo, growth_hi=g_hi,
-    )
+    return _Levels(ifs, None, k_max, max_terms).solve(0.0, tol)
 
 
 def dq_identical_selfadjoint(alphas, probs, q):
@@ -383,39 +398,8 @@ def phase_transition_scan(ifs, model, q_grid, tol=1e-4, k_max=None,
                           max_terms=_SOLVER_MAX_TERMS):
     """Solve d_q along a grid and flag slope discontinuities.
 
-    A kink is flagged where the jump between adjacent secant slopes
-    exceeds five times the noise floor implied by the solver tolerance
-    (each solved value is only known to within tol, so each slope carries
-    up to 2 tol / dq of slack).
+    The grid needs at least 3 strictly increasing points, each above 1;
+    see `_Levels.scan` for the kink rule.
     """
-    qs = [float(x) for x in q_grid]
-    if len(qs) < 3:
-        raise InvalidInputError("need at least 3 grid points to flag kinks")
-    if any(b <= a for a, b in zip(qs, qs[1:])):
-        raise InvalidInputError("q grid must be strictly increasing")
-    k_max = k_max or _default_k_max(ifs.m, max_terms)
-    levels = _Levels(ifs, model, k_max, max_terms)
-    values = [_solve_q(levels, model, q, ifs.dim, tol).value for q in qs]
-
-    steps = np.diff(qs)
-    slopes = np.diff(values) / steps
-    jumps = np.abs(np.diff(slopes))
-    noise = 4.0 * tol / steps.min()
-    threshold = 5.0 * noise
-    # One flag per contiguous run above threshold, at the largest jump.
-    kinks = []
-    i = 0
-    while i < jumps.size:
-        if jumps[i] > threshold:
-            j = i
-            while j + 1 < jumps.size and jumps[j + 1] > threshold:
-                j += 1
-            best = i + int(np.argmax(jumps[i : j + 1]))
-            kinks.append(qs[best + 1])
-            i = j + 1
-        else:
-            i += 1
-    return PhaseScan(
-        qs=tuple(qs), values=tuple(values), kink_qs=tuple(kinks),
-        threshold=float(threshold),
-    )
+    qs = _check_grid(q_grid)
+    return _Levels(ifs, model, k_max, max_terms).scan(qs, tol)

@@ -113,19 +113,8 @@ def _as_matrix(T):
 
 
 def singular_values(T):
-    """Singular values of a square matrix, decreasing.
-
-    N = 1 and N = 2 use closed forms (the 2x2 case recovers the smaller
-    value from |det| / alpha_1, which stays accurate when the matrix is
-    nearly rank-deficient); larger N uses LAPACK's SVD.
-    """
-    mat = _as_matrix(T)
-    n = mat.shape[0]
-    if n == 1:
-        return np.array([abs(mat[0, 0])])
-    if n == 2:
-        return _sv2(mat[np.newaxis])[0]
-    return np.linalg.svd(mat, compute_uv=False)
+    """Singular values of a square matrix, decreasing."""
+    return singular_values_stack(_as_matrix(T)[np.newaxis])[0]
 
 
 def _sv2(mats):
@@ -148,7 +137,12 @@ def _sv2(mats):
 
 
 def singular_values_stack(mats):
-    """Singular values for a stack of square matrices, shape (..., N)."""
+    """Singular values for a stack of square matrices, shape (..., N).
+
+    N = 1 and N = 2 use closed forms (the 2x2 case recovers the smaller
+    value from |det| / alpha_1, which stays accurate when the matrix is
+    nearly rank-deficient); larger N uses LAPACK's SVD.
+    """
     mats = np.asarray(mats, dtype=np.float64)
     n = mats.shape[-1]
     if n == 1:

@@ -128,11 +128,15 @@ def _check_nq(n, q):
         raise InvalidInputError(f"need 1 < q <= n + 1 = {n + 1}, got q={q}")
 
 
-def _check_mc(ifs, s, n, q, samples, depth, batches=_BATCHES,
+def _check_mc(ifs, s, n, q, samples, depth, inner=64, batches=_BATCHES,
               unresolved="resample"):
     """The input checks of mc_multienergy, which callers may run first."""
     _check_nq(n, q)
     _check_s(s, ifs.dim)
+    if inner < 1:
+        raise InvalidInputError(
+            f"need at least 1 inner tuple per outer draw, got inner={inner}"
+        )
     if unresolved not in ("resample", "collapse"):
         raise InvalidInputError(f"unknown unresolved mode {unresolved!r}")
     if samples < batches:
@@ -170,7 +174,7 @@ def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
     table (depth <= 17 for m = 2); past it ResourceLimitError is raised
     before any sampling.
     """
-    _check_mc(ifs, s, n, q, samples, depth, batches, unresolved)
+    _check_mc(ifs, s, n, q, samples, depth, inner, batches, unresolved)
     per_batch = samples // batches
     power = (q - 1.0) / n
     m = ifs.m
@@ -472,7 +476,7 @@ def check_decay_criterion(ifs, model, s, q, k_max, max_terms=250000):
     _check_decay(ifs, k_max, max_terms)
     levels = _Levels(ifs, model, k_max, max_terms)
     ks = np.arange(1, k_max + 1, dtype=np.float64)
-    logs = np.array([levels.log_level_sum(s, q, int(k)) for k in ks])
+    logs = np.array(levels.log_sums(s, q))
     slope, stderr = fit_line(ks, logs)
     margin = 2.0 * stderr + 1e-3
     return DecayCheck(

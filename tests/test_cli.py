@@ -11,8 +11,14 @@ import numpy as np
 import pytest
 
 import affdims
-from affdims import BernoulliModel, d_q_minus
+from affdims import (
+    BernoulliModel,
+    affinity_dimension,
+    d_q_minus,
+    phase_transition_scan,
+)
 from affdims.cli import _build_parser, config_hash, main, resolve_config
+from affdims.dimsolver import _Levels
 
 from checks import diag_ifs
 
@@ -242,6 +248,60 @@ def test_verify_smoke(tmp_path, capsys):
     assert abs(rows[0]["discrepancy"]) < 0.5
 
 
+def count_table_builds(monkeypatch):
+    """Record each level-table build from here on in the returned list."""
+    builds = []
+    init = _Levels.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Levels, "__init__", counted)
+    return builds
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve", "[solve]\nq = 1.5 2 3\nk_max = 8\nscan = true\n"
+     "q_grid_start = 1.5\nq_grid_stop = 2.5\nq_grid_step = 0.25\n"),
+    ("verify", "[solve]\nq = 2 3\nk_max = 8\n[sample]\nn = 3000\n"
+     "depth = 14\n[estimate]\nq = 2 3\nrungs = 7\n"),
+], ids=["solve-three-q-and-scan", "verify-two-q"])
+def test_one_level_table_per_command(tmp_path, capsys, monkeypatch, command,
+                                     extra):
+    # Every q, the affinity dimension and the scan read one word table.
+    builds = count_table_builds(monkeypatch)
+    cfg = write_ini(tmp_path, extra)
+    code, stdout, _ = run_cli(capsys, command, "--config", str(cfg),
+                              "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert len(builds) == 1
+    payload = json.loads(stdout)["payload"]
+    ifs = diag_ifs([0.5, 0.3], [0.4, 0.35])
+    model = BernoulliModel(probs=(0.6, 0.4))
+    got = [r["d_q"] for r in payload["dimensions"]] if command == "solve" \
+        else [r["theoretical_d_q"] for r in payload["comparison"]]
+    qs = (1.5, 2.0, 3.0) if command == "solve" else (2.0, 3.0)
+    assert got == [d_q_minus(ifs, model, q, k_max=8).value for q in qs]
+    if command == "solve":
+        assert payload["affinity_dimension"] == \
+            affinity_dimension(ifs, k_max=8).value
+        assert payload["scan"]["d_q"] == list(phase_transition_scan(
+            ifs, model, [1.5, 1.75, 2.0, 2.25, 2.5], k_max=8).values)
+
+
+def test_verify_k_max_past_word_table_exits_before_sampling(tmp_path, capsys):
+    # 2^18 words exceed the 250,000-word level table: exit 3 before any
+    # cloud is drawn or written.
+    path = write_ini(tmp_path, "[solve]\nk_max = 18\n[sample]\nn = 2000\n")
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "verify", "--config", str(path),
+                           "--out", str(out))
+    assert code == 3
+    assert str(2 ** 18) in err and "over the budget of 250000" in err
+    assert not out.exists()
+
+
 def test_multienergy_command(tmp_path, capsys):
     cfg = write_ini(
         tmp_path,
@@ -425,13 +485,24 @@ def test_markov_config_accepted(tmp_path, capsys):
         "measure": {"type": "bernoulli", "probs": [0.6, 0.4]},
         "sample": {"n": 3.7, "depth": 10},
     }), [], "[sample] n"),
+    ("solve", BASE_INI + "[solve]\nq = 2 3 0.5\n", [], "[solve] q"),
+    ("solve", BASE_INI + "[solve]\nscan = true\nq_grid_start = 1\n", [],
+     "[solve] q_grid_start"),
+    ("solve", BASE_INI + "[solve]\nscan = true\nq_grid_start = 4\n"
+     "q_grid_stop = 1.5\n", [], "[solve] q_grid_start, q_grid_stop"),
+    ("solve", BASE_INI + "[solve]\nscan = true\nq_grid_stop = nan\n", [],
+     "[solve] q_grid_stop"),
+    ("solve", BASE_INI + "[solve]\nscan = true\nq_grid_step = 1e-300\n", [],
+     "[solve] q_grid_start, q_grid_stop, q_grid_step"),
 ], ids=["form", "mode", "threads", "nan-entry", "unknown-solve-key",
         "unknown-ifs-key", "unknown-measure-key", "tol-zero",
         "grid-step-zero", "two-rungs", "rho-above-one", "estimate-q-one",
         "k-max-negative", "depth-negative", "correlation-fractional-q",
-        "json-fractional-int"])
-def test_bad_input_rejected_before_work(tmp_path, capsys, command, text,
-                                        argv, named):
+        "json-fractional-int", "solve-q-one-half", "grid-start-one",
+        "grid-empty", "grid-stop-nan", "grid-too-long"])
+def test_bad_input_rejected_before_work(tmp_path, capsys, monkeypatch,
+                                        command, text, argv, named):
+    builds = count_table_builds(monkeypatch)
     path = tmp_path / "bad.ini"
     path.write_text(text)
     out = tmp_path / "out"
@@ -440,6 +511,7 @@ def test_bad_input_rejected_before_work(tmp_path, capsys, command, text,
     assert code == 2
     assert named in err
     assert not out.exists()
+    assert not builds
 
 
 @pytest.mark.parametrize("extra, code, named", [
@@ -453,10 +525,12 @@ def test_bad_input_rejected_before_work(tmp_path, capsys, command, text,
     ("depth = 15\n", 3, "tree vertices"),
     ("decay_k_max = 2\n", 2, "k_max >= 3"),
     ("decay_k_max = 18\n", 3, "over the budget of 250000"),
+    ("inner = 0\n", 2, "got inner=0"),
+    ("inner = -1\n", 2, "got inner=-1"),
 ], ids=["s-integer", "s-above-dim", "n-zero", "q-above-n-plus-1",
         "samples-below-batches", "depth-zero", "depth-past-word-table",
         "depth-past-tree-budget", "decay-k-max-two",
-        "decay-k-max-past-word-table"])
+        "decay-k-max-past-word-table", "inner-zero", "inner-negative"])
 def test_multienergy_bad_input_rejected_before_work(tmp_path, capsys,
                                                     monkeypatch, extra, code,
                                                     named):

@@ -20,6 +20,7 @@ from affdims import (
     phase_transition_scan,
     phi_s,
 )
+from affdims.dimsolver import _Levels
 from affdims.errors import InvalidInputError, NoRootError
 
 from checks import diag_ifs, random_bernoulli, random_ifs
@@ -196,6 +197,17 @@ def test_phase_scan_quiet_for_smooth_system():
     grid = np.arange(1.5, 3.0 + 1e-9, 0.1)
     scan = phase_transition_scan(ifs, model, grid, tol=5e-5)
     assert scan.kink_qs == ()
+
+
+def test_phase_scan_rejects_grid_points_not_above_one(monkeypatch):
+    # Every grid point is checked before the level table is built.
+    def no_table(*args, **kwargs):
+        raise AssertionError("a level table was built")
+
+    monkeypatch.setattr(_Levels, "__init__", no_table)
+    ifs, model = worked_system()
+    with pytest.raises(InvalidInputError, match="q > 1"):
+        phase_transition_scan(ifs, model, [0.5, 1.0, 1.5])
 
 
 def test_cutset_sums_diagnostic_shape():
