@@ -179,10 +179,7 @@ class _Levels:
         )
 
     def scan(self, qs, tol):
-        """d_q along a grid `_check_grid` returned, with a kink flagged where
-        the jump between adjacent secant slopes exceeds five times the noise
-        floor of the solver tolerance (each value is known to within tol,
-        so each slope carries up to 2 tol / dq of slack)."""
+        """`phase_transition_scan` on a grid `_check_grid` returned."""
         values = [self.solve(q, tol).value for q in qs]
         steps = np.diff(qs)
         jumps = np.abs(np.diff(np.diff(values) / steps))
@@ -398,8 +395,11 @@ def phase_transition_scan(ifs, model, q_grid, tol=1e-4, k_max=None,
                           max_terms=_SOLVER_MAX_TERMS):
     """Solve d_q along a grid and flag slope discontinuities.
 
-    The grid needs at least 3 strictly increasing points, each above 1;
-    see `_Levels.scan` for the kink rule.
+    The grid needs at least 3 strictly increasing points, each above 1.
+    A kink is flagged where the jump between adjacent secant slopes
+    exceeds five times the noise floor implied by the solver tolerance
+    (each solved value is only known to within tol, so each slope carries
+    up to 2 tol / dq of slack).
     """
     qs = _check_grid(q_grid)
     return _Levels(ifs, model, k_max, max_terms).scan(qs, tol)
