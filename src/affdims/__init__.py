@@ -45,6 +45,7 @@ from .estimator import (
     DimEstimate,
     MomentLadder,
     build_ladder,
+    build_ladders,
     correlation_integral,
     estimate_dimension,
     mesh_moment_sum,

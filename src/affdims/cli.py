@@ -39,7 +39,7 @@ from .errors import (
     NoRootError,
     ResourceLimitError,
 )
-from .estimator import build_ladder, estimate_dimension
+from .estimator import build_ladders, estimate_dimension
 from .linalg import AffineIFS, LinearContraction, contraction_bounds
 from .measures import BernoulliModel, MarkovGibbsModel
 from .multienergy import (
@@ -158,7 +158,11 @@ def _parse(value, default, where):
             if word in default:
                 return word
         elif kind is list:
-            return _floats(value, where)
+            numbers = _floats(value, where)
+            if not numbers:
+                raise ConfigError(f"{where}: expected at least one number, "
+                                  f"got {value!r}")
+            return numbers
         elif kind is bool:
             if isinstance(value, bool):
                 return value
@@ -466,8 +470,7 @@ def cmd_sample(cfg, out_dir, threads=1):
     cloud = sample_cloud(ifs, model, fld, n, K, threads=threads)
     out_dir.mkdir(parents=True, exist_ok=True)
     cloud_path = out_dir / "cloud.txt"
-    write_cloud(cloud_path, cloud)
-    digest = hashlib.sha256(cloud_path.read_bytes()).hexdigest()
+    digest = write_cloud(cloud_path, cloud)
     return {
         "n": n,
         "depth": K,
@@ -485,22 +488,20 @@ def _estimate_payload(cfg, cloud, out_dir):
     forms = [est["form"]] if est["form"] != "both" \
         else ["mesh", "correlation"]
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Every ladder in one pass: one tree and one count per rung for all q.
+    ladders = build_ladders(
+        cloud, est["q"], forms, r0=r0, rho=est["rho"], rungs=est["rungs"],
+        min_occupied=est["min_occupied"], min_per_cube=est["min_per_cube"],
+    )
     estimates = []
-    for q in est["q"]:
+    for q, row_ladders in zip(est["q"], ladders):
         per_form = {}
-        for form in forms:
-            if form == "correlation" and q != int(q):
-                continue
-            ladder = build_ladder(
-                cloud, q, r0=r0, rho=est["rho"], rungs=est["rungs"],
-                form=form, min_occupied=est["min_occupied"],
-                min_per_cube=est["min_per_cube"],
-            )
+        for ladder in row_ladders:
             _write_ladder_csv(
-                out_dir / f"ladder_{form}_q{_qtag(q)}.csv", ladder
+                out_dir / f"ladder_{ladder.form}_q{_qtag(q)}.csv", ladder
             )
             res = estimate_dimension(ladder)
-            per_form[form] = {
+            per_form[ladder.form] = {
                 "value": res.value,
                 "stderr": res.stderr,
                 "window": list(res.window),

@@ -6,7 +6,9 @@ r-mesh anchored at the origin.  D_q is the slope of log M_r(q) against
 (q - 1) log r down a geometric ladder of radii, restricted to rungs where
 the cloud actually resolves the cubes (enough occupied cubes, enough
 points per cube).  For integer q the correlation integral gives a second,
-mesh-free route to the same exponent via multi-point counting.
+mesh-free route to the same exponent via multi-point counting.  The counts
+at a radius do not depend on q, so `build_ladders` counts each rung once
+for every q and form.
 """
 
 from dataclasses import dataclass
@@ -42,19 +44,53 @@ def _cube_counts(pos, r):
     return counts
 
 
-def _mesh_moment(pos, r, q):
-    """(M_r(q), occupied cube count) from one count of the r-mesh."""
+def _check_radius(r):
     if not r > 0:
         raise InvalidInputError(f"radius must be positive, got r={r}")
-    if not q > 1:
-        raise InvalidInputError(f"mesh moments need q > 1, got q={q}")
-    counts = _cube_counts(pos, r)
-    return float(np.sum((counts / pos.shape[0]) ** q)), counts.size
+
+
+def _check_q(q, form, n):
+    if form == "mesh":
+        if not q > 1:
+            raise InvalidInputError(f"mesh moments need q > 1, got q={q}")
+    elif form == "correlation":
+        if not float(q).is_integer() or q < 2:
+            raise InvalidInputError(
+                f"the counting form needs integer q >= 2, got q={q}"
+            )
+        if n < q:
+            raise InvalidInputError(f"need at least q={int(q)} points, got {n}")
+    else:
+        raise InvalidInputError(f"unknown ladder form {form!r}")
+
+
+def _mesh_sum(counts, n, q):
+    """M_r(q) from the cube counts of the r-mesh."""
+    return float(np.sum((counts / n) ** q))
+
+
+def _falling_moment(counts, n, q):
+    """Mean over centers x of prod_{t=1..q-1} (c_x - t)/(n - t), clipped at 0."""
+    est = np.ones(n)
+    for t in range(1, q):
+        est *= (counts - t) / (n - t)
+    return float(np.mean(np.clip(est, 0.0, None)))
+
+
+def _kd_tree(pos):
+    # Imported here: scipy.spatial takes longer to load than the rest of
+    # the package, and only the correlation form needs it.
+    from scipy.spatial import cKDTree
+
+    return cKDTree(pos)
 
 
 def mesh_moment_sum(points, r, q):
     """M_r(q): sum of (cube mass)^q over occupied origin-anchored r-cubes."""
-    return _mesh_moment(_positions(points), r, q)[0]
+    pos = _positions(points)
+    _check_radius(r)
+    _check_q(q, "mesh", pos.shape[0])
+    return _mesh_sum(_cube_counts(pos, r), pos.shape[0], q)
 
 
 def occupied_cubes(points, r):
@@ -71,26 +107,11 @@ def correlation_integral(points, r, q):
     when all points coincide.
     """
     pos = _positions(points)
-    if not r > 0:
-        raise InvalidInputError(f"radius must be positive, got r={r}")
-    if q != int(q) or q < 2:
-        raise InvalidInputError(
-            f"the counting form needs integer q >= 2, got q={q}"
-        )
-    q = int(q)
     n = pos.shape[0]
-    if n < q:
-        raise InvalidInputError(f"need at least q={q} points, got {n}")
-    # Imported here: scipy.spatial takes longer to load than the rest of
-    # the package, and only this form needs it.
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pos)
-    counts = tree.query_ball_point(pos, r, return_length=True)
-    est = np.ones(n)
-    for t in range(1, q):
-        est *= (counts - t) / (n - t)
-    return float(np.mean(np.clip(est, 0.0, None)))
+    _check_radius(r)
+    _check_q(q, "correlation", n)
+    counts = _kd_tree(pos).query_ball_point(pos, r, return_length=True)
+    return _falling_moment(counts, n, int(q))
 
 
 @dataclass(frozen=True)
@@ -110,14 +131,34 @@ class MomentLadder:
         return sum(1 for u in self.usable if u)
 
 
-def build_ladder(points, q, r0=None, rho=0.5, rungs=12, form="mesh",
-                 min_occupied=_MIN_OCCUPIED, min_per_cube=_MIN_PER_CUBE):
-    """Moment sums at radii r0 * rho^l for l = 1..rungs.
+def _rung(pos, tree, r, entries):
+    """(occupied cubes, one sum per (q, form) entry) at radius r.
 
-    r0 defaults to the bounding-box diameter of the cloud.  A rung is
-    usable when at least min_occupied cubes are occupied (the mesh
-    resolves structure) and the mean count per occupied cube is at least
-    min_per_cube (per-cube masses are not dominated by sampling noise).
+    The r-mesh is counted once for every entry and the r-balls at most
+    once; the counts die when the rung returns.
+    """
+    n = pos.shape[0]
+    cubes = _cube_counts(pos, r)
+    balls = None if tree is None else \
+        tree.query_ball_point(pos, r, return_length=True)
+    return cubes.size, [
+        _mesh_sum(cubes, n, q) if form == "mesh"
+        else _falling_moment(balls, n, int(q))
+        for _, q, form in entries
+    ]
+
+
+def build_ladders(points, qs, forms=("mesh",), r0=None, rho=0.5, rungs=12,
+                  min_occupied=_MIN_OCCUPIED, min_per_cube=_MIN_PER_CUBE):
+    """Every ladder of one cloud, in one pass down the rungs.
+
+    Returns one tuple per entry of qs holding that q's ladders in the order
+    of forms.  The correlation form exists only at integer q and is left
+    out elsewhere; a q left with no ladder is an error.  Each rung counts
+    its r-mesh once (the occupancy of every ladder and the mesh moments of
+    every q) and, if a correlation ladder is asked for, its r-balls once,
+    through one k-d tree of the whole cloud.  Every ladder equals
+    build_ladder's for its q and form.
     """
     pos = _positions(points)
     n, dim = pos.shape
@@ -130,25 +171,50 @@ def build_ladder(points, q, r0=None, rho=0.5, rungs=12, form="mesh",
         r0 = float(np.linalg.norm(extent))
         if r0 == 0.0:
             r0 = 1.0
-    if form not in ("mesh", "correlation"):
-        raise InvalidInputError(f"unknown ladder form {form!r}")
-    radii, sums, occupied, usable = [], [], [], []
-    for level in range(1, rungs + 1):
-        r = r0 * rho ** level
-        if form == "mesh":
-            val, occ = _mesh_moment(pos, r, q)
-        else:
-            occ = occupied_cubes(pos, r)
-            val = correlation_integral(pos, r, q)
-        radii.append(r)
-        sums.append(val)
+    radii = [r0 * rho ** level for level in range(1, rungs + 1)]
+    for r in radii:
+        _check_radius(r)
+    entries = []  # (index into qs, q, form) in the order of the result
+    for i, q in enumerate(qs):
+        row = [f for f in forms
+               if f != "correlation" or float(q).is_integer()]
+        # With no other form to stand in, a non-integer q fails the
+        # counting form's check.
+        for form in row or forms:
+            _check_q(q, form, n)
+        entries.extend((i, q, form) for form in row)
+    tree = _kd_tree(pos) if any(f == "correlation" for _, _, f in entries) \
+        else None
+    occupied, sums = [], [[] for _ in entries]
+    for r in radii:
+        occ, values = _rung(pos, tree, r, entries)
         occupied.append(occ)
-        usable.append(occ >= min_occupied and n / occ >= min_per_cube
-                      and val > 0.0)
-    return MomentLadder(
-        radii=tuple(radii), sums=tuple(sums), occupied=tuple(occupied),
-        usable=tuple(usable), q=float(q), n=n, dim=dim, form=form,
-    )
+        for col, val in zip(sums, values):
+            col.append(val)
+    ladders = [[] for _ in qs]
+    for (i, q, form), col in zip(entries, sums):
+        ladders[i].append(MomentLadder(
+            radii=tuple(radii), sums=tuple(col), occupied=tuple(occupied),
+            usable=tuple(occ >= min_occupied and n / occ >= min_per_cube
+                         and val > 0.0 for occ, val in zip(occupied, col)),
+            q=float(q), n=n, dim=dim, form=form,
+        ))
+    return [tuple(row) for row in ladders]
+
+
+def build_ladder(points, q, r0=None, rho=0.5, rungs=12, form="mesh",
+                 min_occupied=_MIN_OCCUPIED, min_per_cube=_MIN_PER_CUBE):
+    """Moment sums at radii r0 * rho^l for l = 1..rungs.
+
+    r0 defaults to the bounding-box diameter of the cloud.  A rung is
+    usable when at least min_occupied cubes are occupied (the mesh
+    resolves structure) and the mean count per occupied cube is at least
+    min_per_cube (per-cube masses are not dominated by sampling noise).
+    """
+    return build_ladders(
+        points, [q], [form], r0=r0, rho=rho, rungs=rungs,
+        min_occupied=min_occupied, min_per_cube=min_per_cube,
+    )[0][0]
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ omega realization is seen by every point, in any order, on any number of
 threads; that is the whole reproducibility story.
 """
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -258,7 +259,8 @@ def write_cloud(path, cloud):
     """Text table: header lines with metadata, then one point per row.
 
     Coordinates are written with "%.17g", which round-trips every double;
-    rows are formatted a block at a time.
+    rows are formatted a block at a time.  Returns the sha256 hex digest of
+    the file's bytes, hashed block by block as they are written.
     """
     header = (
         f"seed={cloud.seed} depth={cloud.depth} dim={cloud.dim} "
@@ -266,13 +268,19 @@ def write_cloud(path, cloud):
         f"truncation_bound={cloud.truncation_bound!r} "
         f"model={cloud.model_tag or 'unknown'}"
     )
-    with open(path, "w") as fh:
-        fh.write("# affdims cloud v1\n")
-        fh.write(f"# {header}\n")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def put(text):
+            data = text.encode()
+            digest.update(data)
+            fh.write(data)
+
+        put(f"# affdims cloud v1\n# {header}\n")
         row_fmt = " ".join(["%.17g"] * cloud.dim) + "\n"
         for start in range(0, len(cloud), _WRITE_ROWS):
             block = cloud.positions[start:start + _WRITE_ROWS]
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+            put((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    return digest.hexdigest()
 
 
 def read_cloud(path):

@@ -494,12 +494,16 @@ def test_markov_config_accepted(tmp_path, capsys):
      "[solve] q_grid_stop"),
     ("solve", BASE_INI + "[solve]\nscan = true\nq_grid_step = 1e-300\n", [],
      "[solve] q_grid_start, q_grid_stop, q_grid_step"),
+    ("verify", BASE_INI + "[sample]\nn = 2000\n[estimate]\nq =\n", [],
+     "[estimate] q"),
+    ("solve", BASE_INI + "[solve]\nq =\n", [], "[solve] q"),
 ], ids=["form", "mode", "threads", "nan-entry", "unknown-solve-key",
         "unknown-ifs-key", "unknown-measure-key", "tol-zero",
         "grid-step-zero", "two-rungs", "rho-above-one", "estimate-q-one",
         "k-max-negative", "depth-negative", "correlation-fractional-q",
         "json-fractional-int", "solve-q-one-half", "grid-start-one",
-        "grid-empty", "grid-stop-nan", "grid-too-long"])
+        "grid-empty", "grid-stop-nan", "grid-too-long", "estimate-q-empty",
+        "solve-q-empty"])
 def test_bad_input_rejected_before_work(tmp_path, capsys, monkeypatch,
                                         command, text, argv, named):
     builds = count_table_builds(monkeypatch)
@@ -512,6 +516,77 @@ def test_bad_input_rejected_before_work(tmp_path, capsys, monkeypatch,
     assert named in err
     assert not out.exists()
     assert not builds
+
+
+# Acceptance criterion 6's system, whose second map is sheared, at the
+# verify-corr benchmark's estimate settings.
+SHEARED_CORR_INI = BASE_INI.replace("map2 = 0.4 0 / 0 0.35",
+                                    "map2 = 0.4 0.1 / 0 0.35") + """
+[sample]
+n = 2000
+[solve]
+q = 2 3
+[estimate]
+q = 2 3
+form = both
+rungs = 12
+"""
+
+
+def test_verify_counts_each_rung_once(tmp_path, capsys, monkeypatch):
+    # One k-d tree for the cloud, one ball query and one cube count per
+    # rung serve both q and both forms; counted per ladder, these were
+    # 24 trees, 24 queries and 48 cube counts.
+    import scipy.spatial
+
+    from affdims import estimator
+
+    calls = {"trees": 0, "queries": 0, "cube_counts": 0}
+
+    class CountingTree(scipy.spatial.cKDTree):
+        def __init__(self, *args, **kwargs):
+            calls["trees"] += 1
+            super().__init__(*args, **kwargs)
+
+        def query_ball_point(self, *args, **kwargs):
+            calls["queries"] += 1
+            return super().query_ball_point(*args, **kwargs)
+
+    cube_counts = estimator._cube_counts
+
+    def counted(*args):
+        calls["cube_counts"] += 1
+        return cube_counts(*args)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    monkeypatch.setattr(estimator, "_cube_counts", counted)
+    path = tmp_path / "corr.ini"
+    path.write_text(SHEARED_CORR_INI)
+    code, stdout, _ = run_cli(capsys, "verify", "--config", str(path),
+                              "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert len(json.loads(stdout)["payload"]["comparison"]) == 4
+    assert calls == {"trees": 1, "queries": 12, "cube_counts": 12}
+
+
+def test_repeated_q_gives_one_row_per_entry(tmp_path, capsys):
+    path = tmp_path / "twice.ini"
+    path.write_text(SHEARED_CORR_INI.replace("q = 2 3", "q = 2 2"))
+    code, stdout, _ = run_cli(capsys, "verify", "--config", str(path),
+                              "--out", str(tmp_path / "twice"))
+    assert code == 0
+    twice = json.loads(stdout)["payload"]
+    once_path = tmp_path / "once.ini"
+    once_path.write_text(SHEARED_CORR_INI.replace("q = 2 3", "q = 2"))
+    code, stdout, _ = run_cli(
+        capsys, "verify", "--config", str(once_path),
+        "--out", str(tmp_path / "once"),
+        "--reuse-cloud", str(tmp_path / "twice" / "cloud.txt"),
+    )
+    assert code == 0
+    once = json.loads(stdout)["payload"]
+    assert twice["estimate"]["estimates"] == 2 * once["estimate"]["estimates"]
+    assert twice["comparison"] == 2 * once["comparison"]
 
 
 @pytest.mark.parametrize("extra, code, named", [

@@ -1,12 +1,16 @@
 """Empirical generalized dimensions from point clouds."""
 
+from functools import cache
+
 import numpy as np
 import pytest
 
 from affdims import (
+    AffineIFS,
     BernoulliModel,
     DisplacementField,
     build_ladder,
+    build_ladders,
     correlation_integral,
     estimate_dimension,
     mesh_moment_sum,
@@ -178,3 +182,57 @@ def test_build_ladder_validation():
         build_ladder(pts, 2.0, rho=1.5)
     with pytest.raises(InvalidInputError):
         build_ladder(pts, 2.0, rungs=0)
+
+
+@cache
+def _shared_pass_cloud(system):
+    if system == "sheared-2d":
+        ifs = AffineIFS(maps=(np.array([[0.5, 0.0], [0.0, 0.3]]),
+                              np.array([[0.4, 0.1], [0.0, 0.35]])))
+        probs = (0.6, 0.4)
+    else:
+        ifs = diag_ifs([0.5, 0.4, 0.3], [0.3, 0.45, 0.35])
+        probs = (0.55, 0.45)
+    fld = DisplacementField(seed=12, region_radius=1.0)
+    return sample_cloud(ifs, BernoulliModel(probs=probs), fld, 1500, 20)
+
+
+_LADDER_KW = {"rungs": 8, "min_occupied": 5, "min_per_cube": 10.0}
+
+
+@pytest.mark.parametrize("system", ["sheared-2d", "diagonal-3d"])
+@pytest.mark.parametrize("forms", [("mesh",), ("correlation",),
+                                   ("mesh", "correlation")],
+                         ids=["mesh", "correlation", "both"])
+@pytest.mark.parametrize("qs", [(2.0, 3.0), (2.0, 2.5, 3.0), (3.0, 2.0)],
+                         ids=["2-3", "2-2.5-3", "3-2"])
+def test_build_ladders_equal_per_q_ladders(system, forms, qs):
+    cloud = _shared_pass_cloud(system)
+    if forms == ("correlation",) and 2.5 in qs:
+        # The counting form alone at a non-integer q fails as build_ladder
+        # does, before any counting.
+        with pytest.raises(InvalidInputError, match="integer q"):
+            build_ladders(cloud, qs, forms, **_LADDER_KW)
+        with pytest.raises(InvalidInputError, match="integer q"):
+            build_ladder(cloud, 2.5, form="correlation", **_LADDER_KW)
+        return
+    want = [tuple(build_ladder(cloud, q, form=form, **_LADDER_KW)
+                  for form in forms if form == "mesh" or q == int(q))
+            for q in qs]
+    assert build_ladders(cloud, qs, forms, **_LADDER_KW) == want
+
+
+@pytest.mark.parametrize("system", ["sheared-2d", "diagonal-3d"])
+def test_shared_ladders_equal_per_rung_calls(system):
+    # Each rung's sums are bitwise those of the standalone per-rung
+    # functions, which count the mesh and build a k-d tree per call.
+    cloud = _shared_pass_cloud(system)
+    rows = build_ladders(cloud, [2.0, 3.0], ["mesh", "correlation"],
+                         **_LADDER_KW)
+    for ladder in (ladder for row in rows for ladder in row):
+        per_rung = mesh_moment_sum if ladder.form == "mesh" \
+            else correlation_integral
+        assert ladder.sums == tuple(per_rung(cloud, r, ladder.q)
+                                    for r in ladder.radii)
+        assert ladder.occupied == tuple(occupied_cubes(cloud, r)
+                                        for r in ladder.radii)

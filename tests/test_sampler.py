@@ -1,5 +1,7 @@
 """Random-displacement sampling of almost self-affine attractors."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -219,9 +221,11 @@ def test_cloud_file_bytes_stable(tmp_path):
     ifs, model, fld = small_setup()
     cloud = sample_cloud(ifs, model, fld, 100, 8)
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    write_cloud(p1, cloud)
-    write_cloud(p2, cloud)
+    d1 = write_cloud(p1, cloud)
+    d2 = write_cloud(p2, cloud)
     assert p1.read_bytes() == p2.read_bytes()
+    # The digest is hashed while writing and is that of the file's bytes.
+    assert d1 == d2 == hashlib.sha256(p1.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("dim", [1, 3])
