@@ -133,9 +133,11 @@ _SCHEMA = {
     },
 }
 # Open bounds lo < value < hi (on every entry of a list), for the values
-# that would otherwise fail deep in a run or only after sampling.  k_max and
-# depth take 0 for "choose automatically".
+# that would otherwise fail deep in a run, only after sampling, or (the
+# 64-bit seed) wrap silently.  k_max and depth take 0 for "choose
+# automatically".
 _RANGES = {
+    ("run", "seed"): (-1, 2 ** 64),
     ("solve", "q"): (1, math.inf),
     ("solve", "tol"): (0, math.inf),
     ("solve", "k_max"): (-1, math.inf),
@@ -146,6 +148,7 @@ _RANGES = {
     ("estimate", "q"): (1, math.inf),
     ("estimate", "rho"): (0, 1),
     ("estimate", "rungs"): (2, math.inf),
+    ("multienergy", "survey_depth"): (0, math.inf),
 }
 _TRUE, _FALSE = ("true", "yes", "1", "on"), ("false", "no", "0", "off")
 
@@ -223,6 +226,14 @@ def _resolve_weights(block, measure_type, m):
     return {key: pot}
 
 
+def _check_range(section, key, value, where):
+    lo, hi = _RANGES[section, key]
+    for v in value if isinstance(value, list) else [value]:
+        if not lo < v < hi:
+            raise ConfigError(f"{where}: expected {lo} < {key} < {hi}, "
+                              f"got {v!r}")
+
+
 def resolve_config(path, seed=None, out=None):
     """Parse a config file and fill in every default.
 
@@ -247,13 +258,7 @@ def resolve_config(path, seed=None, out=None):
                 values[key] = default[0] if isinstance(default, tuple) \
                     else copy.copy(default)
             if (section, key) in _RANGES:
-                lo, hi = _RANGES[section, key]
-                value = values[key]
-                for v in value if isinstance(value, list) else [value]:
-                    if not lo < v < hi:
-                        raise ConfigError(
-                            f"{where}: expected {lo} < {key} < {hi}, got {v!r}"
-                        )
+                _check_range(section, key, values[key], where)
         if section == "ifs":
             values["maps"] = _resolve_maps(block, values["dim"])
         elif section == "measure":
@@ -268,6 +273,7 @@ def resolve_config(path, seed=None, out=None):
             raise ConfigError(f"[{section}] {next(iter(block))}: unknown key")
     if seed is not None:
         cfg["run"]["seed"] = int(seed)
+        _check_range("run", "seed", cfg["run"]["seed"], "--seed")
     if out is not None:
         cfg["run"]["out"] = str(out)
     return cfg

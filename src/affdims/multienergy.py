@@ -18,6 +18,7 @@ t - 1 unresolved join points).  The truncated integral is therefore
 monotone nondecreasing in D.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
@@ -234,15 +235,6 @@ def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
     )
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def _check_exact(ifs, s, n, q, depth):
     """The input checks of exact_truncated_multienergy."""
     _check_nq(n, q)
@@ -261,72 +253,58 @@ def _check_exact(ifs, s, n, q, depth):
         )
 
 
+def _series_mul(a, b):
+    """Product of power series by coefficient on the last axis, truncated."""
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for i in range(a.shape[-1]):
+        out[..., i:] += a[..., i:i + 1] * b[..., :a.shape[-1] - i]
+    return out
+
+
 def exact_truncated_multienergy(ifs, model, s, n, q, depth):
     """Exact depth-D truncation of the order-n multienergy integral.
 
     Sums over all (n + 1)-tuples of depth-D cylinders with the truncated
-    kernel, the outer power applied exactly per outer cylinder.  Runs in
-    O(m^D) tree vertices via a rays-per-subtree recursion rather than the
-    m^{D(n+1)} tuple enumeration.
+    kernel, the outer power applied exactly per outer cylinder, as products
+    of exponential generating functions (Flajolet & Sedgewick, Analytic
+    Combinatorics, ch. II) over the `_log_tables` levels.  With x carrying
+    the cylinder masses, W_v(x) = sum_t W_v[t] x^t / t! sums t inner rays
+    below vertex v times their kernel factors inside v's subtree:
+
+        W_w = 1 + (exp(mu(w) x / phi_w) - 1) phi_w      (depth-D words w)
+        W_v = 1 + (prod_c F_c - 1) phi_v,  F_c = 1 + (W_c - 1) / phi_v,
+
+    phi_v = phi^s(v), since every occupied child past the first adds one
+    join factor 1 / phi_v.  The outer ray's child is always occupied, so for
+    outer word j, G_j = exp(mu(j) x / phi_j) times, at each vertex on j's
+    path, the F of the children off the path; one pass down the levels
+    gives every G_j, and the inner integral is n! [x^n] G_j.  Runs in
+    O(m^D n^2) array work rather than the m^{D(n+1)} tuple enumeration.
     """
     _check_exact(ifs, s, n, q, depth)
     m = ifs.m
-    init = np.asarray(model.initial_probs())
-    trans = np.asarray(model.transition_probs())
     log_phi, log_mass = _log_tables(ifs, model, s, depth)
-    phi_inv = [np.exp(-lp).tolist() for lp in log_phi]
-    fact = [math.factorial(t) for t in range(n + 1)]
-
-    def edge_probs(d, index):
-        return init if d == 0 else trans[index % m]
-
-    def combine(kid_vals, probs, phi_inv_v, forced=None):
-        # out[t]: t inner rays split among the children in every way, each
-        # occupied child weighted by its edge probability and its own
-        # values, one phi^-1 per occupied child beyond the first.  The
-        # outer ray's child, `forced`, counts as occupied even when empty.
-        out = [1.0]
-        for t in range(1, n + 1):
-            acc = 0.0
-            for comp in _compositions(t, m):
-                coeff = fact[t]
-                term = 1.0
-                occ = 0
-                for c, tc in enumerate(comp):
-                    coeff //= fact[tc]
-                    if tc or c == forced:
-                        occ += 1
-                        term *= probs[c] ** tc * kid_vals[c][tc]
-                acc += coeff * term * phi_inv_v ** (occ - 1)
-            out.append(acc)
-        return out
-
-    # W[d][i]: sum over placements of t inner rays inside the subtree at
-    # word i of level d of (conditional masses) * (kernel factors inside),
-    # with the factor of the word itself included.
-    W = [None] * (depth + 1)
-    W[depth] = [[1.0] + [p ** (t - 1) for t in range(1, n + 1)]
-                for p in phi_inv[depth]]
-    for d in range(depth - 1, -1, -1):
-        W[d] = [
-            combine(W[d + 1][i * m:(i + 1) * m], edge_probs(d, i),
-                    phi_inv[d][i])
-            for i in range(m ** d)
-        ]
-
-    # Combine down the path of each outer ray j, a depth-D word.
-    power = (q - 1.0) / n
-    total = 0.0
-    for j, logmass in enumerate(log_mass[depth].tolist()):
-        G = [phi_inv[depth][j] ** t for t in range(n + 1)]
-        for d in range(depth - 1, -1, -1):
-            v = j // m ** (depth - d)
-            kids = W[d + 1][v * m:(v + 1) * m]
-            c_star = j // m ** (depth - d - 1) % m
-            kids[c_star] = G
-            G = combine(kids, edge_probs(d, v), phi_inv[d][v], c_star)
-        total += math.exp(logmass) * G[n] ** power
-    return float(total)
+    phi = [np.exp(lp)[:, None] for lp in log_phi]
+    unit = np.eye(1, n + 1)[0]
+    # exp(mu(w) x / phi_w) by coefficient, for every depth-D word w.
+    ratio = np.exp(log_mass[depth] - log_phi[depth])[:, None]
+    ray = ratio ** np.arange(n + 1) / [math.factorial(t) for t in range(n + 1)]
+    # Up the levels: W - 1 at each vertex, and excl[d][:, c], the product of
+    # the F of child c's siblings (the factors off a path through c).
+    excl = [None] * (depth + 1)
+    w_minus_1 = phi[depth] * (ray - unit)
+    for d in range(depth, 0, -1):
+        F = unit + w_minus_1.reshape(-1, m, n + 1) / phi[d - 1][:, None]
+        siblings = [np.delete(F, c, axis=1).swapaxes(0, 1) for c in range(m)]
+        excl[d] = np.stack([functools.reduce(_series_mul, kids)
+                            for kids in siblings], axis=1)
+        w_minus_1 = phi[d - 1] * (_series_mul(F[:, 0], excl[d][:, 0]) - unit)
+    # Down the levels: every outer word's G at once.
+    G = unit[None]
+    for d in range(1, depth + 1):
+        G = _series_mul(G[:, None], excl[d]).reshape(-1, n + 1)
+    inner = math.factorial(n) * _series_mul(G, ray)[:, n]
+    return float(np.exp(log_mass[depth]) @ inner ** ((q - 1.0) / n))
 
 
 def check_prop71_bound(ifs, model, s, q, join_class, depth):

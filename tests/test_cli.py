@@ -518,6 +518,28 @@ def test_bad_input_rejected_before_work(tmp_path, capsys, monkeypatch,
     assert not builds
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+@pytest.mark.parametrize("command",
+                         ["solve", "sample", "estimate", "verify",
+                          "multienergy"])
+def test_out_of_range_seed_rejected_before_work(tmp_path, capsys, monkeypatch,
+                                                command, flag, seed):
+    # Seeds are 64-bit keys; one outside [0, 2^64) would otherwise wrap.
+    builds = count_table_builds(monkeypatch)
+    argv = ["--seed", str(seed)] if flag else []
+    text = BASE_INI if flag else BASE_INI.replace("seed = 77", f"seed = {seed}")
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, command, "--config", str(path),
+                           "--out", str(out), *argv)
+    assert code == 2
+    assert ("--seed" if flag else "[run] seed") in err
+    assert not out.exists()
+    assert not builds
+
+
 # Acceptance criterion 6's system, whose second map is sheared, at the
 # verify-corr benchmark's estimate settings.
 SHEARED_CORR_INI = BASE_INI.replace("map2 = 0.4 0 / 0 0.35",
@@ -602,10 +624,12 @@ def test_repeated_q_gives_one_row_per_entry(tmp_path, capsys):
     ("decay_k_max = 18\n", 3, "over the budget of 250000"),
     ("inner = 0\n", 2, "got inner=0"),
     ("inner = -1\n", 2, "got inner=-1"),
+    ("survey_depth = 0\n", 2, "[multienergy] survey_depth"),
 ], ids=["s-integer", "s-above-dim", "n-zero", "q-above-n-plus-1",
         "samples-below-batches", "depth-zero", "depth-past-word-table",
         "depth-past-tree-budget", "decay-k-max-two",
-        "decay-k-max-past-word-table", "inner-zero", "inner-negative"])
+        "decay-k-max-past-word-table", "inner-zero", "inner-negative",
+        "survey-depth-zero"])
 def test_multienergy_bad_input_rejected_before_work(tmp_path, capsys,
                                                     monkeypatch, extra, code,
                                                     named):
@@ -615,7 +639,9 @@ def test_multienergy_bad_input_rejected_before_work(tmp_path, capsys,
         raise AssertionError("the survey ran before the input checks")
 
     monkeypatch.setattr(affdims.cli, "prop71_survey", no_survey)
-    path = write_ini(tmp_path, "[multienergy]\nsurvey_depth = 17\n" + extra)
+    if "survey_depth" not in extra:
+        extra = "survey_depth = 17\n" + extra
+    path = write_ini(tmp_path, "[multienergy]\n" + extra)
     out = tmp_path / "out"
     got, _, err = run_cli(capsys, "multienergy", "--config", str(path),
                           "--out", str(out))

@@ -10,15 +10,26 @@ import affdims
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-def test_join_class_survey_demo_runs():
+def run_demo(name):
     src = str(Path(affdims.__file__).resolve().parent.parent)
     done = subprocess.run(
-        [sys.executable, str(DEMOS / "join_class_survey.py")],
+        [sys.executable, str(DEMOS / name)],
         capture_output=True, text=True, timeout=300,
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
+    return done.stdout.splitlines()
+
+
+def test_join_class_survey_demo_runs():
+    lines = run_demo("join_class_survey.py")
     assert sum("24 classes" in line for line in lines) == 2
     assert "  -> 20/24 hold" in lines
     assert "  -> 24/24 hold" in lines
+
+
+def test_multienergy_convergence_demo_runs():
+    lines = run_demo("multienergy_convergence.py")
+    assert sum(line.endswith("-> settling") for line in lines) == 1
+    assert sum(line.endswith("-> growing") for line in lines) == 1
+    assert "exact truncated at D=6:  5.24196" in lines

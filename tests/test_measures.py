@@ -98,6 +98,11 @@ def test_gibbs_sandwich_depth_six():
     ratios = np.array(ratios)
     assert ratios.min() > 0.05
     assert ratios.max() < 20.0
+    # a is attained: in floating point the least ratio sits 6e-15 relative
+    # below it, hence the slack.
+    a = model.gibbs_constant
+    assert a * (1 - 1e-12) <= ratios.min()
+    assert ratios.max() <= (1 + 1e-12) / a
 
 
 def test_quasi_bernoulli_constant_bounds_products():

@@ -65,7 +65,7 @@ def _agree(a, b):
 
 
 def brute_truncated(ifs, model, s, n, q, depth):
-    words = list(itertools.product(range(1, 3), repeat=depth))
+    words = list(itertools.product(range(1, ifs.m + 1), repeat=depth))
     masses = {w: cylinder_mass(model, w) for w in words}
     total = 0.0
     for j in words:
@@ -134,6 +134,43 @@ def test_exact_truncated_markov_matches_brute_force():
     got = exact_truncated_multienergy(ifs, model, s=0.55, n=2, q=2.5, depth=3)
     want = brute_truncated(ifs, model, 0.55, 2, 2.5, 3)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+TERNARY_POTENTIAL = np.array([[0.3, -1.2, 0.4], [0.0, 0.8, -0.5],
+                              [1.1, 0.2, -0.3]])
+SHEARED = AffineIFS(maps=(np.diag([0.5, 0.3]),
+                          np.array([[0.4, 0.1], [0.0, 0.35]])))
+
+
+@pytest.mark.parametrize("ifs, model, n, q, depth", [
+    (_KERNEL_SYSTEMS[3], BernoulliModel(probs=(0.5, 0.3, 0.2)), 2, 2.5, 2),
+    (_KERNEL_SYSTEMS[3], MarkovGibbsModel(potential=TERNARY_POTENTIAL),
+     3, 3.5, 2),
+    (SHEARED, BernoulliModel(probs=(0.6, 0.4)), 2, 2.5, 3),
+], ids=["ternary-bernoulli", "ternary-markov", "sheared"])
+def test_exact_truncated_matches_brute_force_beyond_binary(ifs, model, n, q,
+                                                            depth):
+    got = exact_truncated_multienergy(ifs, model, s=0.55, n=n, q=q,
+                                      depth=depth)
+    want = brute_truncated(ifs, model, 0.55, n, q, depth)
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("ternary, s, q, depth, value", [
+    (False, 0.55, 4.0, 6, 14.087825086147525),
+    (False, 0.55, 4.0, 13, 22.719411264075276),
+    (True, 0.8, 3.5, 5, 18.637923841885954),
+])
+def test_exact_truncated_value_pinned(ternary, s, q, depth, value):
+    # Values recorded from a composition-by-composition recursion over the
+    # same tree; depth 13 is near the tree-vertex budget.
+    if ternary:
+        ifs = diag_ifs([0.45, 0.4], [0.4, 0.35], [0.35, 0.3])
+        model = MarkovGibbsModel(potential=TERNARY_POTENTIAL)
+    else:
+        ifs, model = SHEARED, BernoulliModel(probs=(0.6, 0.4))
+    got = exact_truncated_multienergy(ifs, model, s=s, n=3, q=q, depth=depth)
+    assert got == pytest.approx(value, rel=1e-13)
 
 
 def test_depth_one_hand_sum():
