@@ -29,6 +29,10 @@ from dataclasses import dataclass
 from .errors import InvalidInputError, ResourceLimitError
 from .linalg import compose, phi_s, singular_values
 
+_MAX_CUT_SIZE = 250_000  # cut-set words, kept plus pending, per descent
+_MAX_JOIN_LEVELS = 6  # join points count_join_configurations accepts
+_MAX_JOIN_DEPTH = 8  # deepest join level count_join_configurations accepts
+
 
 def wedge(u, v):
     """Longest common prefix of two words."""
@@ -154,7 +158,7 @@ def kernel_of_join_set(ifs, s, jset):
     return out
 
 
-def cut_set(ifs, s, r, max_size=250000):
+def cut_set(ifs, s, r):
     """The stopping set J^s(r): minimal words with alpha_j(T_w) <= r.
 
     With j = ceil(s), descends the tree and keeps each word at the first
@@ -162,10 +166,10 @@ def cut_set(ifs, s, r, max_size=250000):
     below.  Every infinite ray passes through exactly one member, and each
     member w satisfies a_minus * r < alpha_j(T_w) <= r.
     """
-    return [w for w, _ in _cut_set_products(ifs, s, r, max_size)]
+    return [w for w, _ in _cut_set_products(ifs, s, r)]
 
 
-def _cut_set_products(ifs, s, r, max_size=250000):
+def _cut_set_products(ifs, s, r):
     """Sorted (word, T_word) pairs of the cut set J^s(r); see cut_set."""
     if not 0.0 < s <= ifs.dim:
         raise InvalidInputError(f"cut sets need 0 < s <= {ifs.dim}, got s={s}")
@@ -184,9 +188,9 @@ def _cut_set_products(ifs, s, r, max_size=250000):
                 out.append((w2, m2))
             else:
                 stack.append((w2, m2))
-            if len(out) + len(stack) > max_size:
+            if len(out) + len(stack) > _MAX_CUT_SIZE:
                 raise ResourceLimitError(
-                    f"cut set for r={r} exceeds budget of {max_size} words"
+                    f"cut set for r={r} exceeds budget of {_MAX_CUT_SIZE} words"
                 )
     out.sort(key=lambda pair: pair[0])
     return out
@@ -326,7 +330,7 @@ def _class_shapes(levels, m, _cache=None):
     return shapes
 
 
-def count_join_configurations(levels, m=2, max_n=6, max_depth=8):
+def count_join_configurations(levels, m=2):
     """Number of distinct join classes with the given level multiset.
 
     Counts classes of join sets rooted at the tree origin that arise as the
@@ -349,10 +353,12 @@ def count_join_configurations(levels, m=2, max_n=6, max_depth=8):
         raise InvalidInputError(f"levels must be nonnegative, got {lv}")
     if m < 2:
         raise InvalidInputError(f"tree arity must be >= 2, got {m}")
-    if n > max_n:
-        raise ResourceLimitError(f"{n} levels exceeds the limit of {max_n}")
-    if lv[-1] > max_depth:
+    if n > _MAX_JOIN_LEVELS:
         raise ResourceLimitError(
-            f"level {lv[-1]} exceeds the depth limit of {max_depth}"
+            f"{n} levels exceeds the limit of {_MAX_JOIN_LEVELS}"
+        )
+    if lv[-1] > _MAX_JOIN_DEPTH:
+        raise ResourceLimitError(
+            f"level {lv[-1]} exceeds the depth limit of {_MAX_JOIN_DEPTH}"
         )
     return len(_class_shapes(lv, m))

@@ -30,12 +30,14 @@ import numpy as np
 from .codespace import _cut_set_products
 from .errors import InvalidInputError, NoRootError, ResourceLimitError
 from .linalg import log_phi_stack, phi_s, singular_values_stack
-from .measures import cylinder_mass, log_prob_tables, product_ratio_bounds
+from .measures import (BernoulliModel, _check_model, cylinder_mass,
+                       log_prob_tables, product_ratio_bounds)
 from .numerics import logsumexp
 
 _CHUNK_TERMS = 1 << 16
-_DEFAULT_MAX_TERMS = 20_000_000
+_STREAM_MAX_TERMS = 20_000_000
 _SOLVER_MAX_TERMS = 250_000
+_CUT_RHO = 0.5  # d_q_plus_cutset's radius ratio between cut-set levels
 
 
 def _check_q(q):
@@ -103,15 +105,11 @@ class _Levels:
     Levels are in `_Level` word order.
     """
 
-    def __init__(self, ifs, model, k_max=None, max_terms=_SOLVER_MAX_TERMS):
-        k_max = _check_levels(ifs.m, k_max, max_terms)
-        m = ifs.m
-        if model is not None:
-            log_init, log_trans = log_prob_tables(model)
-            self._log_c_min = math.log(product_ratio_bounds(model)[0])
-        else:
-            log_init, log_trans = np.zeros(m), np.zeros((m, m))
-            self._log_c_min = 0.0
+    def __init__(self, ifs, model, k_max=None):
+        _check_model(ifs, model)
+        k_max = _check_levels(ifs.m, k_max)
+        log_init, log_trans = log_prob_tables(model)
+        self._log_c_min = math.log(product_ratio_bounds(model)[0])
         level = _Level(ifs, log_init, log_trans)
         self.log_alphas = [np.log(singular_values_stack(level.mats))]
         self.logmass = [level.logmass]
@@ -237,10 +235,11 @@ def _iter_level(ifs, model, k):
         yield pmat @ mats, pm + log_trans[plast, firsts] + internal
 
 
-def log_moment_sum(ifs, model, s, q, k, max_terms=_DEFAULT_MAX_TERMS):
+def log_moment_sum(ifs, model, s, q, k):
     """log Phi_k(s, q), streamed in chunks within the term budget."""
     _check_q(q)
-    _check_levels(ifs.m, k, max_terms)
+    _check_model(ifs, model)
+    _check_levels(ifs.m, k, _STREAM_MAX_TERMS)
     pieces = []
     for mats, logmass in _iter_level(ifs, model, k):
         log_alphas = np.log(singular_values_stack(mats))
@@ -250,9 +249,9 @@ def log_moment_sum(ifs, model, s, q, k, max_terms=_DEFAULT_MAX_TERMS):
     return logsumexp(pieces)
 
 
-def moment_sum(ifs, model, s, q, k, max_terms=_DEFAULT_MAX_TERMS):
+def moment_sum(ifs, model, s, q, k):
     """Phi_k(s, q) = sum over level-k words of phi^s(T_i)^(1-q) mu(C_i)^q."""
-    return float(np.exp(log_moment_sum(ifs, model, s, q, k, max_terms)))
+    return float(np.exp(log_moment_sum(ifs, model, s, q, k)))
 
 
 @dataclass(frozen=True)
@@ -268,15 +267,15 @@ class MomentSumTable:
         return len(self.sums)
 
 
-def moment_table(ifs, model, s, q, k_max, max_terms=_SOLVER_MAX_TERMS):
+def moment_table(ifs, model, s, q, k_max):
     """All level sums up to k_max at fixed (s, q)."""
     _check_q(q)
-    levels = _Levels(ifs, model, k_max, max_terms)
+    levels = _Levels(ifs, model, k_max)
     sums = tuple(float(np.exp(v)) for v in levels.log_sums(s, q))
     return MomentSumTable(s=float(s), q=float(q), sums=sums)
 
 
-def growth_rate(ifs, model, s, q, k_max=None, max_terms=_SOLVER_MAX_TERMS):
+def growth_rate(ifs, model, s, q, k_max=None):
     """Estimate of lim_k Phi_k(s, q)^(1/k).
 
     Uses the supermultiplicative lower bound max_k (w Phi_k)^(1/k), where
@@ -285,7 +284,7 @@ def growth_rate(ifs, model, s, q, k_max=None, max_terms=_SOLVER_MAX_TERMS):
     increases to the true limit as k_max grows.
     """
     _check_q(q)
-    levels = _Levels(ifs, model, k_max, max_terms)
+    levels = _Levels(ifs, model, k_max)
     return float(np.exp(levels.log_growth(s, q)))
 
 
@@ -316,24 +315,26 @@ class DimensionResult:
     growth_hi: float
 
 
-def d_q_minus(ifs, model, q, tol=1e-4, k_max=None, max_terms=_SOLVER_MAX_TERMS):
+def d_q_minus(ifs, model, q, tol=1e-4, k_max=None):
     """The q-dimension: unique root of lim Phi_k(s, q)^(1/k) = 1.
 
     Bisects on the supermultiplicative lower-bound growth estimate at depth
     k_max; the bracket narrows to width tol around the root.
     """
     _check_q(q)
-    return _Levels(ifs, model, k_max, max_terms).solve(q, tol)
+    return _Levels(ifs, model, k_max).solve(q, tol)
 
 
-def affinity_dimension(ifs, tol=1e-4, k_max=None, max_terms=_SOLVER_MAX_TERMS):
+def affinity_dimension(ifs, tol=1e-4, k_max=None):
     """Root of the plain singular-value sums sum phi^s(T_i) over levels.
 
     These sums are submultiplicative (growth decreasing in s), so the
     per-level estimates approach the limit from above; the bisection uses
-    the smallest computed level estimate.
+    the smallest computed level estimate.  The table carries the uniform
+    measure, whose masses drop out at q = 0.
     """
-    return _Levels(ifs, None, k_max, max_terms).solve(0.0, tol)
+    uniform = BernoulliModel(probs=(1.0 / ifs.m,) * ifs.m)
+    return _Levels(ifs, uniform, k_max).solve(0.0, tol)
 
 
 def dq_identical_selfadjoint(alphas, probs, q):
@@ -362,18 +363,19 @@ class CutSetSum:
     size: int
 
 
-def d_q_plus_cutset(ifs, model, q, s, rho=0.5, l_max=8, max_size=250000):
-    """Moment sums over the cut sets J^s(rho^l) for l = 1..l_max.
+def d_q_plus_cutset(ifs, model, q, s, l_max=8):
+    """Moment sums over the cut sets J^s(2^-l) for l = 1..l_max.
 
     Reported as diagnostics: bounded sums down the ladder support s below
     the upper dimension, growth indicates s above it.  No root finding is
     attempted on these.
     """
     _check_q(q)
+    _check_model(ifs, model)
     out = []
     for level in range(1, l_max + 1):
-        r = rho ** level
-        members = _cut_set_products(ifs, s, r, max_size=max_size)
+        r = _CUT_RHO ** level
+        members = _cut_set_products(ifs, s, r)
         total = 0.0
         for w, mat in members:
             total += phi_s(mat, s) ** (1.0 - q) * cylinder_mass(model, w) ** q
@@ -391,8 +393,7 @@ class PhaseScan:
     threshold: float
 
 
-def phase_transition_scan(ifs, model, q_grid, tol=1e-4, k_max=None,
-                          max_terms=_SOLVER_MAX_TERMS):
+def phase_transition_scan(ifs, model, q_grid, tol=1e-4, k_max=None):
     """Solve d_q along a grid and flag slope discontinuities.
 
     The grid needs at least 3 strictly increasing points, each above 1.
@@ -402,4 +403,4 @@ def phase_transition_scan(ifs, model, q_grid, tol=1e-4, k_max=None,
     up to 2 tol / dq of slack).
     """
     qs = _check_grid(q_grid)
-    return _Levels(ifs, model, k_max, max_terms).scan(qs, tol)
+    return _Levels(ifs, model, k_max).scan(qs, tol)

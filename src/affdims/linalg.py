@@ -106,15 +106,10 @@ class AffineIFS:
         return np.stack([t.matrix for t in self.maps])
 
 
-def _as_matrix(T):
-    if isinstance(T, LinearContraction):
-        return T.matrix
-    return np.asarray(T, dtype=np.float64)
-
-
 def singular_values(T):
-    """Singular values of a square matrix, decreasing."""
-    return singular_values_stack(_as_matrix(T)[np.newaxis])[0]
+    """Singular values of a square matrix or LinearContraction, decreasing."""
+    mat = T.matrix if isinstance(T, LinearContraction) else T
+    return singular_values_stack(np.asarray(mat)[np.newaxis])[0]
 
 
 def _sv2(mats):
@@ -180,10 +175,7 @@ def phi_s(T, s):
         Positive exponent; branches switch at integer s and the product
         form takes over for s > N.
     """
-    if isinstance(T, LinearContraction):
-        alphas = T.alphas
-    else:
-        alphas = singular_values(T)
+    alphas = singular_values(T)
     if np.any(alphas <= 0.0):
         raise InvalidInputError("phi^s requires a nonsingular matrix")
     return float(np.exp(log_phi_stack(np.log(alphas), s)))

@@ -61,10 +61,12 @@ def _perron(mat, tol=1e-14, max_iter=100000):
     """Perron root and positive right eigenvector via power iteration.
 
     Iterates to the Collatz-Wielandt sandwich min(Mx/x) <= lambda <= max(Mx/x)
-    with relative gap below tol, which certifies the root.
+    with relative gap below tol, which certifies the root.  Roundoff can
+    hold the gap just above tol; a gap below 1e-12 that has not shrunk for
+    1000 iterations is accepted too.
     """
     x = np.ones(mat.shape[0])
-    lam = np.nan
+    lam, best, stalled = np.nan, np.inf, 0
     for _ in range(max_iter):
         y = mat @ x
         ratios = y / x
@@ -72,6 +74,9 @@ def _perron(mat, tol=1e-14, max_iter=100000):
         lam = 0.5 * (lo + hi)
         x = y / y.sum()
         if hi - lo <= tol * lam:
+            return lam, x
+        best, stalled = (hi - lo, 0) if hi - lo < best else (best, stalled + 1)
+        if stalled > 1000 and best <= 1e-12 * lam:
             return lam, x
     raise InvalidInputError("power iteration failed to converge; "
                             "is the transfer matrix strictly positive?")
@@ -173,6 +178,12 @@ def cylinder_mass(model, word):
     return float(mass)
 
 
+def _check_model(ifs, model):
+    if model.m != ifs.m:
+        raise InvalidInputError(
+            f"model has {model.m} symbols but the system has {ifs.m} maps")
+
+
 def log_prob_tables(model):
     """(log initial, log transition) tables for enumeration code."""
     return np.log(model.initial_probs()), np.log(model.transition_probs())
@@ -186,16 +197,12 @@ def quasi_bernoulli_constant(model):
     transition table give the exact bound for all word pairs at every
     depth; Bernoulli models return 1.
     """
-    if isinstance(model, BernoulliModel):
-        return 1.0
     c_min, c_max = product_ratio_bounds(model)
     return float(min(c_min, 1.0 / c_max) ** (1.0 / 3.0))
 
 
 def product_ratio_bounds(model):
     """(c_min, c_max) bounding mu(C_ij) / (mu(C_i) mu(C_j)) over all i, j."""
-    if isinstance(model, BernoulliModel):
-        return 1.0, 1.0
     ratios = model.transition_probs() / model.initial_probs()[np.newaxis, :]
     return float(ratios.min()), float(ratios.max())
 

@@ -129,8 +129,7 @@ def _check_nq(n, q):
         raise InvalidInputError(f"need 1 < q <= n + 1 = {n + 1}, got q={q}")
 
 
-def _check_mc(ifs, s, n, q, samples, depth, inner=64, batches=_BATCHES,
-              unresolved="resample"):
+def _check_mc(ifs, s, n, q, samples, depth, inner=64, unresolved="resample"):
     """The input checks of mc_multienergy, which callers may run first."""
     _check_nq(n, q)
     _check_s(s, ifs.dim)
@@ -140,24 +139,24 @@ def _check_mc(ifs, s, n, q, samples, depth, inner=64, batches=_BATCHES,
         )
     if unresolved not in ("resample", "collapse"):
         raise InvalidInputError(f"unknown unresolved mode {unresolved!r}")
-    if samples < batches:
+    if samples < _BATCHES:
         raise InvalidInputError(
-            f"need at least one outer draw per batch: {samples} < {batches}"
+            f"need at least one outer draw per batch: {samples} < {_BATCHES}"
         )
     _check_depth(ifs.m, depth)
 
 
 def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
-                   inner=64, batches=_BATCHES, unresolved="resample"):
+                   inner=64, unresolved="resample"):
     """Monte Carlo estimate of the order-n multienergy integral.
 
     For each outer ray j, an inner batch of `inner` independent n-tuples
     estimates the bracketed integral, the power (q-1)/n is applied to the
     inner mean, and outer draws are averaged; stderr comes from the spread
-    across independent batches.
+    across 32 independent batches.
 
     Each batch has its own numpy Generator and reads one block of
-    depth * P * (1 + inner * n) uniforms, P = samples // batches: first
+    depth * P * (1 + inner * n) uniforms, P = samples // 32: first
     the P outer words level by level, then, for each outer word in turn,
     its inner * n inner words level by level.
 
@@ -175,8 +174,8 @@ def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
     table (depth <= 17 for m = 2); past it ResourceLimitError is raised
     before any sampling.
     """
-    _check_mc(ifs, s, n, q, samples, depth, inner, batches, unresolved)
-    per_batch = samples // batches
+    _check_mc(ifs, s, n, q, samples, depth, inner, unresolved)
+    per_batch = samples // _BATCHES
     power = (q - 1.0) / n
     m = ifs.m
     log_phi = _log_tables(ifs, model, s, depth)[0]
@@ -187,7 +186,7 @@ def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
 
     batch_means = []
     failures = 0
-    for b in range(batches):
+    for b in range(_BATCHES):
         rng = np.random.default_rng(crng.derive_key(seed, f"{_MC_LABEL}/{b}"))
         u = rng.random(depth * per_batch * (1 + inner * n))
         outer_u = u[:depth * per_batch].reshape(depth, per_batch)
@@ -219,7 +218,7 @@ def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
             )
         batch_means.append(
             np.mean((terms[drawn].sum(axis=1) / counts[drawn]) ** power))
-    attempts = per_batch * batches * inner
+    attempts = per_batch * _BATCHES * inner
     if failures > 0.01 * attempts:
         raise DepthInsufficientError(
             f"{failures} of {attempts} tuples unresolved at depth {depth}; "
@@ -228,9 +227,9 @@ def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
     batch_means = np.asarray(batch_means)
     return MultiEnergyEstimate(
         value=float(batch_means.mean()),
-        stderr=float(batch_means.std(ddof=1) / math.sqrt(batches)),
+        stderr=float(batch_means.std(ddof=1) / math.sqrt(_BATCHES)),
         n=n, s=float(s), q=float(q), outer_power=power,
-        sample_count=per_batch * batches,
+        sample_count=per_batch * _BATCHES,
         truncation_depth=depth, failures=failures, attempts=attempts,
     )
 
@@ -240,11 +239,13 @@ def _check_exact(ifs, s, n, q, depth):
     _check_nq(n, q)
     _check_s(s, ifs.dim)
     m = ifs.m
-    if (n + 1) * depth * math.log(m) > 60.0:
+    # Caps the log count of the (n+1)-tuples the sum stands for, which also
+    # keeps n <= 85, far below n = 171, where n! overflows a double.
+    log_tuples = (n + 1) * depth * math.log(m)
+    if log_tuples > 60.0:
         raise ResourceLimitError(
-            f"(n+1) * depth * log(m) = {(n + 1) * depth * math.log(m):.1f} "
-            "exceeds the enumeration budget of 60"
-        )
+            f"(n+1) * depth * log(m) = {log_tuples:.1f}, the log count of "
+            "(n+1)-tuples of depth-D words, exceeds the budget of 60")
     n_vertices = (m ** (depth + 1) - 1) // (m - 1)
     if n_vertices > _MAX_TREE_VERTICES:
         raise ResourceLimitError(
@@ -288,7 +289,8 @@ def exact_truncated_multienergy(ifs, model, s, n, q, depth):
     unit = np.eye(1, n + 1)[0]
     # exp(mu(w) x / phi_w) by coefficient, for every depth-D word w.
     ratio = np.exp(log_mass[depth] - log_phi[depth])[:, None]
-    ray = ratio ** np.arange(n + 1) / [math.factorial(t) for t in range(n + 1)]
+    ray = ratio ** np.arange(n + 1) / [float(math.factorial(t))
+                                       for t in range(n + 1)]
     # Up the levels: W - 1 at each vertex, and excl[d][:, c], the product of
     # the F of child c's siblings (the factors off a path through c).
     excl = [None] * (depth + 1)
@@ -303,7 +305,7 @@ def exact_truncated_multienergy(ifs, model, s, n, q, depth):
     G = unit[None]
     for d in range(1, depth + 1):
         G = _series_mul(G[:, None], excl[d]).reshape(-1, n + 1)
-    inner = math.factorial(n) * _series_mul(G, ray)[:, n]
+    inner = float(math.factorial(n)) * _series_mul(G, ray)[:, n]
     return float(np.exp(log_mass[depth]) @ inner ** ((q - 1.0) / n))
 
 
@@ -437,22 +439,22 @@ class DecayCheck:
     stderr: float
 
 
-def _check_decay(ifs, k_max, max_terms=250000):
+def _check_decay(ifs, k_max):
     """The input checks of check_decay_criterion."""
     if k_max < 3:
         raise InvalidInputError(f"need k_max >= 3 levels, got {k_max}")
-    _check_levels(ifs.m, k_max, max_terms)
+    _check_levels(ifs.m, k_max)
 
 
-def check_decay_criterion(ifs, model, s, q, k_max, max_terms=250000):
+def check_decay_criterion(ifs, model, s, q, k_max):
     """Fit log Phi_k(s, q) against k and flag geometric decay.
 
     A negative fitted slope with margin (2 stderr plus a small absolute
     floor) predicts a finite multienergy integral; the fitted
     lambda = exp(slope) is exact for identical-map systems.
     """
-    _check_decay(ifs, k_max, max_terms)
-    levels = _Levels(ifs, model, k_max, max_terms)
+    _check_decay(ifs, k_max)
+    levels = _Levels(ifs, model, k_max)
     ks = np.arange(1, k_max + 1, dtype=np.float64)
     logs = np.array(levels.log_sums(s, q))
     slope, stderr = fit_line(ks, logs)
@@ -465,7 +467,7 @@ def check_decay_criterion(ifs, model, s, q, k_max, max_terms=250000):
     )
 
 
-def simulate_transversality(ifs, fld, u, v, s, trials, seed_offset=0):
+def simulate_transversality(ifs, fld, u, v, s, trials):
     """Empirical mean of |Pi(u) - Pi(v)|^{-s} against the meet-point bound.
 
     Draws `trials` independent displacement realizations from the field's
@@ -485,7 +487,7 @@ def simulate_transversality(ifs, fld, u, v, s, trials, seed_offset=0):
     if trials < 1:
         raise InvalidInputError(f"need at least 1 trial, got {trials}")
     key = crng.derive_key(fld.seed, _TRANS_LABEL)
-    idx = np.arange(seed_offset, seed_offset + trials, dtype=np.uint64)
+    idx = np.arange(trials, dtype=np.uint64)
 
     def positions(word):
         words = np.tile(np.asarray(word, dtype=np.uint8), (trials, 1))

@@ -20,13 +20,15 @@ import numpy as np
 
 from . import counterrng as crng
 from .errors import InvalidInputError, ResourceLimitError
-from .measures import draw_words
+from .measures import _check_model, draw_words
 from .linalg import contraction_bounds
 
 _MAX_POINTS = 50_000_000
 _WORD_LABEL = "sampler/words"
 _FIELD_LABEL = "sampler/field"
 _WRITE_ROWS = 4096  # rows formatted per write in write_cloud
+_HEADER_FIELDS = {"n": int, "dim": int, "seed": int, "depth": int,
+                  "region_radius": float, "truncation_bound": float}
 
 
 def truncation_tail(a_plus, region_radius, dim, K):
@@ -198,10 +200,7 @@ def sample_cloud(ifs, model, fld, n, K, threads=1, chunk=65536):
         raise ResourceLimitError(f"{n} points exceeds the {_MAX_POINTS} cap")
     if K < 1:
         raise InvalidInputError(f"depth must be >= 1, got K={K}")
-    if model.m != ifs.m:
-        raise InvalidInputError(
-            f"model has {model.m} symbols but the system has {ifs.m} maps"
-        )
+    _check_model(ifs, model)
     if threads < 1 or chunk < 1:
         raise InvalidInputError(
             f"need threads >= 1 and chunk >= 1, got {threads} and {chunk}"
@@ -293,9 +292,18 @@ def read_cloud(path):
         for part in fh.readline().lstrip("# ").split():
             k, _, v = part.partition("=")
             meta[k] = v
-        positions = np.loadtxt(fh, ndmin=2)
-    n = int(meta["n"])
-    if positions.shape != (n, int(meta["dim"])):
+        try:
+            positions = np.loadtxt(fh, ndmin=2)
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: bad row: {exc}") from None
+    for key, kind in _HEADER_FIELDS.items():
+        try:
+            meta[key] = kind(meta[key])
+        except (KeyError, ValueError):
+            raise InvalidInputError(f"{path}: header field {key!r} is "
+                                    "missing or malformed") from None
+    n = meta["n"]
+    if positions.shape != (n, meta["dim"]):
         raise InvalidInputError(
             f"{path}: expected {n} x {meta['dim']} table, got "
             f"{positions.shape[0]} x {positions.shape[1]}"
@@ -303,9 +311,9 @@ def read_cloud(path):
     return Cloud(
         positions=positions,
         words=np.zeros((n, 0), dtype=np.uint8),
-        truncation_bound=float(meta["truncation_bound"]),
-        seed=int(meta["seed"]),
-        depth=int(meta["depth"]),
-        region_radius=float(meta["region_radius"]),
+        truncation_bound=meta["truncation_bound"],
+        seed=meta["seed"],
+        depth=meta["depth"],
+        region_radius=meta["region_radius"],
         model_tag=meta.get("model", ""),
     )

@@ -1,6 +1,7 @@
 """Config-driven command line runs, exercised in process."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -357,6 +358,36 @@ def test_estimate_without_cloud_is_config_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "estimate", "--config", str(path))
     assert code == 2
     assert "cloud" in err
+
+
+_CLOUD_HEADER = ("# affdims cloud v1\n# seed=1 depth=5 dim=2 n=2 "
+                 "region_radius=1.0 truncation_bound=0.1 model=x\n")
+
+
+@pytest.mark.parametrize("command", ["estimate", "verify"])
+@pytest.mark.parametrize("text, named", [
+    (_CLOUD_HEADER.replace(" n=2", "") + "0.1 0.2\n0.3 0.4\n",
+     "header field 'n'"),
+    (_CLOUD_HEADER + "0.1 0.2\n0.3 abc\n", "bad row"),
+], ids=["missing-n", "non-numeric-row"])
+def test_malformed_cloud_rejected(tmp_path, capsys, command, text, named):
+    cloud = tmp_path / "cloud.txt"
+    cloud.write_text(text)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, command, "--config", str(write_ini(tmp_path)),
+                           "--out", str(out), "--reuse-cloud", str(cloud))
+    assert code == 2
+    assert str(cloud) in err and named in err
+    assert not out.exists()
+
+
+def test_multienergy_spread_past_int64_factorials(tmp_path, capsys):
+    # 25! overflows int64; the exact sum's series coefficients stay floats.
+    path = write_ini(tmp_path, "[multienergy]\nn = 25\nq = 2\ndepth = 2\n")
+    code, stdout, _ = run_cli(capsys, "multienergy", "--config", str(path),
+                              "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert math.isfinite(json.loads(stdout)["payload"]["exact_truncated"])
 
 
 def test_no_root_exit_code(tmp_path, capsys):

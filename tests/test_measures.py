@@ -7,15 +7,32 @@ from hypothesis import strategies as st
 
 from affdims import (
     BernoulliModel,
+    DisplacementField,
     MarkovGibbsModel,
     birkhoff_sum,
+    canonical_join_class,
+    check_decay_criterion,
+    check_prop71_bound,
     cylinder_mass,
+    d_q_minus,
+    d_q_plus_cutset,
+    exact_truncated_multienergy,
+    growth_rate,
+    join_set,
+    mc_multienergy,
+    moment_sum,
+    moment_table,
+    phase_transition_scan,
     pressure,
+    prop71_survey,
     quasi_bernoulli_constant,
+    sample_cloud,
     sample_words,
 )
 from affdims.errors import InvalidInputError
 from affdims.measures import draw_words, log_prob_tables
+
+from checks import diag_ifs
 
 
 def test_bernoulli_cylinder_mass_is_product():
@@ -119,6 +136,14 @@ def test_quasi_bernoulli_constant_bounds_products():
             assert ratio <= a**-3 * (1 + 1e-12)
 
 
+def test_markov_model_accepts_perron_gap_held_by_roundoff():
+    # Eigenvalues near +-7.4: the Collatz-Wielandt gap of the transposed
+    # transfer matrix stalls at 1.2e-14 relative, just above the 1e-14 aim.
+    model = MarkovGibbsModel(potential=[[-1.90625, 1.0], [3.0, -2.625]])
+    pi, trans = model.initial_probs(), model.transition_probs()
+    np.testing.assert_allclose(pi @ trans, pi, rtol=1e-12)
+
+
 def test_quasi_bernoulli_constant_is_one_for_bernoulli():
     model = BernoulliModel(probs=(0.6, 0.4))
     assert quasi_bernoulli_constant(model) == pytest.approx(1.0)
@@ -186,3 +211,42 @@ def test_draw_words_matches_gather_compare_oracle(case):
     count, depth = u.shape
     got = draw_words(model, count, depth, lambda j: u[:, j].copy())
     np.testing.assert_array_equal(got, _gather_compare_words(model, u))
+
+
+_PAIR_CALLS = {
+    "moment_sum": lambda ifs, model: moment_sum(ifs, model, 0.5, 2.0, 3),
+    "moment_table": lambda ifs, model: moment_table(ifs, model, 0.5, 2.0, 3),
+    "growth_rate": lambda ifs, model: growth_rate(ifs, model, 0.5, 2.0, 3),
+    "d_q_minus": lambda ifs, model: d_q_minus(ifs, model, 2.0),
+    "d_q_plus_cutset": lambda ifs, model: d_q_plus_cutset(
+        ifs, model, 2.0, 0.5, l_max=2),
+    "phase_transition_scan": lambda ifs, model: phase_transition_scan(
+        ifs, model, [1.5, 2.0, 2.5]),
+    "mc_multienergy": lambda ifs, model: mc_multienergy(
+        ifs, model, 0.55, 1, 1.5, 64, 4),
+    "exact_truncated_multienergy": lambda ifs, model:
+        exact_truncated_multienergy(ifs, model, 0.55, 2, 2.5, 3),
+    "check_prop71_bound": lambda ifs, model: check_prop71_bound(
+        ifs, model, 0.55, 4.0,
+        canonical_join_class(join_set(((1, 1), (2, 1)))), 4),
+    "prop71_survey": lambda ifs, model: prop71_survey(
+        ifs, model, 0.55, 4.0, 3),
+    "check_decay_criterion": lambda ifs, model: check_decay_criterion(
+        ifs, model, 0.55, 2.0, 4),
+    "sample_cloud": lambda ifs, model: sample_cloud(
+        ifs, model, DisplacementField(seed=1), 10, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_CALLS))
+@pytest.mark.parametrize("maps, symbols", [(2, 3), (3, 2)])
+def test_symbol_count_must_match_map_count(name, maps, symbols):
+    ifs = diag_ifs(*[[0.5, 0.3], [0.4, 0.35], [0.3, 0.2]][:maps])
+    if symbols == 3:
+        model = BernoulliModel(probs=(0.2, 0.3, 0.5))
+    else:
+        model = MarkovGibbsModel(potential=[[0.0, 0.5], [0.2, 0.1]])
+    with pytest.raises(InvalidInputError,
+                       match=f"model has {symbols} symbols but the system "
+                             f"has {maps} maps"):
+        _PAIR_CALLS[name](ifs, model)

@@ -185,6 +185,25 @@ def test_depth_one_hand_sum():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [21, 42, 85])
+def test_depth_one_closed_form_past_int64_factorials(n):
+    """m=2, D=1: an outer ray j with k of the n inner rays on the other
+    symbol c meets them at the root (phi = 1) and leaves phi_c^(k-1) and
+    phi_j^(n-k) at the two leaves; n! passes int64 at n = 21."""
+    ifs, model = hetero_system()
+    s, q = 0.55, 2.0
+    p = (0.6, 0.4)
+    f = [phi_s(compose(ifs, (j,)), s) for j in (1, 2)]
+    want = 0.0
+    for j, c in ((0, 1), (1, 0)):
+        a, b = p[c] / f[c], p[j] / f[j]
+        inner = b ** n + f[c] * sum(math.comb(n, k) * a ** k * b ** (n - k)
+                                    for k in range(1, n + 1))
+        want += p[j] * inner ** ((q - 1.0) / n)
+    got = exact_truncated_multienergy(ifs, model, s=s, n=n, q=q, depth=1)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_exact_truncated_monotone_in_depth():
     ifs, model = hetero_system()
     vals = [
