@@ -18,8 +18,7 @@ the measure recovers the affinity (box-counting) sums, which are
 submultiplicative instead, with the inequalities reversed.
 
 All accumulation is in log space.  Enumeration is vectorized level by
-level; one-shot sums beyond the in-memory chunk stream over prefix
-subtrees.
+level.
 """
 
 import math
@@ -34,8 +33,6 @@ from .measures import (BernoulliModel, _check_model, cylinder_mass,
                        log_prob_tables, product_ratio_bounds)
 from .numerics import logsumexp
 
-_CHUNK_TERMS = 1 << 16
-_STREAM_MAX_TERMS = 20_000_000
 _SOLVER_MAX_TERMS = 250_000
 _CUT_RHO = 0.5  # d_q_plus_cutset's radius ratio between cut-set levels
 
@@ -45,52 +42,19 @@ def _check_q(q):
         raise InvalidInputError(f"moment sums need q > 1, got q={q}")
 
 
-class _Level:
-    """Matrix products, log masses and last symbols of all words of a length.
-
-    Entry i is the word whose base-m digits, first symbol most significant,
-    are its symbols minus one; starts at length 1.
-    """
-
-    def __init__(self, ifs, log_init, log_trans):
-        self._base = ifs.matrix_stack()
-        self._log_trans = log_trans
-        self.mats = self._base.copy()
-        self.logmass = log_init.copy()
-        self.lasts = np.arange(ifs.m)
-
-    def grow(self, times=1):
-        """Extend every word by one symbol, last symbol fastest, `times` times.
-
-        This is the one place products of maps are formed along all the
-        words of a length.  Each array is rebound as soon as its successor
-        exists, so the old one is freed before the next is built.
-        """
-        m, dim = self._base.shape[0], self._base.shape[-1]
-        for _ in range(times):
-            self.mats = np.matmul(
-                self.mats[:, np.newaxis, :, :],
-                self._base[np.newaxis, :, :, :],
-            ).reshape(-1, dim, dim)
-            self.logmass = (
-                self.logmass[:, np.newaxis] + self._log_trans[self.lasts, :]
-            ).reshape(-1)
-            self.lasts = np.tile(np.arange(m), self.lasts.shape[0])
-
-
-def _check_levels(m, k_max=None, max_terms=_SOLVER_MAX_TERMS):
+def _check_levels(m, k_max):
     """The depth of a level table, None for the deepest within the budget.
 
     Raises unless the m^k_max words of the deepest level fit the budget.
     """
     if k_max is None:
-        k_max = max(1, int(math.log(max_terms) / math.log(m)))
+        k_max = max(1, int(math.log(_SOLVER_MAX_TERMS) / math.log(m)))
     if k_max < 1:
         raise InvalidInputError(f"k_max must be >= 1, got {k_max}")
-    if m ** k_max > max_terms:
+    if m ** k_max > _SOLVER_MAX_TERMS:
         raise ResourceLimitError(
             f"level {k_max} holds {m ** k_max} words, over the "
-            f"budget of {max_terms}"
+            f"budget of {_SOLVER_MAX_TERMS}"
         )
     return k_max
 
@@ -102,7 +66,17 @@ class _Levels:
     q and every bisection step; a level evaluation is then a single
     vectorized phi-and-dot pass.  At q = 0 the masses drop out (0 * log
     mass adds only -0.0), so any table also gives the affinity sums.
-    Levels are in `_Level` word order.
+
+    Entry i of level k is the word whose base-m digits, first symbol most
+    significant, are its symbols minus one, so word i m + b extends word i
+    by symbol b.  This is the one place products of maps are formed along
+    all the words of a length; each level's matrices are rebound as soon
+    as the next exist, so the old stack is freed before another is built.
+
+    The smallest singular value of a product is not read off the product,
+    whose entries cancel when alpha_N / alpha_1 is small: log|det| adds up
+    along the word like the log masses, and log alpha_N is what it leaves
+    after the leading log alpha_1 .. alpha_{N-1}.
     """
 
     def __init__(self, ifs, model, k_max=None):
@@ -110,13 +84,23 @@ class _Levels:
         k_max = _check_levels(ifs.m, k_max)
         log_init, log_trans = log_prob_tables(model)
         self._log_c_min = math.log(product_ratio_bounds(model)[0])
-        level = _Level(ifs, log_init, log_trans)
-        self.log_alphas = [np.log(singular_values_stack(level.mats))]
-        self.logmass = [level.logmass]
+        base = ifs.matrix_stack()
+        m, dim = base.shape[0], base.shape[-1]
+        mats, logmass = base, log_init
+        self.log_alphas = [np.log(singular_values_stack(base))]
+        self.logmass = [logmass]
+        logdet = base_logdet = self.log_alphas[0].sum(axis=-1)
         for _ in range(1, k_max):
-            level.grow()
-            self.log_alphas.append(np.log(singular_values_stack(level.mats)))
-            self.logmass.append(level.logmass)
+            mats = np.matmul(
+                mats[:, np.newaxis], base[np.newaxis]
+            ).reshape(-1, dim, dim)
+            logmass = (logmass.reshape(-1, m, 1) + log_trans).reshape(-1)
+            logdet = (logdet.reshape(-1, 1) + base_logdet).reshape(-1)
+            lead = np.log(singular_values_stack(mats)[:, :-1])
+            self.log_alphas.append(
+                np.column_stack([lead, logdet - lead.sum(axis=-1)])
+            )
+            self.logmass.append(logmass)
         self.k_max = k_max
         self.dim = ifs.dim
 
@@ -212,48 +196,6 @@ def _check_grid(q_grid):
     return qs
 
 
-def _iter_level(ifs, model, k):
-    """Yield (matrix stack, log mass) chunks covering all level-k words.
-
-    Each chunk is one word of the prefix level k - b times the whole
-    suffix level b, in word order; suffix masses start from zero so a
-    prefix's mass and last symbol join them by one transition.
-    """
-    m = ifs.m
-    log_init, log_trans = log_prob_tables(model)
-    b = max(1, min(k, int(math.log(_CHUNK_TERMS) / math.log(m))))
-    suffix = _Level(ifs, np.zeros(m), log_trans)
-    suffix.grow(b - 1)
-    mats, internal = suffix.mats, suffix.logmass
-    firsts = np.arange(m ** b) // m ** (b - 1)
-    if k == b:
-        yield mats, log_init[firsts] + internal
-        return
-    prefix = _Level(ifs, log_init, log_trans)
-    prefix.grow(k - b - 1)
-    for pmat, pm, plast in zip(prefix.mats, prefix.logmass, prefix.lasts):
-        yield pmat @ mats, pm + log_trans[plast, firsts] + internal
-
-
-def log_moment_sum(ifs, model, s, q, k):
-    """log Phi_k(s, q), streamed in chunks within the term budget."""
-    _check_q(q)
-    _check_model(ifs, model)
-    _check_levels(ifs.m, k, _STREAM_MAX_TERMS)
-    pieces = []
-    for mats, logmass in _iter_level(ifs, model, k):
-        log_alphas = np.log(singular_values_stack(mats))
-        terms = (1.0 - q) * log_phi_stack(log_alphas, s) \
-            + q * logmass
-        pieces.append(logsumexp(terms))
-    return logsumexp(pieces)
-
-
-def moment_sum(ifs, model, s, q, k):
-    """Phi_k(s, q) = sum over level-k words of phi^s(T_i)^(1-q) mu(C_i)^q."""
-    return float(np.exp(log_moment_sum(ifs, model, s, q, k)))
-
-
 @dataclass(frozen=True)
 class MomentSumTable:
     """Level sums Phi_1..Phi_k_max at fixed (s, q)."""
@@ -273,6 +215,11 @@ def moment_table(ifs, model, s, q, k_max):
     levels = _Levels(ifs, model, k_max)
     sums = tuple(float(np.exp(v)) for v in levels.log_sums(s, q))
     return MomentSumTable(s=float(s), q=float(q), sums=sums)
+
+
+def moment_sum(ifs, model, s, q, k):
+    """Phi_k(s, q) = sum over level-k words of phi^s(T_i)^(1-q) mu(C_i)^q."""
+    return moment_table(ifs, model, s, q, k).sums[-1]
 
 
 def growth_rate(ifs, model, s, q, k_max=None):

@@ -134,9 +134,11 @@ def _sv2(mats):
 def singular_values_stack(mats):
     """Singular values for a stack of square matrices, shape (..., N).
 
-    N = 1 and N = 2 use closed forms (the 2x2 case recovers the smaller
-    value from |det| / alpha_1, which stays accurate when the matrix is
-    nearly rank-deficient); larger N uses LAPACK's SVD.
+    N = 1 and N = 2 use closed forms; larger N uses LAPACK's SVD.  The 2x2
+    alpha_2 is |det| / alpha_1 with det from the entries, which cancel to
+    noise or 0 as alpha_2 / alpha_1 nears the float epsilon.  The level
+    tables carry log|det| along words instead; per-word products
+    (`compose`, the cut-set descent) keep the closed form.
     """
     mats = np.asarray(mats, dtype=np.float64)
     n = mats.shape[-1]

@@ -63,21 +63,27 @@ def _perron(mat, tol=1e-14, max_iter=100000):
     Iterates to the Collatz-Wielandt sandwich min(Mx/x) <= lambda <= max(Mx/x)
     with relative gap below tol, which certifies the root.  Roundoff can
     hold the gap just above tol; a gap below 1e-12 that has not shrunk for
-    1000 iterations is accepted too.
+    1000 iterations is accepted too.  A second eigenvalue near -lambda
+    stalls the iteration, so a run that ends unconverged is repeated once
+    on M + cI, c the stalled run's midpoint: same eigenvector, root
+    shifted by c, and the second eigenvalue now far below the first.
     """
-    x = np.ones(mat.shape[0])
-    lam, best, stalled = np.nan, np.inf, 0
-    for _ in range(max_iter):
-        y = mat @ x
-        ratios = y / x
-        lo, hi = ratios.min(), ratios.max()
-        lam = 0.5 * (lo + hi)
-        x = y / y.sum()
-        if hi - lo <= tol * lam:
-            return lam, x
-        best, stalled = (hi - lo, 0) if hi - lo < best else (best, stalled + 1)
-        if stalled > 1000 and best <= 1e-12 * lam:
-            return lam, x
+    shift = 0.0
+    for _ in range(2):
+        x = np.ones(mat.shape[0])
+        lam, best, stalled = np.nan, np.inf, 0
+        for _ in range(max_iter):
+            y = mat @ x + shift * x
+            ratios = y / x
+            lo, hi = ratios.min(), ratios.max()
+            lam = 0.5 * (lo + hi)
+            x = y / y.sum()
+            if hi - lo <= tol * lam:
+                return lam - shift, x
+            best, stalled = (hi - lo, 0) if hi - lo < best else (best, stalled + 1)
+            if stalled > 1000 and best <= 1e-12 * lam:
+                return lam - shift, x
+        shift = lam
     raise InvalidInputError("power iteration failed to converge; "
                             "is the transfer matrix strictly positive?")
 

@@ -14,7 +14,7 @@ threads; that is the whole reproducibility story.
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,6 @@ class Cloud:
     seed: int
     depth: int
     region_radius: float
-    model_tag: str = field(default="", compare=False)
 
     def __len__(self):
         return self.positions.shape[0]
@@ -98,17 +97,6 @@ class Cloud:
     @property
     def dim(self):
         return self.positions.shape[1]
-
-    def __getitem__(self, i):
-        return CloudPoint(
-            position=self.positions[i],
-            word_prefix=tuple(int(s) for s in self.words[i]),
-            truncation_bound=self.truncation_bound,
-        )
-
-    def points(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 def project(ifs, fld, word, K):
@@ -265,7 +253,7 @@ def write_cloud(path, cloud):
         f"seed={cloud.seed} depth={cloud.depth} dim={cloud.dim} "
         f"n={len(cloud)} region_radius={cloud.region_radius!r} "
         f"truncation_bound={cloud.truncation_bound!r} "
-        f"model={cloud.model_tag or 'unknown'}"
+        "model=unknown"  # the model is not recorded; kept for the v1 layout
     )
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -315,5 +303,4 @@ def read_cloud(path):
         seed=meta["seed"],
         depth=meta["depth"],
         region_radius=meta["region_radius"],
-        model_tag=meta.get("model", ""),
     )

@@ -1,5 +1,8 @@
 """Moment sums and the generalized dimension solver."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from affdims import (
     BernoulliModel,
     MarkovGibbsModel,
     affinity_dimension,
+    all_words,
     compose,
     cut_set,
     cylinder_mass,
@@ -21,7 +25,7 @@ from affdims import (
     phi_s,
 )
 from affdims.dimsolver import _Levels
-from affdims.errors import InvalidInputError, NoRootError
+from affdims.errors import InvalidInputError, NoRootError, ResourceLimitError
 
 from checks import diag_ifs, random_bernoulli, random_ifs
 
@@ -55,14 +59,77 @@ def test_moment_table_lengths_and_consistency():
 
 @pytest.mark.parametrize("m, k", [(2, 17), (3, 11)])
 def test_streamed_moment_sum_matches_in_memory_table(m, k):
-    # Levels past one 65,536-term chunk are summed prefix by prefix.
     rng = np.random.default_rng(17)
     ifs = random_ifs(rng, m, 2, max_norm=0.7)
     for model in (random_bernoulli(rng, m),
                   MarkovGibbsModel(potential=rng.normal(size=(m, m)))):
         got = moment_sum(ifs, model, 0.9, 2.5, k)
-        want = moment_table(ifs, model, 0.9, 2.5, k).sums[-1]
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == moment_table(ifs, model, 0.9, 2.5, k).sums[-1]
+
+
+def test_moment_sum_past_level_table_budget_raises():
+    # 2^18 words exceed the 250,000-word table; 2^17 fit.
+    rng = np.random.default_rng(18)
+    ifs = random_ifs(rng, 2, 2, max_norm=0.7)
+    with pytest.raises(ResourceLimitError):
+        moment_sum(ifs, random_bernoulli(rng, 2), 0.9, 2.5, 18)
+
+
+@pytest.mark.parametrize("m, k_max", [(2, 8), (3, 5)])
+@pytest.mark.parametrize("markov", [False, True])
+def test_moment_sum_matches_per_word_sum(m, k_max, markov):
+    # Mild anisotropy: the closed-form alpha_2 of a product, |det| / alpha_1
+    # from its entries, loses digits as alpha_2 / alpha_1 shrinks.
+    rng = np.random.default_rng(10 * m + markov)
+    ifs = AffineIFS(maps=tuple(
+        np.diag(rng.uniform(0.3, 0.5, 2)) + np.fliplr(np.diag(
+            rng.uniform(-0.15, 0.15, 2)))
+        for _ in range(m)))
+    model = (MarkovGibbsModel(potential=rng.normal(size=(m, m))) if markov
+             else random_bernoulli(rng, m))
+    for s, q in [(0.7, 2.5), (1.6, 1.5), (2.3, 4.0)]:
+        for k in range(1, k_max + 1):
+            want = sum(phi_s(compose(ifs, w), s) ** (1.0 - q)
+                       * cylinder_mass(model, w) ** q
+                       for w in all_words(m, k))
+            got = moment_sum(ifs, model, s, q, k)
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+def _exact_log_alphas(ifs, word):
+    """log alpha_1, log alpha_2 of a word's product, the product exact."""
+    prod = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    for sym in word:
+        t = [[Fraction(x) for x in row] for row in ifs.matrix(sym)]
+        prod = [[sum(prod[i][j] * t[j][c] for j in range(2)) for c in range(2)]
+                for i in range(2)]
+    (a, b), (c, d) = prod
+    p, r, u = a * a + b * b, a * c + b * d, c * c + d * d
+    # alpha_1^2 = (p + u) / 2 + sqrt(((p - u) / 2)^2 + r^2), no cancellation.
+    log_a1 = 0.5 * math.log(
+        float((p + u) / 2) + math.sqrt(float(((p - u) / 2) ** 2 + r * r)))
+    return log_a1, math.log(abs(a * d - b * c)) - log_a1
+
+
+def test_level_table_keeps_small_alpha_of_thin_products():
+    # alpha_2 / alpha_1 of level-6 products falls to 1e-18 and below, where
+    # the entries of the product matrix cancel.
+    def rot(t):
+        return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    ifs = AffineIFS(maps=tuple(
+        rot(0.3 + 0.7 * i) @ np.diag([0.95, 0.001]) @ rot(-0.1 * i)
+        for i in range(6)))
+    model = BernoulliModel(probs=(1 / 6,) * 6)
+    levels = _Levels(ifs, model)
+    assert levels.k_max == 6
+    for log_alphas in levels.log_alphas:
+        assert np.all(np.isfinite(log_alphas))
+    rng = np.random.default_rng(6)
+    for i in rng.choice(6 ** 6, size=200, replace=False):
+        word = tuple(int(c) + 1 for c in np.base_repr(i, 6).zfill(6))
+        want = _exact_log_alphas(ifs, word)
+        np.testing.assert_allclose(levels.log_alphas[-1][i], want, atol=1e-9)
+    assert d_q_minus(ifs, model, 2.0).value > 1.1
 
 
 def test_growth_rate_increasing_in_s():

@@ -144,6 +144,39 @@ def test_markov_model_accepts_perron_gap_held_by_roundoff():
     np.testing.assert_allclose(pi @ trans, pi, rtol=1e-12)
 
 
+def test_markov_model_with_second_eigenvalue_near_minus_root():
+    # Eigenvalues 60.953 and -60.940: plain power iteration stalls, the
+    # shifted rerun converges.
+    f = np.array([[-4.59, 2.81], [5.41, -5.84]])
+    model = MarkovGibbsModel(potential=f)
+    want = max(np.linalg.eigvals(np.exp(f)).real)
+    assert model._lambda == pytest.approx(want, rel=1e-12)
+    pi, trans = model.initial_probs(), model.transition_probs()
+    np.testing.assert_allclose(pi @ trans, pi, rtol=1e-12)
+
+
+@pytest.mark.parametrize("potential, lam, pi, trans", [
+    ([[0.3, -1.2, 0.5], [1.1, 0.0, -0.4], [-0.7, 0.9, 0.2]],
+     "0x1.fd036e52f2237p+1",
+     ["0x1.516d72c332c15p-2", "0x1.4a877e60582dfp-2", "0x1.640b0edc7510ap-2"],
+     [["0x1.5b97679b38301p-2", "0x1.97a2a58f6f73dp-4", "0x1.1f3ff78075f98p-1"],
+      ["0x1.265e20e01e989p-1", "0x1.0180870d753b2p-2", "0x1.63866e649b275p-3"],
+      ["0x1.79fbbd2cd1dd8p-4", "0x1.337ec68a25424p-1", "0x1.3a8383a081045p-2"]]),
+    ([[-1.90625, 1.0], [3.0, -2.625]],
+     "0x1.dffaf68231fc2p+2",
+     ["0x1.0151e7577ff22p-1", "0x1.fd5c3151001bdp-2"],
+     [["0x1.44b7178cb16acp-6", "0x1.f5da47439a74ap-1"],
+      ["0x1.fb0df8ba4089fp-1", "0x1.3c81d16fdd846p-7"]]),
+])
+def test_markov_model_pinned_bits(potential, lam, pi, trans):
+    # Potentials the unshifted power iteration certifies keep their bits.
+    model = MarkovGibbsModel(potential=potential)
+    assert model._lambda == float.fromhex(lam)
+    hexes = np.vectorize(float.fromhex)
+    np.testing.assert_array_equal(model.initial_probs(), hexes(pi))
+    np.testing.assert_array_equal(model.transition_probs(), hexes(trans))
+
+
 def test_quasi_bernoulli_constant_is_one_for_bernoulli():
     model = BernoulliModel(probs=(0.6, 0.4))
     assert quasi_bernoulli_constant(model) == pytest.approx(1.0)
