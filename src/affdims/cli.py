@@ -52,6 +52,7 @@ from .multienergy import (
     prop71_survey,
 )
 from .sampler import (
+    _MAX_THREADS,
     DisplacementField,
     attractor_radius,
     default_depth,
@@ -135,9 +136,10 @@ _SCHEMA = {
 # Open bounds lo < value < hi (on every entry of a list), for the values
 # that would otherwise fail deep in a run, only after sampling, or (the
 # 64-bit seed) wrap silently.  k_max and depth take 0 for "choose
-# automatically".
+# automatically", r0 <= 0 does too; (-inf, inf) rejects only NaN and inf.
 _RANGES = {
     ("run", "seed"): (-1, 2 ** 64),
+    ("ifs", "region_radius"): (0, math.inf),
     ("solve", "q"): (1, math.inf),
     ("solve", "tol"): (0, math.inf),
     ("solve", "k_max"): (-1, math.inf),
@@ -148,6 +150,8 @@ _RANGES = {
     ("estimate", "q"): (1, math.inf),
     ("estimate", "rho"): (0, 1),
     ("estimate", "rungs"): (2, math.inf),
+    ("estimate", "r0"): (-math.inf, math.inf),
+    ("estimate", "min_per_cube"): (-math.inf, math.inf),
     ("multienergy", "survey_depth"): (0, math.inf),
 }
 _TRUE, _FALSE = ("true", "yes", "1", "on"), ("false", "no", "0", "off")
@@ -533,8 +537,6 @@ def cmd_estimate(cfg, out_dir, cloud_path=None):
         raise ConfigError(
             "[estimate] cloud: no cloud file; set it or pass --reuse-cloud"
         )
-    if not Path(path).exists():
-        raise ConfigError(f"cloud file not found: {path}")
     cloud = read_cloud(path)
     return _estimate_payload(cfg, cloud, out_dir)
 
@@ -544,8 +546,6 @@ def cmd_verify(cfg, out_dir, threads=1, cloud_path=None):
     sol = cfg["solve"]
     k_max = _check_levels(ifs.m, sol["k_max"] or None)
     if cloud_path:
-        if not Path(cloud_path).exists():
-            raise ConfigError(f"cloud file not found: {cloud_path}")
         cloud = read_cloud(cloud_path)
         sample_payload = {"reused": str(cloud_path), "n": len(cloud)}
     else:
@@ -653,14 +653,16 @@ def _build_parser():
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads for sampling")
-        p.add_argument("--reuse-cloud", default=None,
-                       help="existing cloud file (estimate and verify)")
+        if name in ("estimate", "verify"):
+            p.add_argument("--reuse-cloud", default=None,
+                           help="existing cloud file")
     return parser
 
 
 def run_command(args):
-    if args.threads < 1:
-        raise ConfigError(f"--threads: need at least 1, got {args.threads}")
+    if not 1 <= args.threads <= _MAX_THREADS:
+        raise ConfigError(f"--threads: need 1 to {_MAX_THREADS}, "
+                          f"got {args.threads}")
     cfg = resolve_config(args.config, seed=args.seed, out=args.out)
     out_dir = Path(cfg["run"]["out"])
     started = time.perf_counter()

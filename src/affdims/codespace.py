@@ -26,8 +26,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidInputError, ResourceLimitError
-from .linalg import compose, phi_s, singular_values
+from .linalg import _extend_products, compose, phi_s, singular_values_stack
 
 _MAX_CUT_SIZE = 250_000  # cut-set words, kept plus pending, per descent
 _MAX_JOIN_LEVELS = 6  # join points count_join_configurations accepts
@@ -164,35 +166,48 @@ def cut_set(ifs, s, r):
     With j = ceil(s), descends the tree and keeps each word at the first
     level where the j-th singular value of the composed map drops to r or
     below.  Every infinite ray passes through exactly one member, and each
-    member w satisfies a_minus * r < alpha_j(T_w) <= r.
+    member w satisfies a_minus * r < alpha_j(T_w) <= r.  Returns the
+    members as sorted tuples.
     """
-    return [w for w, _ in _cut_set_products(ifs, s, r)]
+    return sorted(tuple(w) for words, _ in _cut_set_products(ifs, s, r)
+                  for w in words.tolist())
 
 
 def _cut_set_products(ifs, s, r):
-    """Sorted (word, T_word) pairs of the cut set J^s(r); see cut_set."""
+    """J^s(r) as one (words, log_alphas) pair per level; see cut_set.
+
+    Level l's members are an (n, l) array of 1-based symbols, with the log
+    singular values of their products from `_extend_products`.  Every
+    pending word is extended by every map at once, and stops where alpha_j
+    read off its product is at most r.  Kept plus next-level words exceed
+    the budget exactly when the cut set does.
+    """
     if not 0.0 < s <= ifs.dim:
         raise InvalidInputError(f"cut sets need 0 < s <= {ifs.dim}, got s={s}")
     if not 0.0 < r < 1.0:
         raise InvalidInputError(f"radius must lie in (0, 1), got {r}")
     j = math.ceil(s)
-    out = []
-    stack = [((), compose(ifs, ()))]
-    while stack:
-        word, mat = stack.pop()
-        for c in range(1, ifs.m + 1):
-            w2 = word + (c,)
-            m2 = mat @ ifs.matrix(c)
-            alpha = singular_values(m2)[j - 1]
-            if alpha <= r:
-                out.append((w2, m2))
-            else:
-                stack.append((w2, m2))
-            if len(out) + len(stack) > _MAX_CUT_SIZE:
-                raise ResourceLimitError(
-                    f"cut set for r={r} exceeds budget of {_MAX_CUT_SIZE} words"
-                )
-    out.sort(key=lambda pair: pair[0])
+    m = ifs.m
+    symbols = np.arange(1, m + 1)
+    base = ifs.matrix_stack()
+    base_logdet = np.log(singular_values_stack(base)).sum(axis=-1)
+    words = np.zeros((1, 0), dtype=np.int64)
+    mats, logdet = np.eye(ifs.dim)[np.newaxis], np.zeros(1)
+    out, kept = [], 0
+    while len(words):
+        if kept + m * len(words) > _MAX_CUT_SIZE:
+            raise ResourceLimitError(
+                f"cut set for r={r} exceeds budget of {_MAX_CUT_SIZE} words"
+            )
+        words = np.column_stack(
+            [np.repeat(words, m, axis=0), np.tile(symbols, len(words))])
+        mats, logdet, alphas, log_alphas = _extend_products(
+            mats, logdet, base, base_logdet)
+        stop = alphas[:, j - 1] <= r
+        out.append((words[stop], log_alphas[stop]))
+        kept += int(stop.sum())
+        go = ~stop
+        words, mats, logdet = words[go], mats[go], logdet[go]
     return out
 
 

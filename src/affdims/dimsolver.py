@@ -28,9 +28,9 @@ import numpy as np
 
 from .codespace import _cut_set_products
 from .errors import InvalidInputError, NoRootError, ResourceLimitError
-from .linalg import log_phi_stack, phi_s, singular_values_stack
-from .measures import (BernoulliModel, _check_model, cylinder_mass,
-                       log_prob_tables, product_ratio_bounds)
+from .linalg import _extend_products, log_phi_stack, singular_values_stack
+from .measures import (BernoulliModel, _check_model, log_prob_tables,
+                       product_ratio_bounds)
 from .numerics import logsumexp
 
 _SOLVER_MAX_TERMS = 250_000
@@ -69,14 +69,10 @@ class _Levels:
 
     Entry i of level k is the word whose base-m digits, first symbol most
     significant, are its symbols minus one, so word i m + b extends word i
-    by symbol b.  This is the one place products of maps are formed along
-    all the words of a length; each level's matrices are rebound as soon
-    as the next exist, so the old stack is freed before another is built.
-
-    The smallest singular value of a product is not read off the product,
-    whose entries cancel when alpha_N / alpha_1 is small: log|det| adds up
-    along the word like the log masses, and log alpha_N is what it leaves
-    after the leading log alpha_1 .. alpha_{N-1}.
+    by symbol b.  Each level's products come from the last level's by one
+    `_extend_products` step, which also gives their log singular values;
+    the matrices are rebound as soon as the next exist, so the old stack
+    is freed before another is built.
     """
 
     def __init__(self, ifs, model, k_max=None):
@@ -85,21 +81,16 @@ class _Levels:
         log_init, log_trans = log_prob_tables(model)
         self._log_c_min = math.log(product_ratio_bounds(model)[0])
         base = ifs.matrix_stack()
-        m, dim = base.shape[0], base.shape[-1]
         mats, logmass = base, log_init
         self.log_alphas = [np.log(singular_values_stack(base))]
         self.logmass = [logmass]
         logdet = base_logdet = self.log_alphas[0].sum(axis=-1)
         for _ in range(1, k_max):
-            mats = np.matmul(
-                mats[:, np.newaxis], base[np.newaxis]
-            ).reshape(-1, dim, dim)
-            logmass = (logmass.reshape(-1, m, 1) + log_trans).reshape(-1)
-            logdet = (logdet.reshape(-1, 1) + base_logdet).reshape(-1)
-            lead = np.log(singular_values_stack(mats)[:, :-1])
-            self.log_alphas.append(
-                np.column_stack([lead, logdet - lead.sum(axis=-1)])
-            )
+            # The loop rebinds `_`, freeing this level's alphas.
+            mats, logdet, _, log_alphas = _extend_products(
+                mats, logdet, base, base_logdet)
+            logmass = (logmass.reshape(-1, ifs.m, 1) + log_trans).reshape(-1)
+            self.log_alphas.append(log_alphas)
             self.logmass.append(logmass)
         self.k_max = k_max
         self.dim = ifs.dim
@@ -315,18 +306,26 @@ def d_q_plus_cutset(ifs, model, q, s, l_max=8):
 
     Reported as diagnostics: bounded sums down the ladder support s below
     the upper dimension, growth indicates s above it.  No root finding is
-    attempted on these.
+    attempted on these.  Sums are taken in log space, as `_Levels` does.
     """
     _check_q(q)
     _check_model(ifs, model)
+    if l_max < 1:
+        raise InvalidInputError(f"l_max must be >= 1, got {l_max}")
+    log_init, log_trans = log_prob_tables(model)
     out = []
     for level in range(1, l_max + 1):
         r = _CUT_RHO ** level
-        members = _cut_set_products(ifs, s, r)
-        total = 0.0
-        for w, mat in members:
-            total += phi_s(mat, s) ** (1.0 - q) * cylinder_mass(model, w) ** q
-        out.append(CutSetSum(r=r, value=total, size=len(members)))
+        terms = []
+        for words, log_alphas in _cut_set_products(ifs, s, r):
+            idx = words - 1
+            logmass = (log_init[idx[:, 0]]
+                       + log_trans[idx[:, :-1], idx[:, 1:]].sum(axis=-1))
+            terms.append((1.0 - q) * log_phi_stack(log_alphas, s)
+                         + q * logmass)
+        terms = np.concatenate(terms)
+        out.append(CutSetSum(r=r, value=float(np.exp(logsumexp(terms))),
+                             size=terms.size))
     return out
 
 

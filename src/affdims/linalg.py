@@ -122,9 +122,8 @@ def _sv2(mats):
     p = a00 * a00 + a01 * a01
     q = a10 * a10 + a11 * a11
     rr = a00 * a10 + a01 * a11
-    mean = 0.5 * (p + q)
-    rad = np.hypot(0.5 * (p - q), rr)
-    alpha1 = np.sqrt(mean + rad)
+    alpha1 = np.sqrt(0.5 * (p + q) + np.hypot(0.5 * (p - q), rr))
+    del p, q, rr  # a level table's build peaks in here, at its last level
     det = np.abs(a00 * a11 - a01 * a10)
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha2 = np.where(alpha1 > 0.0, det / np.where(alpha1 > 0.0, alpha1, 1.0), 0.0)
@@ -136,9 +135,10 @@ def singular_values_stack(mats):
 
     N = 1 and N = 2 use closed forms; larger N uses LAPACK's SVD.  The 2x2
     alpha_2 is |det| / alpha_1 with det from the entries, which cancel to
-    noise or 0 as alpha_2 / alpha_1 nears the float epsilon.  The level
-    tables carry log|det| along words instead; per-word products
-    (`compose`, the cut-set descent) keep the closed form.
+    noise or 0 as alpha_2 / alpha_1 nears the float epsilon.  Products
+    built by `_extend_products` (the level tables and the cut-set descent)
+    carry log|det| along words instead; per-word products (`compose`)
+    keep the closed form.
     """
     mats = np.asarray(mats, dtype=np.float64)
     n = mats.shape[-1]
@@ -147,6 +147,26 @@ def singular_values_stack(mats):
     if n == 2:
         return _sv2(mats)
     return np.linalg.svd(mats, compute_uv=False)
+
+
+def _extend_products(mats, logdet, base, base_logdet):
+    """One level step: every product in a stack times every map.
+
+    Entry i m + b of the result is mats[i] @ base[b], so products ordered
+    by word, first symbol most significant, stay in that order.  Returns
+    the products, their log|det|, their singular values read off the
+    products and their log singular values.  The product's entries cancel
+    when alpha_N / alpha_1 is small, so log alpha_N is log|det|, added up
+    along the word, less the leading log alpha_1 .. alpha_{N-1}.
+    """
+    dim = base.shape[-1]
+    mats = np.matmul(mats[:, np.newaxis], base[np.newaxis]).reshape(-1, dim, dim)
+    logdet = (logdet.reshape(-1, 1) + base_logdet).reshape(-1)
+    alphas = singular_values_stack(mats)
+    log_alphas = np.empty_like(alphas)
+    lead = np.log(alphas[:, :-1], out=log_alphas[:, :-1])
+    np.subtract(logdet, lead.sum(axis=-1), out=log_alphas[:, -1])
+    return mats, logdet, alphas, log_alphas
 
 
 def log_phi_stack(logs, s):

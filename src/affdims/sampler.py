@@ -24,6 +24,7 @@ from .measures import _check_model, draw_words
 from .linalg import contraction_bounds
 
 _MAX_POINTS = 50_000_000
+_MAX_THREADS = 256  # sample_cloud opens one pool worker per thread
 _WORD_LABEL = "sampler/words"
 _FIELD_LABEL = "sampler/field"
 _WRITE_ROWS = 4096  # rows formatted per write in write_cloud
@@ -55,8 +56,8 @@ class DisplacementField:
     def __post_init__(self):
         if not 0 <= self.seed < 2 ** 64:
             raise InvalidInputError("seed must fit in 64 bits")
-        if not self.region_radius > 0:
-            raise InvalidInputError("region_radius must be positive")
+        if not 0 < self.region_radius < math.inf:
+            raise InvalidInputError("region_radius must be positive and finite")
 
     def key(self):
         return crng.derive_key(self.seed, _FIELD_LABEL)
@@ -189,9 +190,10 @@ def sample_cloud(ifs, model, fld, n, K, threads=1, chunk=65536):
     if K < 1:
         raise InvalidInputError(f"depth must be >= 1, got K={K}")
     _check_model(ifs, model)
-    if threads < 1 or chunk < 1:
+    if not 1 <= threads <= _MAX_THREADS or chunk < 1:
         raise InvalidInputError(
-            f"need threads >= 1 and chunk >= 1, got {threads} and {chunk}"
+            f"need 1 <= threads <= {_MAX_THREADS} and chunk >= 1, got "
+            f"{threads} and {chunk}"
         )
     word_key = crng.derive_key(fld.seed, _WORD_LABEL)
     # Equal chunks of at most `chunk` points, as many as a multiple of the
@@ -272,7 +274,11 @@ def write_cloud(path, cloud):
 
 def read_cloud(path):
     """Read a cloud table written by write_cloud (words are not stored)."""
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except FileNotFoundError:
+        raise InvalidInputError(f"cloud file not found: {path}") from None
+    with fh:
         magic = fh.readline()
         if not magic.startswith("# affdims cloud v1"):
             raise InvalidInputError(f"{path} is not a cloud table")

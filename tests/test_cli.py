@@ -353,6 +353,25 @@ def test_wrong_prob_count_rejected(tmp_path, capsys):
     assert "probs" in err
 
 
+@pytest.mark.parametrize("command", ["estimate", "verify"])
+def test_missing_cloud_rejected(tmp_path, capsys, command):
+    cloud = tmp_path / "absent.txt"
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, command, "--config", str(write_ini(tmp_path)),
+                           "--out", str(out), "--reuse-cloud", str(cloud))
+    assert code == 2
+    assert f"cloud file not found: {cloud}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sample", "multienergy"])
+def test_reuse_cloud_only_where_a_cloud_is_read(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", "x.ini", "--reuse-cloud", "x"])
+    assert exc.value.code == 2
+    assert "--reuse-cloud" in capsys.readouterr().err
+
+
 def test_estimate_without_cloud_is_config_error(tmp_path, capsys):
     path = write_ini(tmp_path)
     code, _, err = run_cli(capsys, "estimate", "--config", str(path))
@@ -528,13 +547,25 @@ def test_markov_config_accepted(tmp_path, capsys):
     ("verify", BASE_INI + "[sample]\nn = 2000\n[estimate]\nq =\n", [],
      "[estimate] q"),
     ("solve", BASE_INI + "[solve]\nq =\n", [], "[solve] q"),
+    ("sample", BASE_INI.replace("dim = 2", "dim = 2\nregion_radius = inf"),
+     [], "[ifs] region_radius"),
+    ("verify", BASE_INI + "[sample]\nn = 2000\n[estimate]\nr0 = nan\n", [],
+     "[estimate] r0"),
+    ("verify", BASE_INI + "[sample]\nn = 2000\n[estimate]\nr0 = inf\n", [],
+     "[estimate] r0"),
+    ("verify", BASE_INI + "[sample]\nn = 2000\n[estimate]\n"
+     "min_per_cube = nan\n", [], "[estimate] min_per_cube"),
+    ("verify", BASE_INI + "[sample]\nn = 2000\n[estimate]\n"
+     "min_per_cube = inf\n", [], "[estimate] min_per_cube"),
+    ("verify", BASE_INI, ["--threads", "1000000"], "--threads"),
 ], ids=["form", "mode", "threads", "nan-entry", "unknown-solve-key",
         "unknown-ifs-key", "unknown-measure-key", "tol-zero",
         "grid-step-zero", "two-rungs", "rho-above-one", "estimate-q-one",
         "k-max-negative", "depth-negative", "correlation-fractional-q",
         "json-fractional-int", "solve-q-one-half", "grid-start-one",
         "grid-empty", "grid-stop-nan", "grid-too-long", "estimate-q-empty",
-        "solve-q-empty"])
+        "solve-q-empty", "radius-inf", "r0-nan", "r0-inf",
+        "min-per-cube-nan", "min-per-cube-inf", "threads-past-cap"])
 def test_bad_input_rejected_before_work(tmp_path, capsys, monkeypatch,
                                         command, text, argv, named):
     builds = count_table_builds(monkeypatch)

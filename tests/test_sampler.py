@@ -1,6 +1,7 @@
 """Random-displacement sampling of almost self-affine attractors."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -253,13 +254,21 @@ def test_read_cloud_rejects_garbage(tmp_path):
         read_cloud(path)
 
 
+def test_read_cloud_missing_file(tmp_path):
+    path = tmp_path / "absent.txt"
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"cloud file not found: {path}")):
+        read_cloud(path)
+
+
 def test_field_seed_validation():
     with pytest.raises(InvalidInputError):
         DisplacementField(seed=-1, region_radius=1.0)
     with pytest.raises(InvalidInputError):
         DisplacementField(seed=2**64, region_radius=1.0)
-    with pytest.raises(InvalidInputError):
-        DisplacementField(seed=3, region_radius=0.0)
+    for radius in (0.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidInputError):
+            DisplacementField(seed=3, region_radius=radius)
 
 
 def test_sample_cloud_validates_sizes():
@@ -268,3 +277,6 @@ def test_sample_cloud_validates_sizes():
         sample_cloud(ifs, model, fld, 0, 8)
     with pytest.raises(InvalidInputError):
         sample_cloud(ifs, model, fld, 10, 0)
+    # Checked before any pool exists: no thread is started.
+    with pytest.raises(InvalidInputError, match="threads <= 256"):
+        sample_cloud(ifs, model, fld, 10, 8, threads=10**6)
