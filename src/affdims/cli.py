@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dimsolver import _check_grid, _check_levels, _Levels
+from .dimsolver import _check_grid, _check_levels, _flag_kinks, _Levels
 from .errors import (
     ConfigError,
     InsufficientDataError,
@@ -412,11 +412,13 @@ def cmd_solve(cfg, out_dir):
     ifs, model = build_system(cfg)
     sol = cfg["solve"]
     grid = _scan_grid(sol) if sol["scan"] else None
-    # One table serves every q, the affinity dimension (q = 0) and the scan.
+    # One table and one lockstep bisection serve every q, the affinity
+    # dimension (q = 0) and the scan.
     levels = _Levels(ifs, model, sol["k_max"] or None)
+    solved = levels.solve_many(sol["q"] + [0.0] + (grid or []), sol["tol"])
+    n_q = len(sol["q"])
     rows = []
-    for q in sol["q"]:
-        res = levels.solve(q, sol["tol"])
+    for q, res in zip(sol["q"], solved):
         rows.append({
             "q": q,
             "d_q": res.value,
@@ -429,10 +431,11 @@ def cmd_solve(cfg, out_dir):
         })
     payload = {
         "dimensions": rows,
-        "affinity_dimension": levels.solve(0.0, sol["tol"]).value,
+        "affinity_dimension": solved[n_q].value,
     }
     if grid is not None:
-        scan = levels.scan(grid, sol["tol"])
+        scan = _flag_kinks(
+            grid, [res.value for res in solved[n_q + 1:]], sol["tol"])
         payload["scan"] = {
             "q": list(scan.qs),
             "d_q": list(scan.values),
@@ -491,7 +494,7 @@ def cmd_sample(cfg, out_dir, threads=1):
     }, cloud
 
 
-def _estimate_payload(cfg, cloud, out_dir):
+def _estimate_payload(cfg, cloud, out_dir, threads=1):
     est = cfg["estimate"]
     dim = cloud.positions.shape[1]
     r0 = est["r0"] if est["r0"] > 0 else None
@@ -502,6 +505,7 @@ def _estimate_payload(cfg, cloud, out_dir):
     ladders = build_ladders(
         cloud, est["q"], forms, r0=r0, rho=est["rho"], rungs=est["rungs"],
         min_occupied=est["min_occupied"], min_per_cube=est["min_per_cube"],
+        threads=threads,
     )
     estimates = []
     for q, row_ladders in zip(est["q"], ladders):
@@ -531,14 +535,14 @@ def _estimate_payload(cfg, cloud, out_dir):
     return {"dim": dim, "n": len(cloud), "estimates": estimates}
 
 
-def cmd_estimate(cfg, out_dir, cloud_path=None):
+def cmd_estimate(cfg, out_dir, cloud_path=None, threads=1):
     path = cloud_path or cfg["estimate"]["cloud"]
     if not path:
         raise ConfigError(
             "[estimate] cloud: no cloud file; set it or pass --reuse-cloud"
         )
     cloud = read_cloud(path)
-    return _estimate_payload(cfg, cloud, out_dir)
+    return _estimate_payload(cfg, cloud, out_dir, threads=threads)
 
 
 def cmd_verify(cfg, out_dir, threads=1, cloud_path=None):
@@ -553,14 +557,15 @@ def cmd_verify(cfg, out_dir, threads=1, cloud_path=None):
         # Estimation reads positions only; keeping the words would add
         # n * depth bytes to the run's peak memory.
         cloud = replace(cloud, words=np.zeros((len(cloud), 0), np.uint8))
-    est_payload = _estimate_payload(cfg, cloud, out_dir)
+    est_payload = _estimate_payload(cfg, cloud, out_dir, threads=threads)
     # One table for every q, built after the ladders so that its memory
     # does not add to theirs.
     levels = _Levels(ifs, model, k_max)
+    qs = [entry["q"] for entry in est_payload["estimates"]]
     rows = []
-    for entry in est_payload["estimates"]:
+    for entry, theory in zip(est_payload["estimates"],
+                             levels.solve_many(qs, sol["tol"])):
         q = entry["q"]
-        theory = levels.solve(q, sol["tol"])
         target = min(theory.value, float(ifs.dim))
         for form, got in entry["forms"].items():
             rows.append({
@@ -652,7 +657,7 @@ def _build_parser():
                        help="override the config seed (64-bit)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sampling")
+                       help="worker threads for sampling and ball queries")
         if name in ("estimate", "verify"):
             p.add_argument("--reuse-cloud", default=None,
                            help="existing cloud file")
@@ -671,7 +676,8 @@ def run_command(args):
     elif args.command == "sample":
         payload, _ = cmd_sample(cfg, out_dir, threads=args.threads)
     elif args.command == "estimate":
-        payload = cmd_estimate(cfg, out_dir, cloud_path=args.reuse_cloud)
+        payload = cmd_estimate(cfg, out_dir, cloud_path=args.reuse_cloud,
+                               threads=args.threads)
     elif args.command == "verify":
         payload = cmd_verify(
             cfg, out_dir, threads=args.threads, cloud_path=args.reuse_cloud

@@ -95,33 +95,42 @@ class _Levels:
         self.k_max = k_max
         self.dim = ifs.dim
 
-    def log_sums(self, s, q):
-        """log Phi_k(s, q) for k = 1..k_max."""
-        return [logsumexp((1.0 - q) * log_phi_stack(la, s) + q * lm)
-                for la, lm in zip(self.log_alphas, self.logmass)]
+    def log_sums(self, s, qs):
+        """log Phi_k(s, q) for k = 1..k_max, one list for each q of qs.
 
-    def log_growth(self, s, q):
-        """log of the growth estimate: for q > 1 the certified lower bound
-        of `growth_rate`, for the affinity sums (q = 0) min_k Phi_k^(1/k),
-        an upper bound since those sums are submultiplicative."""
-        sums = self.log_sums(s, q)
+        log phi^s of a level is computed once for every q and only one
+        level's is held at a time.
+        """
+        sums = [[] for _ in qs]
+        for la, lm in zip(self.log_alphas, self.logmass):
+            lphi = log_phi_stack(la, s)
+            for row, q in zip(sums, qs):
+                row.append(logsumexp((1.0 - q) * lphi + q * lm))
+        return sums
+
+    def log_growth(self, sums, q):
+        """log of the growth estimate from one q's `log_sums`: for q > 1 the
+        certified lower bound of `growth_rate`, for the affinity sums
+        (q = 0) min_k Phi_k^(1/k), an upper bound since those sums are
+        submultiplicative."""
         if q == 0.0:
             return min(v / k for k, v in enumerate(sums, 1))
         log_w = q * self._log_c_min
         return max((v + log_w) / k for k, v in enumerate(sums, 1))
 
-    def solve(self, q, tol):
-        """Bisect the growth estimate for its root in s: d_q for q > 1, the
-        affinity dimension for q = 0 (where the growth decreases in s)."""
+    def _bisection(self, q, tol):
+        """The bisection of one q as a generator: it yields each s it needs,
+        is sent log Phi_k(s, q) for every k, and returns the result."""
         if q != 0.0:
             _check_q(q)
         sign = -1.0 if q == 0.0 else 1.0
 
-        def g(s):
-            return float(np.exp(self.log_growth(s, q)))
+        def g(sums):
+            return float(np.exp(self.log_growth(sums, q)))
 
         s_lo, s_hi = 1e-6, 2.0 * self.dim
-        g_lo, g_hi = g(s_lo), g(s_hi)
+        g_lo = g((yield s_lo))
+        g_hi = g((yield s_hi))
         if sign * (g_lo - 1.0) >= 0.0:
             raise NoRootError(
                 f"no bracket: growth at s={s_lo} is already {g_lo:.6g}"
@@ -134,11 +143,11 @@ class _Levels:
                     f"no bracket: growth at s={s_hi} is still {g_hi:.6g}"
                 )
             s_hi *= 2.0
-            g_hi = g(s_hi)
+            g_hi = g((yield s_hi))
         iterations = max(1, math.ceil(math.log2((s_hi - s_lo) / tol)))
         for _ in range(iterations):
             mid = 0.5 * (s_lo + s_hi)
-            g_mid = g(mid)
+            g_mid = g((yield mid))
             if sign * (g_mid - 1.0) < 0.0:
                 s_lo, g_lo = mid, g_mid
             else:
@@ -151,28 +160,69 @@ class _Levels:
             growth_hi=g_hi,
         )
 
-    def scan(self, qs, tol):
-        """`phase_transition_scan` on a grid `_check_grid` returned."""
-        values = [self.solve(q, tol).value for q in qs]
-        steps = np.diff(qs)
-        jumps = np.abs(np.diff(np.diff(values) / steps))
-        threshold = 5.0 * (4.0 * tol / steps.min())
-        # One flag per contiguous run above threshold, at the largest jump.
-        kinks = []
-        i = 0
-        while i < jumps.size:
-            if jumps[i] > threshold:
-                j = i
-                while j + 1 < jumps.size and jumps[j + 1] > threshold:
-                    j += 1
-                kinks.append(qs[i + int(np.argmax(jumps[i : j + 1])) + 1])
-                i = j + 1
-            else:
-                i += 1
-        return PhaseScan(
-            qs=tuple(qs), values=tuple(values), kink_qs=tuple(kinks),
-            threshold=float(threshold),
-        )
+    def solve_many(self, qs, tol):
+        """`solve` for every q of qs, the bisections run in lockstep.
+
+        Each step groups the distinct q's by the s they ask for next and
+        evaluates every group with one `log_sums`, so log phi^s is computed
+        once per distinct s and level, and a repeated q is solved once.
+        Every q takes the same steps on the same floats as alone.  If some
+        q fails, the error of the first failing q of qs is raised.
+        """
+        runs = {q: self._bisection(q, tol) for q in dict.fromkeys(qs)}
+        outcome = {}  # q -> its DimensionResult or the error it raised
+        asked = {}  # q -> the s its bisection waits for
+
+        def advance(q, sums):
+            try:
+                asked[q] = runs[q].send(sums)
+            except StopIteration as stop:
+                outcome[q] = stop.value
+            except (InvalidInputError, NoRootError) as exc:
+                outcome[q] = exc
+
+        for q in runs:
+            advance(q, None)
+        while asked:
+            groups = {}
+            for q, s in asked.items():
+                groups.setdefault(s, []).append(q)
+            asked.clear()
+            for s, group in groups.items():
+                for q, sums in zip(group, self.log_sums(s, group)):
+                    advance(q, sums)
+        for q in qs:
+            if isinstance(outcome[q], Exception):
+                raise outcome[q]
+        return [outcome[q] for q in qs]
+
+    def solve(self, q, tol):
+        """Bisect the growth estimate for its root in s: d_q for q > 1, the
+        affinity dimension for q = 0 (where the growth decreases in s)."""
+        return self.solve_many([q], tol)[0]
+
+
+def _flag_kinks(qs, values, tol):
+    """The kink rule of `phase_transition_scan` on solved values."""
+    steps = np.diff(qs)
+    jumps = np.abs(np.diff(np.diff(values) / steps))
+    threshold = 5.0 * (4.0 * tol / steps.min())
+    # One flag per contiguous run above threshold, at the largest jump.
+    kinks = []
+    i = 0
+    while i < jumps.size:
+        if jumps[i] > threshold:
+            j = i
+            while j + 1 < jumps.size and jumps[j + 1] > threshold:
+                j += 1
+            kinks.append(qs[i + int(np.argmax(jumps[i : j + 1])) + 1])
+            i = j + 1
+        else:
+            i += 1
+    return PhaseScan(
+        qs=tuple(qs), values=tuple(values), kink_qs=tuple(kinks),
+        threshold=float(threshold),
+    )
 
 
 def _check_grid(q_grid):
@@ -204,7 +254,7 @@ def moment_table(ifs, model, s, q, k_max):
     """All level sums up to k_max at fixed (s, q)."""
     _check_q(q)
     levels = _Levels(ifs, model, k_max)
-    sums = tuple(float(np.exp(v)) for v in levels.log_sums(s, q))
+    sums = tuple(float(np.exp(v)) for v in levels.log_sums(s, [q])[0])
     return MomentSumTable(s=float(s), q=float(q), sums=sums)
 
 
@@ -223,7 +273,7 @@ def growth_rate(ifs, model, s, q, k_max=None):
     """
     _check_q(q)
     levels = _Levels(ifs, model, k_max)
-    return float(np.exp(levels.log_growth(s, q)))
+    return float(np.exp(levels.log_growth(levels.log_sums(s, [q])[0], q)))
 
 
 @dataclass(frozen=True)
@@ -307,6 +357,9 @@ def d_q_plus_cutset(ifs, model, q, s, l_max=8):
     Reported as diagnostics: bounded sums down the ladder support s below
     the upper dimension, growth indicates s above it.  No root finding is
     attempted on these.  Sums are taken in log space, as `_Levels` does.
+    The ladder stops before the first radius whose cut set is over the
+    word budget and returns the rows finished above it; only a first
+    radius (r = 1/2) over the budget raises ResourceLimitError.
     """
     _check_q(q)
     _check_model(ifs, model)
@@ -316,8 +369,14 @@ def d_q_plus_cutset(ifs, model, q, s, l_max=8):
     out = []
     for level in range(1, l_max + 1):
         r = _CUT_RHO ** level
+        try:
+            cut = _cut_set_products(ifs, s, r)
+        except ResourceLimitError:
+            if not out:
+                raise
+            break
         terms = []
-        for words, log_alphas in _cut_set_products(ifs, s, r):
+        for words, log_alphas in cut:
             idx = words - 1
             logmass = (log_init[idx[:, 0]]
                        + log_trans[idx[:, :-1], idx[:, 1:]].sum(axis=-1))
@@ -349,4 +408,5 @@ def phase_transition_scan(ifs, model, q_grid, tol=1e-4, k_max=None):
     up to 2 tol / dq of slack).
     """
     qs = _check_grid(q_grid)
-    return _Levels(ifs, model, k_max).scan(qs, tol)
+    solved = _Levels(ifs, model, k_max).solve_many(qs, tol)
+    return _flag_kinks(qs, [res.value for res in solved], tol)

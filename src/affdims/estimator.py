@@ -131,16 +131,16 @@ class MomentLadder:
         return sum(1 for u in self.usable if u)
 
 
-def _rung(pos, tree, r, entries):
+def _rung(pos, tree, r, entries, threads):
     """(occupied cubes, one sum per (q, form) entry) at radius r.
 
     The r-mesh is counted once for every entry and the r-balls at most
-    once; the counts die when the rung returns.
+    once, on `threads` workers; the counts die when the rung returns.
     """
     n = pos.shape[0]
     cubes = _cube_counts(pos, r)
     balls = None if tree is None else \
-        tree.query_ball_point(pos, r, return_length=True)
+        tree.query_ball_point(pos, r, return_length=True, workers=threads)
     return cubes.size, [
         _mesh_sum(cubes, n, q) if form == "mesh"
         else _falling_moment(balls, n, int(q))
@@ -149,7 +149,8 @@ def _rung(pos, tree, r, entries):
 
 
 def build_ladders(points, qs, forms=("mesh",), r0=None, rho=0.5, rungs=12,
-                  min_occupied=_MIN_OCCUPIED, min_per_cube=_MIN_PER_CUBE):
+                  min_occupied=_MIN_OCCUPIED, min_per_cube=_MIN_PER_CUBE,
+                  threads=1):
     """Every ladder of one cloud, in one pass down the rungs.
 
     Returns one tuple per entry of qs holding that q's ladders in the order
@@ -157,8 +158,9 @@ def build_ladders(points, qs, forms=("mesh",), r0=None, rho=0.5, rungs=12,
     out elsewhere; a q left with no ladder is an error.  Each rung counts
     its r-mesh once (the occupancy of every ladder and the mesh moments of
     every q) and, if a correlation ladder is asked for, its r-balls once,
-    through one k-d tree of the whole cloud.  Every ladder equals
-    build_ladder's for its q and form.
+    through one k-d tree of the whole cloud, queried on `threads`
+    workers (the integer counts do not depend on them).  Every ladder
+    equals build_ladder's for its q and form.
     """
     pos = _positions(points)
     n, dim = pos.shape
@@ -187,7 +189,7 @@ def build_ladders(points, qs, forms=("mesh",), r0=None, rho=0.5, rungs=12,
         else None
     occupied, sums = [], [[] for _ in entries]
     for r in radii:
-        occ, values = _rung(pos, tree, r, entries)
+        occ, values = _rung(pos, tree, r, entries, threads)
         occupied.append(occ)
         for col, val in zip(sums, values):
             col.append(val)

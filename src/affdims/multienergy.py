@@ -456,7 +456,7 @@ def check_decay_criterion(ifs, model, s, q, k_max):
     _check_decay(ifs, k_max)
     levels = _Levels(ifs, model, k_max)
     ks = np.arange(1, k_max + 1, dtype=np.float64)
-    logs = np.array(levels.log_sums(s, q))
+    logs = np.array(levels.log_sums(s, [q])[0])
     slope, stderr = fit_line(ks, logs)
     margin = 2.0 * stderr + 1e-3
     return DecayCheck(

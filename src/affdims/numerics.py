@@ -22,7 +22,9 @@ def logsumexp(a):
         a_max = a.max()
         ties = a == a_max
         m = ties.sum(dtype=np.float64)
-        s = np.exp(np.where(ties, -np.inf, a) - a_max).sum()
+        d = np.subtract(a, a_max)
+        d[ties] = -np.inf
+        s = np.exp(d, out=d).sum()
         if s != 0:
             s = s / m
         out = np.log1p(s) + np.log(m) + a_max

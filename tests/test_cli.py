@@ -172,6 +172,37 @@ def test_sample_then_estimate_reuse(tmp_path, capsys):
     compile((out / "plot_ladder.py").read_text(), "plot_ladder.py", "exec")
 
 
+def test_estimate_ladders_same_on_two_query_threads(tmp_path, capsys,
+                                                   monkeypatch):
+    # --threads reaches the ball queries, and the ladder files stay the same.
+    import affdims.cli as cli_module
+    seen = []
+    shared = cli_module.build_ladders
+
+    def recorded(*args, threads, **kwargs):
+        seen.append(threads)
+        return shared(*args, threads=threads, **kwargs)
+
+    monkeypatch.setattr(cli_module, "build_ladders", recorded)
+    cfg = write_ini(tmp_path, "[sample]\nn = 3000\ndepth = 14\n"
+                    "[estimate]\nq = 2 3\nrungs = 8\nform = both\n")
+    code, stdout, _ = run_cli(capsys, "sample", "--config", str(cfg),
+                              "--out", str(tmp_path / "cloud"))
+    assert code == 0
+    cloud = json.loads(stdout)["payload"]["cloud_path"]
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        code, _, _ = run_cli(capsys, "estimate", "--config", str(cfg),
+                             "--out", str(out), "--reuse-cloud", cloud,
+                             "--threads", threads)
+        assert code == 0
+        files.append({f.name: f.read_bytes()
+                      for f in sorted(out.glob("ladder_*.csv"))})
+    assert seen == [1, 2]
+    assert len(files[0]) == 4 and files[0] == files[1]
+
+
 def test_sample_reproducible_across_runs_and_threads(tmp_path, capsys):
     cfg = write_ini(tmp_path, "[sample]\nn = 3000\ndepth = 12\n")
     digests = []
@@ -270,13 +301,24 @@ def count_table_builds(monkeypatch):
 ], ids=["solve-three-q-and-scan", "verify-two-q"])
 def test_one_level_table_per_command(tmp_path, capsys, monkeypatch, command,
                                      extra):
-    # Every q, the affinity dimension and the scan read one word table.
+    # Every q, the affinity dimension and the scan read one word table,
+    # and no q is bisected twice.
     builds = count_table_builds(monkeypatch)
+    bisected = []
+    bisection = _Levels._bisection
+
+    def recorded(self, q, tol):
+        bisected.append(q)
+        return bisection(self, q, tol)
+
+    monkeypatch.setattr(_Levels, "_bisection", recorded)
     cfg = write_ini(tmp_path, extra)
     code, stdout, _ = run_cli(capsys, command, "--config", str(cfg),
                               "--out", str(tmp_path / "out"))
     assert code == 0
     assert len(builds) == 1
+    assert bisected == ([1.5, 2.0, 3.0, 0.0, 1.75, 2.25, 2.5]
+                        if command == "solve" else [2.0, 3.0])
     payload = json.loads(stdout)["payload"]
     ifs = diag_ifs([0.5, 0.3], [0.4, 0.35])
     model = BernoulliModel(probs=(0.6, 0.4))

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -179,6 +180,18 @@ def test_cutset_sums_of_thin_products():
         cut_set(ifs, 0.5, 0.25)
 
 
+def test_cutset_sums_keep_rows_above_the_budget():
+    # r = 1/4 is over the word budget, so the ladder ends after r = 1/2.
+    ifs, model = thin_system()
+    rows = d_q_plus_cutset(ifs, model, 2.0, 0.5)
+    assert [(row.r, row.size) for row in rows] == [(0.5, 66_456)]
+    assert rows == d_q_plus_cutset(ifs, model, 2.0, 0.5, l_max=1)
+    # With the first radius over it there is no row to return.
+    ifs = diag_ifs([0.99, 0.99], [0.99, 0.99])
+    with pytest.raises(ResourceLimitError, match="r=0.5 exceeds budget"):
+        d_q_plus_cutset(ifs, BernoulliModel(probs=(0.5, 0.5)), 2.0, 0.5)
+
+
 def test_growth_rate_increasing_in_s():
     ifs, model = worked_system()
     rates = [growth_rate(ifs, model, s, 2.0) for s in (0.3, 0.6, 0.9, 1.2)]
@@ -243,6 +256,91 @@ def test_no_root_when_contractions_too_weak():
     model = BernoulliModel(probs=(0.5, 0.5))
     with pytest.raises(NoRootError):
         d_q_minus(ifs, model, 5.0)
+
+
+def _one_q_bisection(levels, q, tol):
+    """The bisection of one q on its own, one growth evaluation a step."""
+    sign = -1.0 if q == 0.0 else 1.0
+
+    def g(s):
+        return float(np.exp(
+            levels.log_growth(levels.log_sums(s, [q])[0], q)))
+
+    s_lo, s_hi = 1e-6, 2.0 * levels.dim
+    g_lo, g_hi = g(s_lo), g(s_hi)
+    while sign * (g_hi - 1.0) <= 0.0:
+        s_hi *= 2.0
+        g_hi = g(s_hi)
+    iterations = max(1, math.ceil(math.log2((s_hi - s_lo) / tol)))
+    for _ in range(iterations):
+        mid = 0.5 * (s_lo + s_hi)
+        g_mid = g(mid)
+        if sign * (g_mid - 1.0) < 0.0:
+            s_lo, g_lo = mid, g_mid
+        else:
+            s_hi, g_hi = mid, g_mid
+        if s_hi - s_lo <= tol:
+            break
+    return (0.5 * (s_lo + s_hi), (s_lo, s_hi), iterations, g_lo, g_hi)
+
+
+_MARKOV = MarkovGibbsModel(
+    potential=np.log(np.array([[0.50, 0.20], [0.35, 0.45]])))
+
+
+@pytest.mark.parametrize("model", [BernoulliModel(probs=(0.6, 0.4)), _MARKOV],
+                         ids=["bernoulli", "markov"])
+def test_lockstep_bisection_equals_one_q_at_a_time(model):
+    ifs = AffineIFS(maps=(np.diag([0.5, 0.3]),
+                          np.array([[0.4, 0.1], [0.0, 0.35]])))
+    levels = _Levels(ifs, model, k_max=9)
+    qs = [3.0, 0.0, 2.0, 1.5, 2.0, 5.0, 0.0, 2.25]
+    results = levels.solve_many(qs, 1e-5)
+    assert [r.q for r in results] == qs
+    for q, res in zip(qs, results):
+        assert res == levels.solve(q, 1e-5)
+        assert (res.value, res.bracket, res.iterations, res.growth_lo,
+                res.growth_hi) == _one_q_bisection(levels, q, 1e-5)
+        assert res.depth == 9
+
+
+def test_lockstep_bisection_computes_log_phi_once_per_s_and_level(
+        monkeypatch):
+    import affdims.dimsolver as dimsolver
+
+    ifs, model = worked_system()
+    levels = _Levels(ifs, model, k_max=7)
+    calls = []
+    log_phi = dimsolver.log_phi_stack
+
+    def counted(log_alphas, s):
+        calls.append((s, len(log_alphas)))
+        return log_phi(log_alphas, s)
+
+    monkeypatch.setattr(dimsolver, "log_phi_stack", counted)
+    qs = [1.5, 2.0, 3.0, 0.0, 1.75, 2.0, 2.25]
+    levels.solve_many(qs, 1e-4)
+    distinct = {s for s, _ in calls}
+    assert len(calls) == len(set(calls)) == 7 * len(distinct)
+    lockstep = len(calls)
+    calls.clear()
+    for q in qs:
+        levels.solve(q, 1e-4)
+    assert lockstep < len(calls)
+
+
+def test_lockstep_bisection_raises_first_failing_q():
+    # No q has a root on these nearly isometric maps; each fails with its
+    # own growth in the message, and the first of qs is the one raised.
+    ifs = diag_ifs([0.999, 0.999], [0.999, 0.999])
+    levels = _Levels(ifs, BernoulliModel(probs=(0.5, 0.5)), k_max=8)
+    for qs in ([3.0, 1.5, 5.0], [5.0, 3.0], [3.0, 0.5], [0.5, 3.0]):
+        with pytest.raises((NoRootError, InvalidInputError)) as one_at_a_time:
+            for q in qs:
+                levels.solve(q, 1e-4)
+        with pytest.raises(type(one_at_a_time.value),
+                           match=re.escape(str(one_at_a_time.value))):
+            levels.solve_many(qs, 1e-4)
 
 
 def test_affinity_dimension_identical_similarities():

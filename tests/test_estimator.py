@@ -236,3 +236,12 @@ def test_shared_ladders_equal_per_rung_calls(system):
                                     for r in ladder.radii)
         assert ladder.occupied == tuple(occupied_cubes(cloud, r)
                                         for r in ladder.radii)
+
+
+@pytest.mark.parametrize("system", ["sheared-2d", "diagonal-3d"])
+def test_ladders_do_not_depend_on_query_threads(system):
+    # Ball queries on two workers return the same integer counts.
+    cloud = _shared_pass_cloud(system)
+    kw = dict(forms=["mesh", "correlation"], **_LADDER_KW)
+    assert build_ladders(cloud, [2.0, 3.0], threads=2, **kw) \
+        == build_ladders(cloud, [2.0, 3.0], threads=1, **kw)
