@@ -12,6 +12,11 @@ effective state per word, and per-coordinate outputs are formed by combining
 both lanes under distinct counter offsets.  Statistical quality (uniformity,
 independence across words and coordinates) is enforced by the test suite
 rather than assumed.
+
+The finalizer mixes arrays in place (`_mix_into`).  The sampler advances
+a chunk's streams and uniforms in per-chunk buffers (the `out` arguments)
+and hashes its point indices once for all levels (`point_hashes`); the
+integers, and so every value, are those of fresh arrays.
 """
 
 import hashlib
@@ -32,16 +37,24 @@ _COORD_B = U64(0x9FB21C651E98DF25)
 _INV_2_53 = 2.0 ** -53
 
 
+def _mix_into(x, scratch):
+    """splitmix64 finalizer applied to the uint64 array x in place.
+
+    scratch, of x's shape and not aliasing x, receives the shifts.
+    """
+    with np.errstate(over="ignore"):
+        for shift, mult in ((30, _MIX1), (27, _MIX2), (31, None)):
+            np.right_shift(x, U64(shift), out=scratch)
+            x ^= scratch
+            if mult is not None:
+                x *= mult
+    return x
+
+
 def mix64(x):
     """splitmix64 finalizer applied elementwise to a uint64 array."""
-    x = np.asarray(x, dtype=np.uint64).copy()
-    with np.errstate(over="ignore"):
-        x ^= x >> U64(30)
-        x *= _MIX1
-        x ^= x >> U64(27)
-        x *= _MIX2
-        x ^= x >> U64(31)
-    return x
+    x = np.array(x, dtype=np.uint64)
+    return _mix_into(x, np.empty_like(x))
 
 
 def derive_key(seed, label):
@@ -69,30 +82,69 @@ def offset_states(key, indices):
     return mix64(base ^ _LANE_A), mix64(base ^ _LANE_B)
 
 
-def advance(states, symbols):
-    """Advance chain states by one word symbol (1-based, scalar or array)."""
+def advance(states, symbols, out=None):
+    """Advance chain states by one word symbol (1-based, scalar or array).
+
+    The new states go to out, a pair of uint64 arrays that may be states
+    itself, and are returned; by default they are new arrays.
+    """
     a, b = states
     sym = np.asarray(symbols, dtype=np.uint64)
+    if out is None:
+        shape = np.broadcast_shapes(a.shape, sym.shape)
+        out = (np.empty(shape, np.uint64), np.empty(shape, np.uint64))
+    a2, b2 = out
+    scratch = np.empty_like(a2)
     with np.errstate(over="ignore"):
-        a2 = mix64(a ^ (sym * _GAMMA + _GAMMA2))
-        b2 = mix64(b + sym * _GAMMA2 + _GAMMA)
+        np.multiply(sym, _GAMMA, out=scratch)
+        scratch += _GAMMA2
+        _mix_into(np.bitwise_xor(a, scratch, out=a2), scratch)
+        np.multiply(sym, _GAMMA2, out=scratch)
+        np.add(b, scratch, out=b2)
+        b2 += _GAMMA
+        _mix_into(b2, scratch)
     return a2, b2
 
 
-def unit_uniforms(states, ncoords):
+def unit_uniforms(states, ncoords, out=None):
     """Per-state uniforms in [0, 1), shape (len(states), ncoords).
 
     Coordinate c combines both lanes under distinct offsets, so coordinates
-    of one word and words along one chain are decorrelated.
+    of one word and words along one chain are decorrelated.  The uniforms
+    go to out when it is given, and it is returned.
     """
     a, b = states
-    out = np.empty(a.shape + (ncoords,), dtype=np.float64)
+    if out is None:
+        out = np.empty(a.shape + (ncoords,), dtype=np.float64)
+    va, vb, scratch = (np.empty_like(a) for _ in range(3))
     for c in range(ncoords):
         off = U64(c + 1)
         with np.errstate(over="ignore"):
-            v = mix64(a + off * _COORD_A) ^ mix64(b + off * _COORD_B)
-        out[..., c] = (v >> U64(11)).astype(np.float64) * _INV_2_53
+            _mix_into(np.add(a, off * _COORD_A, out=va), scratch)
+            _mix_into(np.add(b, off * _COORD_B, out=vb), scratch)
+        va ^= vb
+        _to_unit(va, out[..., c])
     return out
+
+
+def _to_unit(v, out):
+    """Top 53 bits of uint64 v (shifted in place) as exact doubles in [0, 1)."""
+    v >>= U64(11)
+    return np.multiply(v, _INV_2_53, out=out)
+
+
+def point_hashes(key, indices):
+    """Per-index hashes of (key, index), shared by every counter."""
+    idx = np.asarray(indices, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return mix64(U64(int(key) & 0xFFFFFFFFFFFFFFFF) + (idx + U64(1)) * _GAMMA)
+
+
+def hashed_uniforms(hashes, counter):
+    """indexed_uniforms at one counter, from the indices' point_hashes."""
+    with np.errstate(over="ignore"):
+        v = hashes ^ (U64(int(counter) + 1) * _GAMMA2)
+    return _to_unit(_mix_into(v, np.empty_like(v)), np.empty(v.shape))
 
 
 def indexed_uniforms(key, indices, counter):
@@ -101,8 +153,4 @@ def indexed_uniforms(key, indices, counter):
     Used for per-point word sampling: point i, level j reads the value at
     (key, i, j) regardless of which other points are being processed.
     """
-    idx = np.asarray(indices, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        h = mix64(U64(int(key) & 0xFFFFFFFFFFFFFFFF) + (idx + U64(1)) * _GAMMA)
-        v = mix64(h ^ (U64(int(counter) + 1) * _GAMMA2))
-    return (v >> U64(11)).astype(np.float64) * _INV_2_53
+    return hashed_uniforms(point_hashes(key, indices), counter)

@@ -8,7 +8,9 @@ the cloud actually resolves the cubes (enough occupied cubes, enough
 points per cube).  For integer q the correlation integral gives a second,
 mesh-free route to the same exponent via multi-point counting.  The counts
 at a radius do not depend on q, so `build_ladders` counts each rung once
-for every q and form.
+for every q and form.  The cube index range of every rung comes from the
+cloud's coordinate bounds, taken once per cloud, so coordinates must be
+finite.
 """
 
 from dataclasses import dataclass
@@ -27,21 +29,41 @@ def _positions(points):
     pos = np.asarray(pos, dtype=np.float64)
     if pos.ndim != 2 or pos.shape[0] == 0:
         raise InvalidInputError("need a nonempty (n, N) array of points")
+    if not np.isfinite(pos).all():
+        raise InvalidInputError("point coordinates must be finite")
     return pos
 
 
-def _cube_counts(pos, r):
-    cells = np.floor(pos / r).astype(np.int64)
-    lo = cells.min(axis=0)
-    spans = (cells.max(axis=0) - lo + 1).astype(np.int64)
-    if float(np.prod(spans.astype(np.float64))) < 2.0 ** 62:
-        # Pack cell indices into one integer key; 1-D unique is much
-        # faster than row-wise unique on large clouds.
-        keys = np.ravel_multi_index(tuple((cells - lo).T), tuple(spans))
-        _, counts = np.unique(keys, return_counts=True)
-    else:
-        _, counts = np.unique(cells, axis=0, return_counts=True)
-    return counts
+def _bounds(pos):
+    """(min, max) of each coordinate, taken a column at a time.
+
+    On an (n, 2) array this is about ten times faster than pos.min(axis=0).
+    """
+    cols = [pos[:, c] for c in range(pos.shape[1])]
+    return np.array([c.min() for c in cols]), np.array([c.max() for c in cols])
+
+
+def _cube_counts(pos, r, bounds):
+    """Point counts of the occupied r-cubes, in the order of their cells.
+
+    bounds is _bounds(pos).  Correctly rounded division and floor are
+    monotone, so each axis's cell range is read off the coordinate bounds
+    instead of the cells.
+    """
+    lo = np.floor(bounds[0] / r).astype(np.int64)
+    spans = np.floor(bounds[1] / r).astype(np.int64) - lo + 1
+    if float(np.prod(spans.astype(np.float64))) >= 2.0 ** 62:
+        cells = np.floor(pos / r).astype(np.int64)
+        return np.unique(cells, axis=0, return_counts=True)[1]
+    # Pack cell indices into one integer key in C order, one axis at a
+    # time; 1-D unique is much faster than row-wise unique on large clouds.
+    keys = np.zeros(pos.shape[0], dtype=np.int64)
+    for c in range(pos.shape[1]):
+        cell = np.floor(pos[:, c] / r).astype(np.int64)
+        cell -= lo[c]
+        keys *= spans[c]
+        keys += cell
+    return np.unique(keys, return_counts=True)[1]
 
 
 def _check_radius(r):
@@ -90,11 +112,12 @@ def mesh_moment_sum(points, r, q):
     pos = _positions(points)
     _check_radius(r)
     _check_q(q, "mesh", pos.shape[0])
-    return _mesh_sum(_cube_counts(pos, r), pos.shape[0], q)
+    return _mesh_sum(_cube_counts(pos, r, _bounds(pos)), pos.shape[0], q)
 
 
 def occupied_cubes(points, r):
-    return int(_cube_counts(_positions(points), r).size)
+    pos = _positions(points)
+    return int(_cube_counts(pos, r, _bounds(pos)).size)
 
 
 def correlation_integral(points, r, q):
@@ -131,14 +154,14 @@ class MomentLadder:
         return sum(1 for u in self.usable if u)
 
 
-def _rung(pos, tree, r, entries, threads):
+def _rung(pos, bounds, tree, r, entries, threads):
     """(occupied cubes, one sum per (q, form) entry) at radius r.
 
     The r-mesh is counted once for every entry and the r-balls at most
     once, on `threads` workers; the counts die when the rung returns.
     """
     n = pos.shape[0]
-    cubes = _cube_counts(pos, r)
+    cubes = _cube_counts(pos, r, bounds)
     balls = None if tree is None else \
         tree.query_ball_point(pos, r, return_length=True, workers=threads)
     return cubes.size, [
@@ -168,9 +191,9 @@ def build_ladders(points, qs, forms=("mesh",), r0=None, rho=0.5, rungs=12,
         raise InvalidInputError(f"ladder ratio must be in (0, 1), got {rho}")
     if rungs < 3:
         raise InvalidInputError(f"need at least 3 rungs, got {rungs}")
+    bounds = _bounds(pos)
     if r0 is None:
-        extent = pos.max(axis=0) - pos.min(axis=0)
-        r0 = float(np.linalg.norm(extent))
+        r0 = float(np.linalg.norm(bounds[1] - bounds[0]))
         if r0 == 0.0:
             r0 = 1.0
     radii = [r0 * rho ** level for level in range(1, rungs + 1)]
@@ -189,7 +212,7 @@ def build_ladders(points, qs, forms=("mesh",), r0=None, rho=0.5, rungs=12,
         else None
     occupied, sums = [], [[] for _ in entries]
     for r in radii:
-        occ, values = _rung(pos, tree, r, entries, threads)
+        occ, values = _rung(pos, bounds, tree, r, entries, threads)
         occupied.append(occ)
         for col, val in zip(sums, values):
             col.append(val)

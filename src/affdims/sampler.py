@@ -130,33 +130,46 @@ def _project_block(ifs, states, words, region_radius):
     """Vectorized series evaluation for a block of equal-depth words.
 
     states are the counter-stream states the words' symbols advance, one
-    per word; region_radius scales the displacements.  When every map is
-    diagonal the prefix products are kept as their diagonals: the general
-    path's off-diagonal terms are exact zeros, so positions are bitwise
-    the same either way.
+    per word.  They are copied once, and the copies and one buffer of
+    displacements are updated in place at every level, so the caller's
+    arrays never change.  region_radius scales the displacements.  When
+    every map is diagonal the prefix products are kept as one column per
+    coordinate: the general path's off-diagonal terms are exact zeros, so
+    positions are bitwise the same either way.
     """
     count, depth = words.shape
     dim = ifs.dim
     mats = ifs.matrix_stack()
+    states = (states[0].copy(), states[1].copy())
     pos = np.zeros((count, dim))
-    if not mats[:, ~np.eye(dim, dtype=bool)].any():
-        mats = np.diagonal(mats, axis1=1, axis2=2)
+    omega = np.empty((count, dim))
+    diagonal = not mats[:, ~np.eye(dim, dtype=bool)].any()
+    if diagonal:
+        diags = [mats[:, c, c] for c in range(dim)]
         prefix = np.ones((count, dim))
-        apply = step = np.multiply
     else:
         prefix = np.broadcast_to(np.eye(dim), (count, dim, dim)).copy()
-        step = np.matmul
-
-        def apply(prefix, omega):
-            return np.einsum("nij,nj->ni", prefix, omega)
-
     for j in range(depth):
-        states = crng.advance(states, words[:, j].astype(np.uint64))
-        u = crng.unit_uniforms(states, dim)
-        omega = (2.0 * u - 1.0) * region_radius
-        pos += apply(prefix, omega)
+        sym = words[:, j]
+        crng.advance(states, sym, out=states)
+        crng.unit_uniforms(states, dim, out=omega)
+        # In place, in the order of (2u - 1) * R and pos += prefix * omega,
+        # so every bit is that of the expressions.
+        omega *= 2.0
+        omega -= 1.0
+        omega *= region_radius
+        if diagonal:
+            omega *= prefix
+            pos += omega
+        else:
+            pos += np.einsum("nij,nj->ni", prefix, omega)
         if j + 1 < depth:
-            prefix = step(prefix, mats[words[:, j] - 1])
+            maps = sym - 1
+            if diagonal:
+                for c in range(dim):
+                    prefix[:, c] *= np.take(diags[c], maps)
+            else:
+                prefix = np.matmul(prefix, mats[maps])
     return pos
 
 
@@ -166,11 +179,12 @@ def _cloud_chunk(ifs, model, fld, start, count, K, word_key):
     Symbol j of point i depends only on (word_key, i, j), so any
     contiguous or interleaved chunking reproduces the same words.
     """
-    idx = np.arange(start, start + count, dtype=np.uint64)
+    hashes = crng.point_hashes(
+        word_key, np.arange(start, start + count, dtype=np.uint64))
     words = draw_words(
-        model, count, K, lambda j: crng.indexed_uniforms(word_key, idx, j)
+        model, count, K, lambda j: crng.hashed_uniforms(hashes, j)
     )
-    del idx  # projection holds the chunk's largest arrays; free this first
+    del hashes  # projection holds the chunk's largest arrays; free this first
     states = crng.root_states(fld.key(), count)
     return words, _project_block(ifs, states, words, fld.region_radius)
 
@@ -301,6 +315,12 @@ def read_cloud(path):
         raise InvalidInputError(
             f"{path}: expected {n} x {meta['dim']} table, got "
             f"{positions.shape[0]} x {positions.shape[1]}"
+        )
+    bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
+    if bad.size:
+        raise InvalidInputError(
+            f"{path}: row {bad[0] + 1} of the table has a non-finite "
+            f"coordinate: {' '.join(map(repr, positions[bad[0]].tolist()))}"
         )
     return Cloud(
         positions=positions,

@@ -430,7 +430,11 @@ _CLOUD_HEADER = ("# affdims cloud v1\n# seed=1 depth=5 dim=2 n=2 "
     (_CLOUD_HEADER.replace(" n=2", "") + "0.1 0.2\n0.3 0.4\n",
      "header field 'n'"),
     (_CLOUD_HEADER + "0.1 0.2\n0.3 abc\n", "bad row"),
-], ids=["missing-n", "non-numeric-row"])
+    (_CLOUD_HEADER + "0.1 0.2\nnan 0.5\n", "row 2 of the table has a "
+     "non-finite coordinate: nan 0.5"),
+    (_CLOUD_HEADER + "inf -inf\n0.1 0.2\n", "row 1 of the table has a "
+     "non-finite coordinate: inf -inf"),
+], ids=["missing-n", "non-numeric-row", "nan-row", "inf-row"])
 def test_malformed_cloud_rejected(tmp_path, capsys, command, text, named):
     cloud = tmp_path / "cloud.txt"
     cloud.write_text(text)

@@ -17,7 +17,7 @@ from affdims import (
     sample_cloud,
 )
 from affdims.errors import InsufficientDataError, InvalidInputError
-from affdims.estimator import MomentLadder, occupied_cubes
+from affdims.estimator import MomentLadder, _bounds, _cube_counts, occupied_cubes
 
 from checks import diag_ifs
 
@@ -182,6 +182,51 @@ def test_build_ladder_validation():
         build_ladder(pts, 2.0, rho=1.5)
     with pytest.raises(InvalidInputError):
         build_ladder(pts, 2.0, rungs=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(bad):
+    pts = np.random.default_rng(0).uniform(size=(100, 2))
+    pts[17, 1] = bad
+    for call in (lambda: build_ladder(pts, 2.0, r0=1.0),
+                 lambda: build_ladders(pts, [2.0], ["mesh", "correlation"]),
+                 lambda: mesh_moment_sum(pts, 0.1, 2.0),
+                 lambda: occupied_cubes(pts, 0.1),
+                 lambda: correlation_integral(pts, 0.1, 2)):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            call()
+
+
+def _row_wise_counts(pos, r):
+    return np.unique(np.floor(pos / r).astype(np.int64), axis=0,
+                     return_counts=True)[1]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cube_counts_equal_row_wise_unique(dim):
+    # Negative coordinates, and a quarter of the points on the 2^-5 grid:
+    # on cell edges at r = 2^-5, half of them at 2^-4, and so on up to 1.
+    rng = np.random.default_rng(dim)
+    pos = rng.uniform(-1.5, 0.7, size=(3000, dim))
+    pos[::4] = rng.integers(-48, 23, size=pos[::4].shape) * 2.0 ** -5
+    bounds = _bounds(pos)
+    for r in [1.3 * 0.5 ** level for level in range(6)] + \
+            [2.0 ** -level for level in range(6)]:
+        np.testing.assert_array_equal(_cube_counts(pos, r, bounds),
+                                      _row_wise_counts(pos, r))
+
+
+def test_cube_counts_row_wise_past_packed_keys():
+    # Spans of 2^21 to 2^22 cells on three axes multiply past 2^62,
+    # where one packed integer key could overflow.
+    pos = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0],
+                    [-1.0, 0.5, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    r = 2.0 ** -21
+    lo, hi = _bounds(pos)
+    assert np.prod((np.floor(hi / r) - np.floor(lo / r) + 1)) >= 2.0 ** 62
+    counts = _cube_counts(pos, r, (lo, hi))
+    np.testing.assert_array_equal(counts, _row_wise_counts(pos, r))
+    np.testing.assert_array_equal(counts, [1, 3, 2])
 
 
 @cache

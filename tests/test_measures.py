@@ -27,6 +27,7 @@ from affdims import (
     prop71_survey,
     quasi_bernoulli_constant,
     sample_cloud,
+    sample_word,
     sample_words,
 )
 from affdims.errors import InvalidInputError
@@ -190,6 +191,18 @@ def test_sample_words_frequencies():
     freq = np.mean(words == 1, axis=0)
     sigma = np.sqrt(0.8 * 0.2 / 20_000)
     assert np.all(np.abs(freq - 0.8) < 4 * sigma)
+
+
+@pytest.mark.parametrize("model", [BernoulliModel(probs=(0.5, 0.3, 0.2)),
+                                   markov_example()],
+                         ids=["bernoulli", "markov"])
+def test_sample_word_is_first_row_of_sample_words(model):
+    for seed in range(5):
+        word = sample_word(model, 7, np.random.default_rng(seed))
+        assert type(word) is tuple and len(word) == 7
+        assert all(type(s) is int and 1 <= s <= model.m for s in word)
+        rows = sample_words(model, 1, 7, np.random.default_rng(seed))
+        assert word == tuple(rows[0].tolist())
 
 
 def test_markov_sample_words_match_transition():

@@ -21,6 +21,7 @@ from affdims.errors import InvalidInputError
 from affdims.sampler import (
     _WRITE_ROWS,
     Cloud,
+    _project_block,
     attractor_radius,
     default_depth,
     truncation_tail,
@@ -151,6 +152,25 @@ def test_diagonal_series_equals_general_series(diagonals):
     cloud = sample_cloud(ifs, model, fld, 1000, 12, chunk=97)
     np.testing.assert_array_equal(cloud.positions,
                                   _general_series(ifs, fld, cloud.words))
+
+
+@pytest.mark.parametrize("sheared", [False, True], ids=["diagonal", "sheared"])
+def test_project_block_leaves_given_states_unchanged(sheared):
+    # The block advances its own copy of the states in place; a caller
+    # that projects twice from one set of states gets the same points.
+    ifs, model, fld = small_setup()
+    if sheared:
+        ifs = AffineIFS(maps=(np.diag([0.5, 0.3]),
+                              np.array([[0.4, 0.1], [0.0, 0.35]])))
+    words = sample_cloud(ifs, model, fld, 300, 8).words
+    states = crng.root_states(fld.key(), 300)
+    before = [part.copy() for part in states]
+    first = _project_block(ifs, states, words, fld.region_radius)
+    for part, want in zip(states, before):
+        np.testing.assert_array_equal(part, want)
+    np.testing.assert_array_equal(
+        first, _project_block(ifs, states, words, fld.region_radius))
+    np.testing.assert_array_equal(first, _general_series(ifs, fld, words))
 
 
 def test_one_sheared_map_takes_general_series(monkeypatch):
