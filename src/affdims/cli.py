@@ -23,6 +23,7 @@ import copy
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -306,7 +307,7 @@ def build_system(cfg):
 
 
 # ---------------------------------------------------------------------------
-# Result records and file emission.
+# Run files.
 
 
 def _to_jsonable(obj):
@@ -322,29 +323,37 @@ def config_hash(cfg):
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def make_record(command, cfg, payload, elapsed):
-    return {
-        "command": command,
-        "config_hash": config_hash(cfg),
-        "seed": cfg["run"]["seed"],
-        "timing_seconds": round(elapsed, 6),
-        "version": __version__,
-        "payload": payload,
-    }
+def _out_dir(cfg):
+    """[run] out as a Path, unless its nearest existing ancestor is not a
+    directory: checked before any work, though made only at the first
+    write."""
+    out_dir = Path(cfg["run"]["out"])
+    ancestor = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not ancestor.is_dir():
+        raise ConfigError(f"[run] out: {out_dir} cannot be a directory, "
+                          f"since {ancestor} is not one")
+    return out_dir
 
 
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_to_jsonable)
-        fh.write("\n")
+def _out_file(out_dir, name):
+    """out_dir / name, after making out_dir: every run file goes here."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"[run] out: cannot write {out_dir / name}: "
+                          f"{exc}") from exc
+    return out_dir / name
 
 
-def _emit_run_files(out_dir, command, cfg, payload, elapsed):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "resolved_config.json", cfg)
-    record = make_record(command, cfg, payload, elapsed)
-    _write_json(out_dir / f"{command}_result.json", record)
-    return record
+def _write_json(out_dir, name, obj):
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_to_jsonable)
+    _out_file(out_dir, name).write_text(text + "\n")
+
+
+def _write_csv(out_dir, name, header, rows):
+    """The header, then each row's Python ints and floats as their repr."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    _out_file(out_dir, name).write_text("\n".join(lines) + "\n")
 
 
 _PLOT_SCRIPT = """\
@@ -377,19 +386,6 @@ print("wrote ladder.png")
 """
 
 
-def _write_ladder_csv(path, ladder):
-    with open(path, "w") as fh:
-        fh.write("r,moment_sum,occupied,usable\n")
-        for r, msum, occ, use in zip(
-            ladder.radii, ladder.sums, ladder.occupied, ladder.usable
-        ):
-            fh.write(f"{r!r},{msum!r},{occ},{1 if use else 0}\n")
-
-
-def _qtag(q):
-    return f"{q:g}".replace(".", "p")
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 
@@ -408,7 +404,7 @@ def _scan_grid(sol):
         ) from exc
 
 
-def cmd_solve(cfg, out_dir):
+def cmd_solve(cfg, out_dir, args):
     ifs, model = build_system(cfg)
     sol = cfg["solve"]
     grid = _scan_grid(sol) if sol["scan"] else None
@@ -442,11 +438,8 @@ def cmd_solve(cfg, out_dir):
             "kink_qs": list(scan.kink_qs),
             "threshold": scan.threshold,
         }
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "scan.csv", "w") as fh:
-            fh.write("q,d_q\n")
-            for qv, dv in zip(scan.qs, scan.values):
-                fh.write(f"{qv!r},{dv!r}\n")
+        _write_csv(out_dir, "scan.csv", ("q", "d_q"),
+                   zip(scan.qs, scan.values))
     return payload
 
 
@@ -458,7 +451,7 @@ def _ladder_r_min(cfg, ifs):
     return r0 * est["rho"] ** est["rungs"]
 
 
-def cmd_sample(cfg, out_dir, threads=1):
+def _sample(cfg, out_dir, threads):
     """Sample and write the cloud; returns (payload, the Cloud itself)."""
     ifs, model = build_system(cfg)
     fld = DisplacementField(
@@ -481,8 +474,7 @@ def cmd_sample(cfg, out_dir, threads=1):
                 f"{default_depth(ifs, fld.region_radius, r_min)}"
             )
     cloud = sample_cloud(ifs, model, fld, n, K, threads=threads)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cloud_path = out_dir / "cloud.txt"
+    cloud_path = _out_file(out_dir, "cloud.txt")
     digest = write_cloud(cloud_path, cloud)
     return {
         "n": n,
@@ -494,13 +486,16 @@ def cmd_sample(cfg, out_dir, threads=1):
     }, cloud
 
 
-def _estimate_payload(cfg, cloud, out_dir, threads=1):
+def cmd_sample(cfg, out_dir, args):
+    return _sample(cfg, out_dir, args.threads)[0]
+
+
+def _estimate_payload(cfg, cloud, out_dir, threads):
     est = cfg["estimate"]
     dim = cloud.positions.shape[1]
     r0 = est["r0"] if est["r0"] > 0 else None
     forms = [est["form"]] if est["form"] != "both" \
         else ["mesh", "correlation"]
-    out_dir.mkdir(parents=True, exist_ok=True)
     # Every ladder in one pass: one tree and one count per rung for all q.
     ladders = build_ladders(
         cloud, est["q"], forms, r0=r0, rho=est["rho"], rungs=est["rungs"],
@@ -510,10 +505,12 @@ def _estimate_payload(cfg, cloud, out_dir, threads=1):
     estimates = []
     for q, row_ladders in zip(est["q"], ladders):
         per_form = {}
+        tag = f"{q:g}".replace(".", "p")
         for ladder in row_ladders:
-            _write_ladder_csv(
-                out_dir / f"ladder_{ladder.form}_q{_qtag(q)}.csv", ladder
-            )
+            _write_csv(out_dir, f"ladder_{ladder.form}_q{tag}.csv",
+                       ("r", "moment_sum", "occupied", "usable"),
+                       zip(ladder.radii, ladder.sums, ladder.occupied,
+                           map(int, ladder.usable)))
             res = estimate_dimension(ladder)
             per_form[ladder.form] = {
                 "value": res.value,
@@ -530,34 +527,32 @@ def _estimate_payload(cfg, cloud, out_dir, threads=1):
             tol = 2.0 * (a["stderr"] + b["stderr"])
             row["forms_agree"] = bool(gap <= max(tol, 1e-12))
         estimates.append(row)
-    with open(out_dir / "plot_ladder.py", "w") as fh:
-        fh.write(_PLOT_SCRIPT)
+    _out_file(out_dir, "plot_ladder.py").write_text(_PLOT_SCRIPT)
     return {"dim": dim, "n": len(cloud), "estimates": estimates}
 
 
-def cmd_estimate(cfg, out_dir, cloud_path=None, threads=1):
-    path = cloud_path or cfg["estimate"]["cloud"]
+def cmd_estimate(cfg, out_dir, args):
+    path = args.reuse_cloud or cfg["estimate"]["cloud"]
     if not path:
         raise ConfigError(
             "[estimate] cloud: no cloud file; set it or pass --reuse-cloud"
         )
-    cloud = read_cloud(path)
-    return _estimate_payload(cfg, cloud, out_dir, threads=threads)
+    return _estimate_payload(cfg, read_cloud(path), out_dir, args.threads)
 
 
-def cmd_verify(cfg, out_dir, threads=1, cloud_path=None):
+def cmd_verify(cfg, out_dir, args):
     ifs, model = build_system(cfg)
     sol = cfg["solve"]
     k_max = _check_levels(ifs.m, sol["k_max"] or None)
-    if cloud_path:
-        cloud = read_cloud(cloud_path)
-        sample_payload = {"reused": str(cloud_path), "n": len(cloud)}
+    if args.reuse_cloud:
+        cloud = read_cloud(args.reuse_cloud)
+        sample_payload = {"reused": str(args.reuse_cloud), "n": len(cloud)}
     else:
-        sample_payload, cloud = cmd_sample(cfg, out_dir, threads=threads)
+        sample_payload, cloud = _sample(cfg, out_dir, args.threads)
         # Estimation reads positions only; keeping the words would add
         # n * depth bytes to the run's peak memory.
         cloud = replace(cloud, words=np.zeros((len(cloud), 0), np.uint8))
-    est_payload = _estimate_payload(cfg, cloud, out_dir, threads=threads)
+    est_payload = _estimate_payload(cfg, cloud, out_dir, args.threads)
     # One table for every q, built after the ladders so that its memory
     # does not add to theirs.
     levels = _Levels(ifs, model, k_max)
@@ -586,34 +581,27 @@ def cmd_verify(cfg, out_dir, threads=1, cloud_path=None):
     }
 
 
-def cmd_multienergy(cfg, out_dir):
+def cmd_multienergy(cfg, out_dir, args):
     ifs, model = build_system(cfg)
     me = cfg["multienergy"]
+    s, q, k_max = me["s"], me["q"], me["decay_k_max"]
+    exact_args = {"s": s, "n": me["n"], "q": q, "depth": me["depth"]}
+    mc_args = dict(exact_args, samples=me["samples"], inner=me["inner"],
+                   unresolved=me["mode"])
     # Every input is checked before any work; the survey, which runs first,
     # checks its own depth against its word table.
-    _check_mc(ifs, me["s"], me["n"], me["q"], me["samples"], me["depth"],
-              inner=me["inner"], unresolved=me["mode"])
-    _check_exact(ifs, me["s"], me["n"], me["q"], me["depth"])
-    _check_decay(ifs, me["decay_k_max"])
-    survey = prop71_survey(ifs, model, me["s"], me["q"], me["survey_depth"])
-    est = mc_multienergy(
-        ifs, model, me["s"], me["n"], me["q"], me["samples"], me["depth"],
-        seed=cfg["run"]["seed"], inner=me["inner"],
-        unresolved=me["mode"],
+    _check_mc(ifs, **mc_args)
+    _check_exact(ifs, **exact_args)
+    _check_decay(ifs, k_max)
+    survey = prop71_survey(ifs, model, s, q, me["survey_depth"])
+    est = mc_multienergy(ifs, model, seed=cfg["run"]["seed"], **mc_args)
+    exact = exact_truncated_multienergy(ifs, model, **exact_args)
+    decay = check_decay_criterion(ifs, model, s, q, k_max)
+    _write_csv(
+        out_dir, "multienergy.csv",
+        (*exact_args, "estimate", "stderr", "failures", "exact_truncated"),
+        [(*exact_args.values(), est.value, est.stderr, est.failures, exact)],
     )
-    exact = exact_truncated_multienergy(
-        ifs, model, me["s"], me["n"], me["q"], me["depth"]
-    )
-    decay = check_decay_criterion(
-        ifs, model, me["s"], me["q"], me["decay_k_max"]
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "multienergy.csv", "w") as fh:
-        fh.write("s,n,q,depth,estimate,stderr,failures,exact_truncated\n")
-        fh.write(
-            f"{me['s']!r},{me['n']},{me['q']!r},{me['depth']},"
-            f"{est.value!r},{est.stderr!r},{est.failures},{exact!r}\n"
-        )
     return {
         "estimate": {
             "value": est.value,
@@ -621,7 +609,7 @@ def cmd_multienergy(cfg, out_dir):
             "sample_count": est.sample_count,
             "failures": est.failures,
             "attempts": est.attempts,
-            "mode": me["mode"],
+            "mode": mc_args["unresolved"],
         },
         "exact_truncated": exact,
         "decay": {
@@ -642,6 +630,17 @@ def cmd_multienergy(cfg, out_dir):
 # ---------------------------------------------------------------------------
 # Entry point.
 
+# Command name -> (command, whether it takes --reuse-cloud).  A command
+# takes (cfg, out_dir, args), writes its files through _out_file and
+# returns its payload.
+_COMMANDS = {
+    "solve": (cmd_solve, False),
+    "sample": (cmd_sample, False),
+    "estimate": (cmd_estimate, True),
+    "verify": (cmd_verify, True),
+    "multienergy": (cmd_multienergy, False),
+}
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -650,7 +649,7 @@ def _build_parser():
                     "theoretical solvers and sampled verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "sample", "estimate", "verify", "multienergy"):
+    for name, (_, reads_cloud) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--seed", type=int, default=None,
@@ -658,7 +657,7 @@ def _build_parser():
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads for sampling and ball queries")
-        if name in ("estimate", "verify"):
+        if reads_cloud:
             p.add_argument("--reuse-cloud", default=None,
                            help="existing cloud file")
     return parser
@@ -669,23 +668,20 @@ def run_command(args):
         raise ConfigError(f"--threads: need 1 to {_MAX_THREADS}, "
                           f"got {args.threads}")
     cfg = resolve_config(args.config, seed=args.seed, out=args.out)
-    out_dir = Path(cfg["run"]["out"])
+    out_dir = _out_dir(cfg)
     started = time.perf_counter()
-    if args.command == "solve":
-        payload = cmd_solve(cfg, out_dir)
-    elif args.command == "sample":
-        payload, _ = cmd_sample(cfg, out_dir, threads=args.threads)
-    elif args.command == "estimate":
-        payload = cmd_estimate(cfg, out_dir, cloud_path=args.reuse_cloud,
-                               threads=args.threads)
-    elif args.command == "verify":
-        payload = cmd_verify(
-            cfg, out_dir, threads=args.threads, cloud_path=args.reuse_cloud
-        )
-    else:
-        payload = cmd_multienergy(cfg, out_dir)
-    elapsed = time.perf_counter() - started
-    return _emit_run_files(out_dir, args.command, cfg, payload, elapsed)
+    payload = _COMMANDS[args.command][0](cfg, out_dir, args)
+    record = {
+        "command": args.command,
+        "config_hash": config_hash(cfg),
+        "seed": cfg["run"]["seed"],
+        "timing_seconds": round(time.perf_counter() - started, 6),
+        "version": __version__,
+        "payload": payload,
+    }
+    _write_json(out_dir, "resolved_config.json", cfg)
+    _write_json(out_dir, f"{args.command}_result.json", record)
+    return record
 
 
 def main(argv=None):
@@ -698,7 +694,14 @@ def main(argv=None):
                 print(f"error: {exc}", file=sys.stderr)
                 return code
         raise
-    print(json.dumps(record, indent=2, sort_keys=True, default=_to_jsonable))
+    try:
+        print(json.dumps(record, indent=2, sort_keys=True,
+                         default=_to_jsonable))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone, and every run file is already written; with
+        # stdout on devnull, the flush at exit does not raise again.
+        sys.stdout = open(os.devnull, "w")
     return 0
 
 

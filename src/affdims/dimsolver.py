@@ -169,6 +169,9 @@ class _Levels:
         Every q takes the same steps on the same floats as alone.  If some
         q fails, the error of the first failing q of qs is raised.
         """
+        if not 0.0 < tol < math.inf:
+            raise InvalidInputError(f"need a tolerance tol in (0, inf), "
+                                    f"got {tol}")
         runs = {q: self._bisection(q, tol) for q in dict.fromkeys(qs)}
         outcome = {}  # q -> its DimensionResult or the error it raised
         asked = {}  # q -> the s its bisection waits for

@@ -24,6 +24,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+_MAX_SYMBOLS = 255  # words hold their symbols as uint8
+
 _PROB_TOL = 1e-12
 
 
@@ -184,6 +186,14 @@ def cylinder_mass(model, word):
     return float(mass)
 
 
+def _check_symbols(m):
+    """Words can be drawn over at most _MAX_SYMBOLS symbols."""
+    if m > _MAX_SYMBOLS:
+        raise InvalidInputError(
+            f"words are uint8, so at most {_MAX_SYMBOLS} maps can be "
+            f"sampled, got {m}")
+
+
 def _check_model(ifs, model):
     if model.m != ifs.m:
         raise InvalidInputError(
@@ -231,6 +241,7 @@ def draw_words(model, count, depth, uniforms):
     """
     if depth < 1:
         raise InvalidInputError(f"depth must be >= 1, got {depth}")
+    _check_symbols(model.m)
     log_init, log_trans = log_prob_tables(model)
     init_cdf = np.cumsum(np.exp(log_init))
     trans_cdf = np.cumsum(np.exp(log_trans), axis=1)

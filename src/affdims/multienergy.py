@@ -35,7 +35,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .linalg import compose, log_phi_stack, phi_s
-from .measures import draw_words, sample_words
+from .measures import _check_symbols, draw_words, sample_words
 from .numerics import fit_line
 from .sampler import _project_block
 
@@ -43,6 +43,7 @@ _MC_LABEL = "multienergy/mc"
 _TRANS_LABEL = "multienergy/transversality"
 _MAX_TREE_VERTICES = 20_000
 _BATCHES = 32
+_MAX_BATCH_UNIFORMS = 2 ** 24  # 128 MiB of float64 per Monte Carlo batch
 
 
 def _check_s(s, dim, allow_dim=True):
@@ -144,6 +145,13 @@ def _check_mc(ifs, s, n, q, samples, depth, inner=64, unresolved="resample"):
             f"need at least one outer draw per batch: {samples} < {_BATCHES}"
         )
     _check_depth(ifs.m, depth)
+    _check_symbols(ifs.m)
+    uniforms = depth * (samples // _BATCHES) * (1 + inner * n)
+    if uniforms > _MAX_BATCH_UNIFORMS:
+        raise ResourceLimitError(
+            f"{uniforms} uniforms per batch, over the budget of "
+            f"{_MAX_BATCH_UNIFORMS}; lower samples, inner, n or depth"
+        )
 
 
 def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
@@ -172,7 +180,8 @@ def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
     The kernel reads phi^s from a table of every word up to `depth`, so
     m^depth must stay within the 250,000-word budget of the solver's level
     table (depth <= 17 for m = 2); past it ResourceLimitError is raised
-    before any sampling.
+    before any sampling, as it is when a batch's block would pass
+    2^24 uniforms.
     """
     _check_mc(ifs, s, n, q, samples, depth, inner, unresolved)
     per_batch = samples // _BATCHES
@@ -476,6 +485,7 @@ def simulate_transversality(ifs, fld, u, v, s, trials):
     says the ratio of the two stays bounded as the meet deepens; the
     constant is not computed here, only observed.
     """
+    _check_symbols(ifs.m)
     u, v = tuple(u), tuple(v)
     if u == v:
         raise InvalidInputError("need two distinct rays")

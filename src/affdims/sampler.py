@@ -20,7 +20,7 @@ import numpy as np
 
 from . import counterrng as crng
 from .errors import InvalidInputError, ResourceLimitError
-from .measures import _check_model, draw_words
+from .measures import _check_model, _check_symbols, draw_words
 from .linalg import contraction_bounds
 
 _MAX_POINTS = 50_000_000
@@ -204,6 +204,7 @@ def sample_cloud(ifs, model, fld, n, K, threads=1, chunk=65536):
     if K < 1:
         raise InvalidInputError(f"depth must be >= 1, got K={K}")
     _check_model(ifs, model)
+    _check_symbols(ifs.m)
     if not 1 <= threads <= _MAX_THREADS or chunk < 1:
         raise InvalidInputError(
             f"need 1 <= threads <= {_MAX_THREADS} and chunk >= 1, got "

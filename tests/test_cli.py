@@ -1,5 +1,6 @@
 """Config-driven command line runs, exercised in process."""
 
+import hashlib
 import json
 import math
 import os
@@ -733,11 +734,13 @@ def test_repeated_q_gives_one_row_per_entry(tmp_path, capsys):
     ("inner = 0\n", 2, "got inner=0"),
     ("inner = -1\n", 2, "got inner=-1"),
     ("survey_depth = 0\n", 2, "[multienergy] survey_depth"),
+    ("samples = 32000000000\ninner = 10000\n", 3,
+     "uniforms per batch, over the budget of 16777216"),
 ], ids=["s-integer", "s-above-dim", "n-zero", "q-above-n-plus-1",
         "samples-below-batches", "depth-zero", "depth-past-word-table",
         "depth-past-tree-budget", "decay-k-max-two",
         "decay-k-max-past-word-table", "inner-zero", "inner-negative",
-        "survey-depth-zero"])
+        "survey-depth-zero", "mc-past-batch-budget"])
 def test_multienergy_bad_input_rejected_before_work(tmp_path, capsys,
                                                     monkeypatch, extra, code,
                                                     named):
@@ -756,6 +759,62 @@ def test_multienergy_bad_input_rejected_before_work(tmp_path, capsys,
     assert got == code
     assert named in err
     assert not out.exists()
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone, as under `affdims solve | head`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_does_not_fail_a_finished_run(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(write_ini(tmp_path)),
+                 "--out", str(out)])
+    if not isinstance(sys.stdout, ClosedPipe):
+        sys.stdout.close()
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "solve_result.json").read_text())["payload"]
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+def test_out_that_cannot_be_a_directory_rejected_before_work(
+        tmp_path, capsys, monkeypatch, below, flag):
+    builds = count_table_builds(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken / "out" if below else taken
+    path = tmp_path / "run.ini"
+    path.write_text(BASE_INI.replace("seed = 77", f"seed = 77\nout = {out}"))
+    argv = ["--out", str(out)] if flag else []
+    code, _, err = run_cli(capsys, "solve", "--config", str(path), *argv)
+    assert code == 2
+    assert "[run] out" in err and str(out) in err
+    assert taken.read_text() == "keep\n"
+    assert not builds
+
+
+def test_out_failing_at_first_write_names_the_file(tmp_path, capsys,
+                                                   monkeypatch):
+    # A directory that passes the check but cannot be made (here, a file
+    # put in its place) still exits 2, naming the file.
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    monkeypatch.setattr(affdims.cli, "_out_dir",
+                        lambda cfg: Path(cfg["run"]["out"]))
+    code, _, err = run_cli(capsys, "solve", "--config",
+                           str(write_ini(tmp_path)), "--out", str(taken))
+    assert code == 2
+    assert str(taken / "resolved_config.json") in err
+    assert taken.read_text() == "keep\n"
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -795,3 +854,116 @@ def test_readme_cli_flags_exist():
     for flag in flags:
         # Every flag takes a value; an unknown one exits with usage errors.
         _build_parser().parse_args(["verify", "--config", "x.ini", flag, "1"])
+
+
+# Every file the commands write, pinned by the first 16 hex digits of its
+# sha256 (a result record without its timing_seconds).  Each command runs
+# in its own directory with the relative --out out, so config_hash and
+# cloud_path do not depend on where the test runs.
+RUN_FILES_SHEARED_INI = SHEARED_CORR_INI.replace(
+    "[solve]\nq = 2 3\n",
+    "[solve]\nq = 2 3\nscan = true\nq_grid_start = 2\nq_grid_stop = 3\n"
+    "q_grid_step = 0.25\n",
+) + """
+[multienergy]
+samples = 64
+inner = 8
+depth = 4
+survey_depth = 3
+"""
+RUN_FILES_MARKOV_INI = """\
+[run]
+seed = 5
+
+[ifs]
+dim = 2
+""" + _ACCEPTANCE_4_MAPS + """
+[measure]
+type = markov
+potential = -0.7 -1.6 -1.2 / -1.05 -0.8 -0.3 / -0.5 -2.0 -0.9
+
+[solve]
+q = 2 3
+k_max = 8
+
+[sample]
+n = 2000
+
+[estimate]
+q = 2
+rungs = 8
+"""
+RUN_FILES_DIGESTS = {
+    "sheared": {
+        "solve/resolved_config.json": "ac64b0a00a24d473",
+        "solve/scan.csv": "b0d9caa1c17cf3dd",
+        "solve/solve_result.json": "8f2ca72231f1ae5a",
+        "sample/cloud.txt": "8895691401de7aba",
+        "sample/resolved_config.json": "ac64b0a00a24d473",
+        "sample/sample_result.json": "eabfa0dfd24bb067",
+        "estimate/estimate_result.json": "0583c8a338642fbf",
+        "estimate/ladder_correlation_q2.csv": "db82815931fa0554",
+        "estimate/ladder_correlation_q3.csv": "f847354477b578fa",
+        "estimate/ladder_mesh_q2.csv": "5c58024e6c9b24bb",
+        "estimate/ladder_mesh_q3.csv": "f40a8df26241c043",
+        "estimate/plot_ladder.py": "5aa1b50c06d531db",
+        "estimate/resolved_config.json": "ac64b0a00a24d473",
+        "verify/cloud.txt": "8895691401de7aba",
+        "verify/ladder_correlation_q2.csv": "db82815931fa0554",
+        "verify/ladder_correlation_q3.csv": "f847354477b578fa",
+        "verify/ladder_mesh_q2.csv": "5c58024e6c9b24bb",
+        "verify/ladder_mesh_q3.csv": "f40a8df26241c043",
+        "verify/plot_ladder.py": "5aa1b50c06d531db",
+        "verify/resolved_config.json": "ac64b0a00a24d473",
+        "verify/verify_result.json": "88f14c6747f0cb7c",
+        "multienergy/multienergy.csv": "8a1a910c18701454",
+        "multienergy/multienergy_result.json": "6e5cdb038631c8e4",
+        "multienergy/resolved_config.json": "ac64b0a00a24d473",
+    },
+    "markov": {
+        "solve/resolved_config.json": "9f2db710ab853b52",
+        "solve/solve_result.json": "174947fc0b7a99f6",
+        "sample/cloud.txt": "cf0f2bbc4b9e27d1",
+        "sample/resolved_config.json": "9f2db710ab853b52",
+        "sample/sample_result.json": "ffed1f905a9f6b6e",
+        "verify/cloud.txt": "cf0f2bbc4b9e27d1",
+        "verify/ladder_mesh_q2.csv": "05bde88032ecdb28",
+        "verify/plot_ladder.py": "5aa1b50c06d531db",
+        "verify/resolved_config.json": "9f2db710ab853b52",
+        "verify/verify_result.json": "3f46967c884cbf21",
+    },
+}
+
+
+def _file_digest(path):
+    blob = path.read_bytes()
+    if path.name.endswith("_result.json"):
+        record = json.loads(blob)
+        del record["timing_seconds"]
+        blob = (json.dumps(record, indent=2, sort_keys=True) + "\n").encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("text, commands", [
+    (RUN_FILES_SHEARED_INI,
+     ["solve", "sample", "estimate", "verify", "multienergy"]),
+    (RUN_FILES_MARKOV_INI, ["solve", "sample", "verify"]),
+], ids=["sheared", "markov"])
+def test_run_files_pinned(tmp_path, capsys, monkeypatch, request, text,
+                          commands):
+    (tmp_path / "run.ini").write_text(text)
+    digests = {}
+    for command in commands:
+        work = tmp_path / command
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = [command, "--config", "../run.ini", "--out", "out"]
+        if command == "estimate":
+            argv += ["--reuse-cloud", "../sample/out/cloud.txt"]
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(stdout) == json.loads(
+            (work / "out" / f"{command}_result.json").read_text())
+        for path in sorted((work / "out").iterdir()):
+            digests[f"{command}/{path.name}"] = _file_digest(path)
+    assert digests == RUN_FILES_DIGESTS[request.node.callspec.id]

@@ -10,12 +10,13 @@ import affdims
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-def run_demo(name, cwd=None):
+def run_demo(name, cwd=None, env=()):
     src = str(Path(affdims.__file__).resolve().parent.parent)
+    shell = sys.executable if name.endswith(".py") else "bash"
     done = subprocess.run(
-        [sys.executable, str(DEMOS / name)],
+        [shell, str(DEMOS / name)],
         capture_output=True, text=True, timeout=300, cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=src, **dict(env)),
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
@@ -55,3 +56,36 @@ def test_transversality_check_demo_runs(tmp_path):
     lines = run_demo("transversality_check.py", cwd=tmp_path)
     assert any(line.startswith("ratio spread max/min = 1.70")
                for line in lines)
+
+
+def test_estimate_from_cloud_demo_runs(tmp_path):
+    lines = run_demo("estimate_from_cloud.py", cwd=tmp_path)
+    assert "theoretical d_2 = 1.16934 (target for the estimate: " \
+        "min(d_q, N) = 1.16934)" in lines
+    assert "discrepancy from target: -0.0582" in lines
+    assert any(line.startswith("correlation-sum reading on a 40k "
+                               "subsample: 1.1199") for line in lines)
+
+
+def test_cli_walkthrough_demo_runs(tmp_path):
+    # The walkthrough calls the `affdims` console script; a shim on PATH
+    # stands in for it when the package is not installed.  Unbuffered
+    # stdout makes its `| head -30` close the pipe while solve still
+    # writes, which must not fail the run.
+    shim = tmp_path / "bin" / "affdims"
+    shim.parent.mkdir()
+    shim.write_text(
+        f'#!/bin/sh\nexec "{sys.executable}" -m affdims.cli "$@"\n')
+    shim.chmod(0o755)
+    lines = run_demo("cli_walkthrough.sh", cwd=tmp_path, env={
+        "PATH": f"{shim.parent}{os.pathsep}{os.environ.get('PATH', '')}",
+        "PYTHONUNBUFFERED": "1",
+    })
+    digest = "10ea2b08435b639f9a290f5f24015cf963d369656181c5cc406247c10bd39d70"
+    assert f'    "cloud_sha256": "{digest}",' in lines
+    assert "== verify: theory vs estimate in one shot ==" in lines
+    assert lines[-8:] == [
+        "cloud.txt", "estimate_result.json", "ladder_mesh_q2.csv",
+        "plot_ladder.py", "resolved_config.json", "sample_result.json",
+        "solve_result.json", "verify_result.json",
+    ]

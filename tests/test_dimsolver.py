@@ -422,6 +422,25 @@ def test_phase_scan_rejects_grid_points_not_above_one(monkeypatch):
         phase_transition_scan(ifs, model, [0.5, 1.0, 1.5])
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda ifs, model, tol: d_q_minus(ifs, model, 2.0, tol=tol),
+    lambda ifs, model, tol: affinity_dimension(ifs, tol=tol),
+    lambda ifs, model, tol: phase_transition_scan(
+        ifs, model, [1.5, 2.0, 2.5], tol=tol),
+], ids=["d_q_minus", "affinity_dimension", "phase_transition_scan"])
+def test_tolerance_outside_zero_to_inf_rejected_before_bisection(
+        monkeypatch, call, tol):
+    def no_bisection(*args):
+        raise AssertionError("a bisection started")
+
+    monkeypatch.setattr(_Levels, "_bisection", no_bisection)
+    ifs, model = worked_system()
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"tol in (0, inf), got {tol}")):
+        call(ifs, model, tol)
+
+
 def test_cutset_sums_need_a_level():
     ifs, model = worked_system()
     with pytest.raises(InvalidInputError, match="l_max"):

@@ -29,7 +29,9 @@ from affdims import (
     sample_cloud,
     sample_word,
     sample_words,
+    simulate_transversality,
 )
+from affdims import multienergy, sampler
 from affdims.errors import InvalidInputError
 from affdims.measures import draw_words, log_prob_tables
 
@@ -296,3 +298,39 @@ def test_symbol_count_must_match_map_count(name, maps, symbols):
                        match=f"model has {symbols} symbols but the system "
                              f"has {maps} maps"):
         _PAIR_CALLS[name](ifs, model)
+
+
+def _uniform_system(m):
+    return diag_ifs(*[[0.1, 0.1]] * m), BernoulliModel(probs=(1.0 / m,) * m)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("words were drawn")
+
+
+_WIDE_CALLS = {
+    "draw_words": lambda ifs, model: draw_words(model, 20, 3, _must_not_run),
+    "sample_cloud": lambda ifs, model: sample_cloud(
+        ifs, model, DisplacementField(seed=1), 20_000, 3),
+    "simulate_transversality": lambda ifs, model: simulate_transversality(
+        ifs, DisplacementField(seed=1), (1, 2), (1, 3), 0.5, 10),
+    "mc_multienergy": lambda ifs, model: mc_multienergy(
+        ifs, model, 0.55, 1, 1.5, 64, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WIDE_CALLS))
+def test_more_than_255_maps_rejected_before_drawing(monkeypatch, name):
+    # Words hold their symbols as uint8, so symbol 256 would wrap to 0.
+    monkeypatch.setattr(sampler, "_cloud_chunk", _must_not_run)
+    monkeypatch.setattr(multienergy, "_project_block", _must_not_run)
+    monkeypatch.setattr(multienergy, "_log_tables", _must_not_run)
+    with pytest.raises(InvalidInputError, match="at most 255 maps"):
+        _WIDE_CALLS[name](*_uniform_system(256))
+
+
+def test_255_maps_draw_every_symbol():
+    _, model = _uniform_system(255)
+    u = np.linspace(0.0, 1.0, 255, endpoint=False) + 0.5 / 255
+    words = draw_words(model, 255, 2, lambda j: u)
+    np.testing.assert_array_equal(words[:, 0], np.arange(1, 256))
