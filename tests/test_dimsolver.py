@@ -34,6 +34,8 @@ from checks import diag_ifs, random_bernoulli, random_ifs
 
 PINNED_TABLES = ("c1233af2fb401a2565ada4b4039e5c4b"
                  "ba38e343b1771d8f710b8f1693f0ef1d")
+PINNED_SUMS = ("a5a7ed449a1f0c3ad314cf9761da5438"
+               "8e7b6b443dc0011b68c3a07dcb87e3b1")
 
 
 def worked_system():
@@ -142,21 +144,43 @@ def test_level_table_keeps_small_alpha_of_thin_products():
     assert d_q_minus(ifs, model, 2.0).value > 1.1
 
 
-def test_level_tables_pinned_bits():
-    # One digest over every log_alphas and logmass array of 40 seeded
-    # systems, as recorded before the level step was shared with the
-    # cut-set descent; any changed bit of any table fails.
+def _seeded_tables():
+    """The 40 seeded level tables of the pinned-bits tests, dims 1-3,
+    Bernoulli and Markov in turn."""
     rng = np.random.default_rng(40)
-    digest = hashlib.sha256()
     for i in range(40):
         m, dim = int(rng.integers(2, 5)), int(rng.integers(1, 4))
         ifs = random_ifs(rng, m, dim, max_norm=0.8)
         model = (MarkovGibbsModel(potential=rng.normal(size=(m, m))) if i % 2
                  else random_bernoulli(rng, m))
-        levels = _Levels(ifs, model, k_max=int(math.log(5000) / math.log(m)))
+        yield _Levels(ifs, model, k_max=int(math.log(5000) / math.log(m)))
+
+
+def test_level_tables_pinned_bits():
+    # One digest over every log_alphas and logmass array of 40 seeded
+    # systems, as recorded before the level step was shared with the
+    # cut-set descent; any changed bit of any table fails.
+    digest = hashlib.sha256()
+    for levels in _seeded_tables():
         for table in levels.log_alphas + levels.logmass:
             digest.update(table.tobytes())
     assert digest.hexdigest() == PINNED_TABLES
+
+
+def test_level_sums_and_roots_pinned_bits():
+    # One digest over the level sums at one s in every phi^s branch of
+    # each table's dimension (s <= 1, 1 < s <= 2, 2 < s <= 3, s > N) and
+    # over the lockstep roots of four q's, as recorded before the level
+    # sums were evaluated in place; any changed bit fails.
+    qs = [0.0, 1.5, 2.0, 3.0]
+    digest = hashlib.sha256()
+    for levels in _seeded_tables():
+        for s in [0.6, 1.5, 2.5][:levels.dim] + [levels.dim + 0.4]:
+            digest.update(np.array(levels.log_sums(s, qs)).tobytes())
+        for res in levels.solve_many(qs, 1e-4):
+            digest.update(np.array([res.value, *res.bracket, res.growth_lo,
+                                    res.growth_hi]).tobytes())
+    assert digest.hexdigest() == PINNED_SUMS
 
 
 def test_cutset_sums_of_thin_products():
