@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 config or input error, 3 resource limit,
 
 import argparse
 import configparser
+import contextlib
 import copy
 import hashlib
 import json
@@ -335,25 +336,33 @@ def _out_dir(cfg):
     return out_dir
 
 
+@contextlib.contextmanager
 def _out_file(out_dir, name):
-    """out_dir / name, after making out_dir: every run file goes here."""
+    """out_dir / name, after making out_dir: every run file is written in
+    this block.  An OSError making the directory or opening or writing
+    the file exits 2, naming the file."""
+    path = out_dir / name
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        yield path
     except OSError as exc:
-        raise ConfigError(f"[run] out: cannot write {out_dir / name}: "
-                          f"{exc}") from exc
-    return out_dir / name
+        raise ConfigError(f"[run] out: cannot write {path}: {exc}") from exc
+
+
+def _write_text(out_dir, name, text):
+    with _out_file(out_dir, name) as path:
+        path.write_text(text)
 
 
 def _write_json(out_dir, name, obj):
     text = json.dumps(obj, indent=2, sort_keys=True, default=_to_jsonable)
-    _out_file(out_dir, name).write_text(text + "\n")
+    _write_text(out_dir, name, text + "\n")
 
 
 def _write_csv(out_dir, name, header, rows):
     """The header, then each row's Python ints and floats as their repr."""
     lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
-    _out_file(out_dir, name).write_text("\n".join(lines) + "\n")
+    _write_text(out_dir, name, "\n".join(lines) + "\n")
 
 
 _PLOT_SCRIPT = """\
@@ -474,8 +483,8 @@ def _sample(cfg, out_dir, threads):
                 f"{default_depth(ifs, fld.region_radius, r_min)}"
             )
     cloud = sample_cloud(ifs, model, fld, n, K, threads=threads)
-    cloud_path = _out_file(out_dir, "cloud.txt")
-    digest = write_cloud(cloud_path, cloud)
+    with _out_file(out_dir, "cloud.txt") as cloud_path:
+        digest = write_cloud(cloud_path, cloud)
     return {
         "n": n,
         "depth": K,
@@ -527,7 +536,7 @@ def _estimate_payload(cfg, cloud, out_dir, threads):
             tol = 2.0 * (a["stderr"] + b["stderr"])
             row["forms_agree"] = bool(gap <= max(tol, 1e-12))
         estimates.append(row)
-    _out_file(out_dir, "plot_ladder.py").write_text(_PLOT_SCRIPT)
+    _write_text(out_dir, "plot_ladder.py", _PLOT_SCRIPT)
     return {"dim": dim, "n": len(cloud), "estimates": estimates}
 
 

@@ -31,7 +31,7 @@ from .errors import InvalidInputError, NoRootError, ResourceLimitError
 from .linalg import _extend_products, log_phi_stack, singular_values_stack
 from .measures import (BernoulliModel, _check_model, log_prob_tables,
                        product_ratio_bounds)
-from .numerics import logsumexp
+from .numerics import _logsumexp_into, logsumexp
 
 _SOLVER_MAX_TERMS = 250_000
 _CUT_RHO = 0.5  # d_q_plus_cutset's radius ratio between cut-set levels
@@ -73,6 +73,14 @@ class _Levels:
     `_extend_products` step, which also gives their log singular values;
     the matrices are rebound as soon as the next exist, so the old stack
     is freed before another is built.
+
+    A table holds the scratch its level sums are evaluated in: three
+    float arrays and one bool array the size of its deepest level, about
+    3.1 times that level's `logmass` in bytes, reused for every level, s
+    and q so that `log_sums` allocates nothing the size of a level.  The
+    first `log_sums` makes it, once the build's temporaries are freed, so
+    that it reuses their memory instead of raising the peak.  Every call
+    writes that scratch, so a table is not for concurrent use.
     """
 
     def __init__(self, ifs, model, k_max=None):
@@ -94,18 +102,27 @@ class _Levels:
             self.logmass.append(logmass)
         self.k_max = k_max
         self.dim = ifs.dim
+        self._scratch = None
 
     def log_sums(self, s, qs):
         """log Phi_k(s, q) for k = 1..k_max, one list for each q of qs.
 
-        log phi^s of a level is computed once for every q and only one
-        level's is held at a time.
+        log phi^s of a level is computed once for every q, and each q's
+        exponent (1 - q) log phi^s + q log mu is formed and summed in the
+        table's scratch.
         """
+        if self._scratch is None:
+            size = self.logmass[-1].size
+            self._scratch = [np.empty(size) for _ in range(3)]
+            self._scratch.append(np.empty(size, dtype=bool))
         sums = [[] for _ in qs]
         for la, lm in zip(self.log_alphas, self.logmass):
-            lphi = log_phi_stack(la, s)
+            lphi, expo, prod, ties = (a[:lm.size] for a in self._scratch)
+            log_phi_stack(la, s, out=lphi)
             for row, q in zip(sums, qs):
-                row.append(logsumexp((1.0 - q) * lphi + q * lm))
+                np.multiply(lphi, 1.0 - q, out=expo)
+                expo += np.multiply(lm, q, out=prod)
+                row.append(_logsumexp_into(expo, ties))
         return sums
 
     def log_growth(self, sums, q):

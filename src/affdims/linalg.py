@@ -169,21 +169,33 @@ def _extend_products(mats, logdet, base, base_logdet):
     return mats, logdet, alphas, log_alphas
 
 
-def log_phi_stack(logs, s):
+def log_phi_stack(logs, s, out=None):
     """log phi^s from stacked log singular values (..., N), over words.
 
     Takes the logs so that callers evaluating one stack at many s (the
-    solver's level tables) take them once.  Use only on products of
-    nonsingular contractions, whose singular values are positive.
+    solver's level tables) take them once.  The result goes to out, an
+    array of the stack's shape, when it is given, and is returned; then
+    nothing the size of the stack is allocated except the head sum of a
+    2 < s <= N evaluation.  For j - 1 < s <= j the result is
+    (s - j + 1) log alpha_j plus the head log alpha_1 + ... +
+    log alpha_{j-1}, a head of two or more terms summed as
+    `logs.sum(axis=-1)` sums.  Use only on products of nonsingular
+    contractions, whose singular values are positive.
     """
     n = logs.shape[-1]
     if s <= 0.0:
         raise InvalidInputError(f"phi^s needs s > 0, got {s}")
+    if out is None:
+        out = np.empty(logs.shape[:-1])
     if s > n:
-        return logs.sum(axis=-1) * (s / n)
+        np.sum(logs, axis=-1, out=out)
+        return np.multiply(out, s / n, out=out)
     j = math.ceil(s)
-    head = logs[..., : j - 1].sum(axis=-1)
-    return head + (s - j + 1) * logs[..., j - 1]
+    np.multiply(logs[..., j - 1], s - j + 1, out=out)
+    if j == 1:
+        return out
+    head = logs[..., 0] if j == 2 else logs[..., : j - 1].sum(axis=-1)
+    return np.add(head, out, out=out)
 
 
 def phi_s(T, s):

@@ -238,6 +238,8 @@ def draw_words(model, count, depth, uniforms):
 
     `uniforms(j)` returns `count` values in [0, 1) for level j, so the
     caller picks the source: a numpy Generator or indexed counter streams.
+    The (count, depth) result is the transpose of a level-major array, so
+    each level's symbols `words[:, j]` are contiguous.
     """
     if depth < 1:
         raise InvalidInputError(f"depth must be >= 1, got {depth}")
@@ -249,14 +251,11 @@ def draw_words(model, count, depth, uniforms):
     # Symbol j is the number of CDF entries of its row at or below u,
     # counted one contiguous column at a time.
     cols = [np.ascontiguousarray(col) for col in trans_cdf.T]
-    words = np.empty((count, depth), dtype=np.uint8)
-    sym = np.searchsorted(init_cdf, uniforms(0), side="right").astype(np.uint8)
-    words[:, 0] = sym
+    words = np.zeros((depth, count), dtype=np.uint8)
+    words[0] = np.searchsorted(init_cdf, uniforms(0), side="right")
     for j in range(1, depth):
         u = uniforms(j)
-        prev, sym = sym, np.zeros(count, dtype=np.uint8)
         for col in cols:
-            sym += u >= col[prev]
-        words[:, j] = sym
+            words[j] += u >= col[words[j - 1]]
     words += 1
-    return words
+    return words.T

@@ -817,6 +817,27 @@ def test_out_failing_at_first_write_names_the_file(tmp_path, capsys,
     assert taken.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("command, name, extra", [
+    ("solve", "solve_result.json", ""),
+    ("solve", "scan.csv", "[solve]\nscan = true\nq_grid_start = 2\n"
+                          "q_grid_stop = 3\nq_grid_step = 0.5\n"),
+    ("sample", "cloud.txt", "[sample]\nn = 500\ndepth = 10\n"),
+], ids=["result", "scan", "cloud"])
+def test_run_file_that_cannot_be_opened_names_the_file(tmp_path, capsys,
+                                                       command, name, extra):
+    # The output directory exists, but one run file's name is taken by a
+    # directory: the run exits 2 naming that file, not with a traceback.
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    code, stdout, err = run_cli(capsys, command, "--config",
+                                str(write_ini(tmp_path, extra)),
+                                "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert "[run] out" in err and str(out / name) in err
+    assert (out / name).is_dir()
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -183,6 +184,23 @@ def test_level_sums_and_roots_pinned_bits():
     assert digest.hexdigest() == PINNED_SUMS
 
 
+def test_level_sums_allocate_nothing_the_size_of_a_level():
+    # The acceptance-4 table evaluates its level sums in the scratch it
+    # holds: after a warm-up, no allocation during a call comes near the
+    # 177,147-word deepest level.
+    ifs = diag_ifs([0.45, 0.4], [0.4, 0.35], [0.35, 0.3])
+    levels = _Levels(ifs, BernoulliModel(probs=(0.4, 0.35, 0.25)))
+    want = levels.log_sums(1.7, [2.0, 3.0])
+    tracemalloc.start()
+    try:
+        got = levels.log_sums(1.7, [2.0, 3.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < levels.logmass[-1].nbytes == 8 * 3 ** 11
+
+
 def test_cutset_sums_of_thin_products():
     # The closed-form alpha_2 of these products cancels to 0; the descent
     # carries log|det| instead, as the level tables do.
@@ -337,9 +355,9 @@ def test_lockstep_bisection_computes_log_phi_once_per_s_and_level(
     calls = []
     log_phi = dimsolver.log_phi_stack
 
-    def counted(log_alphas, s):
+    def counted(log_alphas, s, out=None):
         calls.append((s, len(log_alphas)))
-        return log_phi(log_alphas, s)
+        return log_phi(log_alphas, s, out=out)
 
     monkeypatch.setattr(dimsolver, "log_phi_stack", counted)
     qs = [1.5, 2.0, 3.0, 0.0, 1.75, 2.0, 2.25]

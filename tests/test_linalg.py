@@ -91,6 +91,26 @@ def test_stack_helpers_agree_with_scalar_path():
         np.testing.assert_allclose(stacked, direct, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_log_phi_stack_into_out_keeps_the_bits(n):
+    # Into a buffer or not, each branch gives the bits of the sum form:
+    # the head summed as logs.sum(axis=-1) sums, then the scaled column.
+    rng = np.random.default_rng(n)
+    logs = np.log(np.sort(rng.uniform(0.01, 1.0, (5000, n)))[:, ::-1])
+    logs = np.ascontiguousarray(logs)
+    for s in [0.3, 1.0, 1.5, 2.0, 2.5, 3.0][: 2 * n] + [n + 0.4]:
+        if s > n:
+            want = logs.sum(axis=-1) * (s / n)
+        else:
+            j = int(np.ceil(s))
+            want = (logs[:, : j - 1].sum(axis=-1)
+                    + (s - j + 1) * logs[:, j - 1])
+        buf = np.full(len(logs), np.nan)
+        assert log_phi_stack(logs, s, out=buf) is buf
+        assert buf.tobytes() == want.tobytes(), s
+        assert log_phi_stack(logs, s).tobytes() == want.tobytes(), s
+
+
 def test_expanding_map_rejected():
     with pytest.raises(InvalidInputError):
         AffineIFS(maps=(np.diag([0.5, 0.3]), np.diag([1.0, 0.4])))

@@ -58,6 +58,18 @@ def test_logsumexp_bitwise_edge_cases(a):
     assert same_bits(logsumexp(a), want)
 
 
+@pytest.mark.parametrize("a", [
+    np.random.default_rng(22).normal(size=1000),
+    [3.0, -1.0, 2.5],
+    np.array([-np.inf, 4.0, 1.0, 4.0, -np.inf, 4.0]),
+], ids=["array", "list", "neg-inf-and-ties"])
+def test_logsumexp_leaves_its_input_unchanged(a):
+    before = np.array(a, dtype=np.float64).tobytes()
+    want = scipy_logsumexp(np.array(a))
+    assert same_bits(logsumexp(a), want)
+    assert np.array(a, dtype=np.float64).tobytes() == before
+
+
 def _check_fit(x, y):
     with np.errstate(all="ignore"):
         want = linregress(x, y)
