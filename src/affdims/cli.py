@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dimsolver import _check_grid, _check_levels, _flag_kinks, _Levels
+from .dimsolver import _check_grid, _flag_kinks, _Levels
 from .errors import (
     ConfigError,
     InsufficientDataError,
@@ -232,6 +232,11 @@ def _resolve_weights(block, measure_type, m):
     return {key: pot}
 
 
+def _q_tag(q):
+    """q as it appears in a ladder file's name: 2 -> 2, 2.5 -> 2p5."""
+    return f"{q:g}".replace(".", "p")
+
+
 def _check_range(section, key, value, where):
     lo, hi = _RANGES[section, key]
     for v in value if isinstance(value, list) else [value]:
@@ -271,10 +276,18 @@ def resolve_config(path, seed=None, out=None):
             values.update(_resolve_weights(
                 block, values["type"], len(cfg["ifs"]["maps"])
             ))
-        elif section == "estimate" and values["form"] == "correlation" \
-                and any(q != int(q) for q in values["q"]):
-            raise ConfigError("[estimate] q: form = correlation needs "
-                              f"integer q, got {values['q']}")
+        elif section == "estimate":
+            tags = {}  # distinct q's with one tag would share ladder files
+            for q in values["q"]:
+                other = tags.setdefault(_q_tag(q), q)
+                if other != q:
+                    raise ConfigError(
+                        f"[estimate] q: {other!r} and {q!r} would both "
+                        f"write the ladder files tagged q{_q_tag(q)}")
+            if values["form"] == "correlation" \
+                    and any(q != int(q) for q in values["q"]):
+                raise ConfigError("[estimate] q: form = correlation needs "
+                                  f"integer q, got {values['q']}")
         if block:
             raise ConfigError(f"[{section}] {next(iter(block))}: unknown key")
     if seed is not None:
@@ -477,11 +490,14 @@ def _sample(cfg, out_dir, threads):
         _, a_plus = contraction_bounds(ifs)
         if truncation_tail(a_plus, fld.region_radius, ifs.dim, K) \
                 >= r_min / 10.0:
-            warnings.append(
-                f"depth {K} leaves truncation error above a tenth of the "
-                f"finest ladder radius {r_min!r}; suggest depth >= "
-                f"{default_depth(ifs, fld.region_radius, r_min)}"
-            )
+            warning = (f"depth {K} leaves truncation error above a tenth "
+                       f"of the finest ladder radius {r_min!r}")
+            try:
+                warning += ("; suggest depth >= "
+                            f"{default_depth(ifs, fld.region_radius, r_min)}")
+            except ResourceLimitError:
+                pass  # no depth reaches that radius: no suggestion
+            warnings.append(warning)
     cloud = sample_cloud(ifs, model, fld, n, K, threads=threads)
     with _out_file(out_dir, "cloud.txt") as cloud_path:
         digest = write_cloud(cloud_path, cloud)
@@ -514,9 +530,8 @@ def _estimate_payload(cfg, cloud, out_dir, threads):
     estimates = []
     for q, row_ladders in zip(est["q"], ladders):
         per_form = {}
-        tag = f"{q:g}".replace(".", "p")
         for ladder in row_ladders:
-            _write_csv(out_dir, f"ladder_{ladder.form}_q{tag}.csv",
+            _write_csv(out_dir, f"ladder_{ladder.form}_q{_q_tag(q)}.csv",
                        ("r", "moment_sum", "occupied", "usable"),
                        zip(ladder.radii, ladder.sums, ladder.occupied,
                            map(int, ladder.usable)))
@@ -552,30 +567,32 @@ def cmd_estimate(cfg, out_dir, args):
 def cmd_verify(cfg, out_dir, args):
     ifs, model = build_system(cfg)
     sol = cfg["solve"]
-    k_max = _check_levels(ifs.m, sol["k_max"] or None)
     if args.reuse_cloud:
         cloud = read_cloud(args.reuse_cloud)
+        if cloud.dim != ifs.dim:
+            raise ConfigError(
+                f"{args.reuse_cloud}: the cloud has dimension {cloud.dim}, "
+                f"but [ifs] dim = {ifs.dim}"
+            )
         sample_payload = {"reused": str(args.reuse_cloud), "n": len(cloud)}
-    else:
+    # One table for every q, let go before any cloud; its build checks k_max.
+    theory = _Levels(ifs, model, sol["k_max"] or None).solve_many(
+        cfg["estimate"]["q"], sol["tol"])
+    if not args.reuse_cloud:
         sample_payload, cloud = _sample(cfg, out_dir, args.threads)
         # Estimation reads positions only; keeping the words would add
         # n * depth bytes to the run's peak memory.
         cloud = replace(cloud, words=np.zeros((len(cloud), 0), np.uint8))
     est_payload = _estimate_payload(cfg, cloud, out_dir, args.threads)
-    # One table for every q, built after the ladders so that its memory
-    # does not add to theirs.
-    levels = _Levels(ifs, model, k_max)
-    qs = [entry["q"] for entry in est_payload["estimates"]]
     rows = []
-    for entry, theory in zip(est_payload["estimates"],
-                             levels.solve_many(qs, sol["tol"])):
+    for entry, res in zip(est_payload["estimates"], theory):
         q = entry["q"]
-        target = min(theory.value, float(ifs.dim))
+        target = min(res.value, float(ifs.dim))
         for form, got in entry["forms"].items():
             rows.append({
                 "q": q,
                 "form": form,
-                "theoretical_d_q": theory.value,
+                "theoretical_d_q": res.value,
                 "target": target,
                 "empirical": got["value"],
                 "stderr": got["stderr"],

@@ -21,7 +21,7 @@ import numpy as np
 from . import counterrng as crng
 from .errors import InvalidInputError, ResourceLimitError
 from .measures import _check_model, _check_symbols, draw_words
-from .linalg import contraction_bounds
+from .linalg import compose, contraction_bounds
 
 _MAX_POINTS = 50_000_000
 _MAX_THREADS = 256  # sample_cloud opens one pool worker per thread
@@ -109,16 +109,10 @@ def project(ifs, fld, word, K):
             f"word of length {len(word)} is shorter than depth K={K}"
         )
     dim = ifs.dim
-    states = crng.root_states(fld.key(), 1)
-    pos = np.zeros(dim)
-    prefix = np.eye(dim)
-    for j in range(K):
-        sym = word[j]
-        states = crng.advance(states, np.array([sym], dtype=np.uint64))
-        u = crng.unit_uniforms(states, dim)[0]
-        omega = (2.0 * u - 1.0) * fld.region_radius
-        pos = pos + prefix @ omega
-        prefix = prefix @ ifs.matrix(sym)
+    for sym in word[:K]:
+        ifs.matrix(sym)  # rejects a symbol outside 1..m, the last one too
+    pos = sum((compose(ifs, word[:j]) @ displacement(fld, word[:j + 1], dim)
+               for j in range(K)), np.zeros(dim))
     _, a_plus = contraction_bounds(ifs)
     bound = truncation_tail(a_plus, fld.region_radius, dim, K)
     return CloudPoint(
@@ -216,11 +210,13 @@ def sample_cloud(ifs, model, fld, n, K, threads=1, chunk=65536):
     pieces = -(-n // chunk)
     pieces = min(n, pieces + -pieces % threads)
     bounds = [n * i // pieces for i in range(pieces + 1)]
-    out = [None] * pieces
+    words = np.empty((n, K), dtype=np.uint8)
+    positions = np.empty((n, ifs.dim))
 
-    def run(i):
-        out[i] = _cloud_chunk(ifs, model, fld, bounds[i],
-                              bounds[i + 1] - bounds[i], K, word_key)
+    def run(i):  # each chunk fills its own rows
+        lo, hi = bounds[i], bounds[i + 1]
+        words[lo:hi], positions[lo:hi] = _cloud_chunk(
+            ifs, model, fld, lo, hi - lo, K, word_key)
 
     if threads > 1 and pieces > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -230,8 +226,6 @@ def sample_cloud(ifs, model, fld, n, K, threads=1, chunk=65536):
     else:
         for i in range(pieces):
             run(i)
-    words = np.concatenate([p[0] for p in out], axis=0)
-    positions = np.concatenate([p[1] for p in out], axis=0)
     _, a_plus = contraction_bounds(ifs)
     bound = truncation_tail(a_plus, fld.region_radius, ifs.dim, K)
     return Cloud(

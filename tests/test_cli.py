@@ -346,6 +346,35 @@ def test_verify_k_max_past_word_table_exits_before_sampling(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_solves_before_it_samples(tmp_path, capsys, monkeypatch):
+    # The level table is built and solved before any cloud is drawn, and
+    # the order leaves the payload as it was.
+    import affdims.cli as cli_module
+    path = write_ini(tmp_path, "[sample]\nn = 3000\ndepth = 14\n"
+                     "[estimate]\nq = 2 3\nrungs = 7\n")
+    argv = ("verify", "--config", str(path), "--out", str(tmp_path / "out"))
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    plain = json.loads(stdout)["payload"]
+    solved = []
+    solve_many = _Levels.solve_many
+    sample_cloud = cli_module.sample_cloud
+
+    def recorded(self, qs, tol):
+        solved.append(qs)
+        return solve_many(self, qs, tol)
+
+    def after_solving(*args, **kwargs):
+        assert solved == [[2.0, 3.0]], "sampled before solving"
+        return sample_cloud(*args, **kwargs)
+
+    monkeypatch.setattr(_Levels, "solve_many", recorded)
+    monkeypatch.setattr(cli_module, "sample_cloud", after_solving)
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(stdout)["payload"] == plain
+
+
 def test_multienergy_command(tmp_path, capsys):
     cfg = write_ini(
         tmp_path,
@@ -397,7 +426,9 @@ def test_wrong_prob_count_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["estimate", "verify"])
-def test_missing_cloud_rejected(tmp_path, capsys, command):
+def test_missing_cloud_rejected(tmp_path, capsys, monkeypatch, command):
+    # verify reads its cloud before it builds its level table.
+    builds = count_table_builds(monkeypatch)
     cloud = tmp_path / "absent.txt"
     out = tmp_path / "out"
     code, _, err = run_cli(capsys, command, "--config", str(write_ini(tmp_path)),
@@ -405,6 +436,7 @@ def test_missing_cloud_rejected(tmp_path, capsys, command):
     assert code == 2
     assert f"cloud file not found: {cloud}" in err
     assert not out.exists()
+    assert not builds
 
 
 @pytest.mark.parametrize("command", ["solve", "sample", "multienergy"])
@@ -445,6 +477,81 @@ def test_malformed_cloud_rejected(tmp_path, capsys, command, text, named):
     assert code == 2
     assert str(cloud) in err and named in err
     assert not out.exists()
+
+
+def test_verify_rejects_cloud_of_another_dimension(tmp_path, capsys,
+                                                    monkeypatch):
+    # A 3-D cloud against a 2-D system exits 2, naming the file and both
+    # dimensions, before any solver work.
+    cloud = tmp_path / "cloud3d.txt"
+    cloud.write_text(_CLOUD_HEADER.replace("dim=2", "dim=3")
+                     + "0.1 0.2 0.3\n0.4 0.5 0.6\n")
+    builds = count_table_builds(monkeypatch)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "verify", "--config",
+                           str(write_ini(tmp_path)), "--out", str(out),
+                           "--reuse-cloud", str(cloud))
+    assert code == 2
+    assert str(cloud) in err and "dimension 3" in err
+    assert "[ifs] dim = 2" in err
+    assert not out.exists()
+    assert not builds
+
+
+def test_estimate_q_sharing_a_ladder_file_rejected(tmp_path, capsys):
+    # 2 and 2.0000001 both print as "2": their ladders would share one
+    # file.  An exact repeat is still allowed.
+    path = write_ini(tmp_path, "[estimate]\nq = 2 2.0000001\n")
+    code, _, err = run_cli(capsys, "verify", "--config", str(path),
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "[estimate] q" in err and "2.0 and 2.0000001" in err
+    assert not (tmp_path / "out").exists()
+    assert resolve_config(write_ini(tmp_path, "[estimate]\nq = 2 2 2.5\n",
+                                    name="ok.ini"))["estimate"]["q"] \
+        == [2.0, 2.0, 2.5]
+
+
+_LOPSIDED_INI = BASE_INI.replace(
+    "map1 = 0.5 0 / 0 0.3\nmap2 = 0.4 0 / 0 0.35",
+    "map1 = 0.99 0 / 0 0.5\nmap2 = 0.5 0 / 0 0.99")
+
+
+@pytest.mark.parametrize("text, suggest", [
+    (BASE_INI + "[sample]\nn = 200\ndepth = 5\n", 15),
+    (_LOPSIDED_INI + "[sample]\nn = 200\ndepth = 20\n"
+     "[estimate]\nrho = 0.0001\n", None),
+], ids=["suggestion", "no-feasible-depth"])
+def test_explicit_shallow_depth_samples_with_a_warning(tmp_path, capsys,
+                                                       text, suggest):
+    # A given depth is used as given.  The warning suggests the default
+    # depth where one exists; where no depth reaches a tenth of the finest
+    # radius, it suggests none.
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    code, stdout, _ = run_cli(capsys, "sample", "--config", str(path),
+                              "--out", str(tmp_path / "out"))
+    assert code == 0
+    payload = json.loads(stdout)["payload"]
+    assert payload["depth"] == int(re.search(r"depth = (\d+)", text)[1])
+    [warning] = payload["warnings"]
+    assert warning.startswith(f"depth {payload['depth']} leaves truncation "
+                              "error above a tenth of the finest ladder "
+                              "radius ")
+    if suggest is None:
+        assert "suggest" not in warning
+    else:
+        assert warning.endswith(f"; suggest depth >= {suggest}")
+
+
+def test_automatic_depth_with_no_feasible_depth_exits_3(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text(_LOPSIDED_INI + "[sample]\nn = 200\ndepth = 0\n"
+                    "[estimate]\nrho = 0.0001\n")
+    code, _, err = run_cli(capsys, "sample", "--config", str(path),
+                           "--out", str(tmp_path / "out"))
+    assert code == 3
+    assert "no feasible truncation depth" in err
 
 
 def test_multienergy_spread_past_int64_factorials(tmp_path, capsys):

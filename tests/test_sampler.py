@@ -2,6 +2,8 @@
 
 import hashlib
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,15 +113,36 @@ def test_cloud_thread_and_chunk_invariance():
     np.testing.assert_array_equal(base.positions, threaded.positions)
     np.testing.assert_array_equal(base.positions, chunked.positions)
     # 2000 points in 22 or 21 chunks of 90-91 or 95-96 points, and in
-    # 3 chunks of 666-667 points.
-    for threads, chunk in ((2, 97), (3, 97), (2, 65536), (3, 65536)):
-        split = sample_cloud(ifs, model, fld, 2000, 10, threads=threads,
-                             chunk=chunk)
-        np.testing.assert_array_equal(base.positions, split.positions)
-        np.testing.assert_array_equal(base.words, split.words)
+    # 3 chunks of 666-667 points.  The workers write rows of shared
+    # outputs; a short switch interval interleaves them often.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads, chunk in ((2, 97), (3, 97), (2, 65536), (3, 65536)):
+            split = sample_cloud(ifs, model, fld, 2000, 10, threads=threads,
+                                 chunk=chunk)
+            np.testing.assert_array_equal(base.positions, split.positions)
+            np.testing.assert_array_equal(base.words, split.words)
+    finally:
+        sys.setswitchinterval(interval)
     # Fewer points than threads: one point per chunk.
     tiny = sample_cloud(ifs, model, fld, 2, 10, threads=3)
     np.testing.assert_array_equal(base.positions[:2], tiny.positions)
+
+
+def test_cloud_chunks_fill_outputs_in_place():
+    # Chunks write their rows of the outputs: the peak stays near the
+    # outputs' own size, where gathering the chunks and joining them
+    # held about twice as much.
+    ifs, model, fld = small_setup()
+    sample_cloud(ifs, model, fld, 200, 20, chunk=97)  # warm-up
+    tracemalloc.start()
+    try:
+        cloud = sample_cloud(ifs, model, fld, 20_000, 20, chunk=97)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (cloud.words.nbytes + cloud.positions.nbytes)
 
 
 def _general_series(ifs, fld, words):
