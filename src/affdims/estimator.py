@@ -66,9 +66,24 @@ def _cube_counts(pos, r, bounds):
     return np.unique(keys, return_counts=True)[1]
 
 
+def _diameter(extents):
+    """Euclidean length of extents, which may square past the float range.
+
+    Where the plain norm overflows, it is taken of the extents over a power
+    of two at least their largest, times that power, which is exact.
+    """
+    with np.errstate(over="ignore"):
+        r = float(np.linalg.norm(extents))
+    if r == np.inf:
+        scale = 2.0 ** int(np.frexp(extents.max())[1])
+        r = float(np.linalg.norm(extents / scale)) * scale
+    return r
+
+
 def _check_radius(r):
-    if not r > 0:
-        raise InvalidInputError(f"radius must be positive, got r={r}")
+    if not 0 < r < np.inf:
+        raise InvalidInputError(
+            f"radius must be positive and finite, got r={r}")
 
 
 def _check_q(q, form, n):
@@ -193,7 +208,7 @@ def build_ladders(points, qs, forms=("mesh",), r0=None, rho=0.5, rungs=12,
         raise InvalidInputError(f"need at least 3 rungs, got {rungs}")
     bounds = _bounds(pos)
     if r0 is None:
-        r0 = float(np.linalg.norm(bounds[1] - bounds[0]))
+        r0 = _diameter(bounds[1] - bounds[0])
         if r0 == 0.0:
             r0 = 1.0
     radii = [r0 * rho ** level for level in range(1, rungs + 1)]

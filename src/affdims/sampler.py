@@ -253,12 +253,121 @@ def default_depth(ifs, region_radius, r_min):
     return K
 
 
+# Exact "%.17g" for 1e-7 <= |x| < 1e15.  |x| = M 2^E with M a 53-bit
+# integer, and its 17 significant digits are N = M 5^K 2^(K+E) rounded
+# half to even, K = 16 - D, D = floor(log10 |x|).  There K <= 24, so 5^K
+# < 2^56 and M 5^K < 2^109 is two uint64 limbs, and the shift -(K + E) is
+# in [2, 53].  Digits come four at a time from a table of "%04d".
+_POW5 = np.array([5 ** k for k in range(25)], dtype=np.uint64)
+_DIGITS4 = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)),
+                         dtype=np.uint32)
+_TEXT = np.dtype((np.void, 24))  # sign, up to 22 characters, separator
+
+
+def _scaled(M, E, D):
+    """Quotient, remainder and shift of M 5^K / 2^-(K + E), K = 16 - D."""
+    sh = (D - 16 - E).astype(np.uint64)
+    lo = _POW5[16 - D]  # 5^K, then the low limb of M 5^K
+    hi = lo >> 32
+    lo &= 0xFFFFFFFF
+    mid = M >> 32
+    mid *= lo
+    mid += (M & 0xFFFFFFFF) * hi  # < 2^57
+    hi *= M >> 32
+    lo *= M & 0xFFFFFFFF
+    hi += mid >> 32
+    mid <<= 32
+    lo += mid
+    hi += lo < mid  # the carry out of the low limb
+    q = lo >> sh
+    q |= hi << (64 - sh)
+    return q, lo & ((1 << sh) - 1), sh
+
+
+def _digits17(a):
+    """(N, D): |x| = N 10^(D - 16) to 17 significant digits, for a = |x|."""
+    M, E = np.frexp(a)
+    M = (M * 2.0 ** 53).astype(np.uint64)
+    E = E.astype(np.int64) - 53
+    D = np.floor(np.log10(a)).astype(np.int64)  # at most one off
+    q, r, sh = _scaled(M, E, D)
+    # The truncated quotient, not the rounded one, tells whether D is right:
+    # 9.9999999999999995e-08 rounds up to 10^16 with D = -7.
+    off = (q >= 10 ** 17).astype(np.int64) - (q < 10 ** 16)
+    fix = np.flatnonzero(off)
+    D[fix] += off[fix]
+    q[fix], r[fix], sh[fix] = _scaled(M[fix], E[fix], D[fix])
+    # No carry to 10^17: that needs a double less than 5e-18 (relative)
+    # below a power of ten, and in the range the nearest is 4.5e-17 below.
+    half = np.uint64(1) << (sh - 1)
+    return q + ((r > half) | ((r == half) & (q & 1 == 1))), D
+
+
+def _digit_bytes(N):
+    """Rows of "0000000" then the 17 digits of N: byte 7 leads."""
+    hi = N // 10 ** 8
+    lo = (N - hi * 10 ** 8).astype(np.uint32)
+    hi = hi.astype(np.uint32)
+    h2 = hi // 10 ** 8
+    hi -= h2 * 10 ** 8
+    h1, l1 = hi // 10000, lo // 10000
+    return _DIGITS4.take(np.stack(
+        [0 * h2, h2, h1, hi - h1 * 10000, l1, lo - l1 * 10000], axis=1,
+        dtype=np.intp)).view(np.uint8)
+
+
+def _g17_rows(block):
+    """Rows of block as "%.17g" bytes, with every value in the exact range.
+
+    Each value gets a 24-byte slot: sign, its characters placed for its
+    decade, separator; NUL bytes fill the rest and are dropped at the end.
+    """
+    rows, dim = block.shape
+    v = block.ravel()
+    N, D = _digits17(np.abs(v))
+    P = _digit_bytes(N)
+    del N
+    # %g drops the fraction's trailing zeros; D < -4 is written d.ddde-0X.
+    z = np.flatnonzero(P[:, 23] == ord("0"))
+    last = 23 - np.argmax(P[z, :6:-1] != ord("0"), axis=1)
+    Dz = D[z]  # the fraction starts at byte 8 + D, or 8 for d.ddde-0X
+    keep = np.maximum(last + 1, 8 + np.where(Dz >= -4, Dz, 0))
+    P[z] = np.where(np.arange(24) < keep[:, None], P[z], 0)
+    out = np.empty((v.size, 24), np.uint8)
+    slots = out.view(_TEXT).ravel()
+    for d in (np.flatnonzero(np.bincount(D + 8)) - 8).tolist():
+        idx = np.flatnonzero(D == d)
+        e = d if d >= -4 else 0
+        w = max(e, 0)
+        g = P.take(idx, axis=0)
+        text = np.zeros((idx.size, 24), np.uint8)
+        text[:, 1:2 + w] = g[:, 7 + e - w:8 + e]
+        text[:, 3 + w:19 + w - e] = g[:, 8 + e:]
+        text[:, 2 + w] = (text[:, 3 + w] != 0) * ord(".")
+        if d < -4:
+            text[:, 19:23] = np.frombuffer(b"e-0%d" % -d, np.uint8)
+        slots[idx] = text.view(_TEXT).ravel()
+    del P  # before the text is gathered: a block's arrays stay under 1 MB
+    out[:, 0] = (v < 0) * ord("-")
+    out.reshape(rows, dim, 24)[:, :, 23] = ord(" ")
+    out.reshape(rows, dim, 24)[:, -1, 23] = ord("\n")
+    return out[out != 0].tobytes()
+
+
+def _printf_rows(block):
+    """Rows of block as "%.17g" bytes, one Python format per value."""
+    row_fmt = " ".join(["%.17g"] * block.shape[1]) + "\n"
+    return ((row_fmt * len(block)) % tuple(block.ravel().tolist())).encode()
+
+
 def write_cloud(path, cloud):
     """Text table: header lines with metadata, then one point per row.
 
     Coordinates are written with "%.17g", which round-trips every double;
-    rows are formatted a block at a time.  Returns the sha256 hex digest of
-    the file's bytes, hashed block by block as they are written.
+    rows are formatted a block at a time, by _g17_rows when every value of
+    the block is finite with 1e-7 <= |x| < 1e15, else by _printf_rows.
+    Returns the sha256 hex digest of the file's bytes, hashed block by
+    block as they are written.
     """
     header = (
         f"seed={cloud.seed} depth={cloud.depth} dim={cloud.dim} "
@@ -268,16 +377,16 @@ def write_cloud(path, cloud):
     )
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        def put(text):
-            data = text.encode()
+        def put(data):
             digest.update(data)
             fh.write(data)
 
-        put(f"# affdims cloud v1\n# {header}\n")
-        row_fmt = " ".join(["%.17g"] * cloud.dim) + "\n"
+        put(f"# affdims cloud v1\n# {header}\n".encode())
         for start in range(0, len(cloud), _WRITE_ROWS):
             block = cloud.positions[start:start + _WRITE_ROWS]
-            put((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+            a = np.abs(block)
+            exact = ((a >= 1e-7) & (a < 1e15)).all()
+            put(_g17_rows(block) if exact else _printf_rows(block))
     return digest.hexdigest()
 
 

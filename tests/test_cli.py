@@ -258,6 +258,33 @@ def test_cloud_sha256_pinned(tmp_path, capsys, text, threads, digest):
     assert json.loads(stdout)["payload"]["cloud_sha256"] == digest
 
 
+def test_verify_scales_with_region_radius_past_squared_range(
+        tmp_path, capsys, recwarn):
+    # At 2^520 the bounding-box diagonal squares past the float range.
+    # Points, bounds and radii all scale by exactly 2^520, so the counts
+    # are those of region_radius = 1.
+    runs = []
+    for radius in (1.0, 2.0 ** 520):
+        path = tmp_path / "run.ini"
+        path.write_text(
+            "[ifs]\ndim = 2\n" + _ACCEPTANCE_4_MAPS
+            + f"region_radius = {radius!r}\n[measure]\ntype = bernoulli\n"
+            "probs = 0.40 0.35 0.25\n[sample]\nn = 20000\n[estimate]\nq = 2\n")
+        out = tmp_path / f"out{len(runs)}"
+        code, stdout, _ = run_cli(capsys, "verify", "--config", str(path),
+                                  "--out", str(out), "--seed", "3")
+        assert code == 0
+        lines = (out / "ladder_mesh_q2.csv").read_text().splitlines()[1:]
+        runs.append((json.loads(stdout)["payload"]["comparison"][0],
+                     [line.split(",") for line in lines]))
+    (small, small_rungs), (big, big_rungs) = runs
+    assert [r[1:] for r in big_rungs] == [r[1:] for r in small_rungs]
+    assert [float(r[0]) for r in big_rungs] == [
+        float(r[0]) * 2.0 ** 520 for r in small_rungs]
+    assert big["empirical"] == pytest.approx(small["empirical"], rel=1e-12)
+    assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+
 def test_verify_smoke(tmp_path, capsys):
     cfg = write_ini(
         tmp_path,

@@ -182,6 +182,8 @@ def test_build_ladder_validation():
         build_ladder(pts, 2.0, rho=1.5)
     with pytest.raises(InvalidInputError):
         build_ladder(pts, 2.0, rungs=0)
+    with pytest.raises(InvalidInputError, match="positive and finite"):
+        build_ladder(pts, 2.0, r0=np.inf)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -19,6 +19,7 @@ from affdims import (
     write_cloud,
 )
 from affdims import counterrng as crng
+from affdims import sampler
 from affdims.errors import InvalidInputError
 from affdims.sampler import (
     _WRITE_ROWS,
@@ -288,6 +289,70 @@ def test_write_cloud_matches_per_element_format(tmp_path, dim, rows):
     want = "".join(" ".join(f"{x:.17g}" for x in row) + "\n"
                    for row in values)
     assert body == want
+
+
+def _in_range_values(rng):
+    """Values write_cloud formats without Python: 1e-7 <= |x| < 1e15."""
+    def inside(x):
+        return x[(np.abs(x) >= 1e-7) & (np.abs(x) < 1e15)]
+
+    # 10^k and its neighbours: the one below 10^k is the only double whose
+    # 17 digits could round up to a carry into 10^k.
+    decades = inside(np.array([np.nextafter(10.0 ** k, s)
+                               for k in range(-8, 17)
+                               for s in (0.0, 10.0 ** k, np.inf)]))
+    ties = (2.0 * rng.integers(4 * 10**14, 4 * 10**15, 1000) + 1) / 8
+    bits = (rng.integers(1023 - 24, 1023 + 50, 110_000, dtype=np.uint64) << 52
+            | rng.integers(0, 2**52, 110_000, dtype=np.uint64))
+    values = np.concatenate([decades, ties,
+                             inside(bits.view(np.float64))[:100_000]])
+    return values * rng.choice([-1.0, 1.0], values.size)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("rows", [_WRITE_ROWS - 1, _WRITE_ROWS,
+                                  _WRITE_ROWS + 1, "all"])
+def test_write_cloud_in_range_values_match_per_element_format(
+        tmp_path, monkeypatch, dim, rows):
+    values = _in_range_values(np.random.default_rng(dim))
+    rows = values.size // dim if rows == "all" else rows
+    positions = values[:rows * dim].reshape(rows, dim).copy()
+    if rows > _WRITE_ROWS:  # the last block mixes in values out of range
+        positions[-1] = [np.nextafter(1e-7, 0.0), -1e15, 0.0][:dim]
+    fallback = []
+    per_value = sampler._printf_rows
+    monkeypatch.setattr(sampler, "_printf_rows",
+                        lambda b: fallback.append(len(b)) or per_value(b))
+    cloud = Cloud(positions=positions, words=np.zeros((rows, 0), np.uint8),
+                  truncation_bound=1e-3, seed=5, depth=7, region_radius=1.0)
+    path = tmp_path / "cloud.txt"
+    write_cloud(path, cloud)
+    body = path.read_text().split("\n", 2)[2]
+    want = "".join(" ".join(f"{x:.17g}" for x in row) + "\n"
+                   for row in positions.tolist())
+    assert body == want
+    assert fallback == ([] if rows <= _WRITE_ROWS
+                        else [(rows - 1) % _WRITE_ROWS + 1])
+
+
+def test_sampled_cloud_written_without_per_value_format(tmp_path,
+                                                        monkeypatch):
+    # Acceptance 4's system: every coordinate is in the exact range, so no
+    # block may fall back to Python formatting.  Digest recorded from the
+    # per-value formatting of every row.
+    ifs = diag_ifs([0.45, 0.4], [0.4, 0.35], [0.35, 0.3])
+    model = BernoulliModel(probs=(0.4, 0.35, 0.25))
+    cloud = sample_cloud(ifs, model, DisplacementField(seed=11), 20_000, 40,
+                         threads=2)
+
+    def refuse(block):
+        raise AssertionError("a block fell back to per-value formatting")
+
+    monkeypatch.setattr(sampler, "_printf_rows", refuse)
+    path = tmp_path / "cloud.txt"
+    digest = write_cloud(path, cloud)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "ef47582b324b463a5c0e32b4dc1eb5233a6f38590585a626c1ae894838a93ffe")
 
 
 def test_read_cloud_rejects_garbage(tmp_path):
