@@ -290,6 +290,7 @@ def resolve_config(path, seed=None, out=None):
                                   f"integer q, got {values['q']}")
         if block:
             raise ConfigError(f"[{section}] {next(iter(block))}: unknown key")
+    _check_diameter(cfg)
     if seed is not None:
         cfg["run"]["seed"] = int(seed)
         _check_range("run", "seed", cfg["run"]["seed"], "--seed")
@@ -298,15 +299,30 @@ def resolve_config(path, seed=None, out=None):
     return cfg
 
 
-def build_system(cfg):
-    """Instantiate the contraction system and measure from a resolved config."""
+def _build_ifs(cfg):
     maps = []
     for j, rows in enumerate(cfg["ifs"]["maps"], start=1):
         try:
             maps.append(LinearContraction(rows))
         except InvalidInputError as exc:
             raise ConfigError(f"[ifs] map{j}: {exc}") from exc
-    ifs = AffineIFS(maps=tuple(maps))
+    return AffineIFS(maps=tuple(maps))
+
+
+def _check_diameter(cfg):
+    """A cloud's points and extents and the automatic r0 are bounded by
+    the attractor's diameter, so a region_radius that puts it past the
+    float range is rejected here rather than overflowing mid-run."""
+    radius = cfg["ifs"]["region_radius"]
+    if not math.isfinite(2.0 * attractor_radius(_build_ifs(cfg), radius)):
+        raise ConfigError(
+            f"[ifs] region_radius: {radius!r} puts the attractor's "
+            "diameter past the float range")
+
+
+def build_system(cfg):
+    """Instantiate the contraction system and measure from a resolved config."""
+    ifs = _build_ifs(cfg)
     measure = cfg["measure"]
     try:
         if measure["type"] == "bernoulli":

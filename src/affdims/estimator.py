@@ -70,13 +70,16 @@ def _diameter(extents):
     """Euclidean length of extents, which may square past the float range.
 
     Where the plain norm overflows, it is taken of the extents over a power
-    of two at least their largest, times that power, which is exact.
+    of two at least their largest, times that power, which is exact.  The
+    scaling is by np.ldexp, so a power of two past the float range (the
+    largest extent at 2^1023 or above) is never formed.
     """
+    extents = np.asarray(extents, dtype=np.float64)
     with np.errstate(over="ignore"):
         r = float(np.linalg.norm(extents))
-    if r == np.inf:
-        scale = 2.0 ** int(np.frexp(extents.max())[1])
-        r = float(np.linalg.norm(extents / scale)) * scale
+        if r == np.inf:
+            e = int(np.frexp(extents.max())[1])
+            r = float(np.ldexp(np.linalg.norm(np.ldexp(extents, -e)), e))
     return r
 
 

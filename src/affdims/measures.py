@@ -240,6 +240,12 @@ def draw_words(model, count, depth, uniforms):
     caller picks the source: a numpy Generator or indexed counter streams.
     The (count, depth) result is the transpose of a level-major array, so
     each level's symbols `words[:, j]` are contiguous.
+
+    Symbol j is the number of entries of its transition-CDF row at or
+    below u, counted one column at a time.  A column that is the same for
+    every previous symbol, as every column of a Bernoulli model is, is
+    one scalar threshold; the others are gathered by the previous
+    symbols, cast to indices once per level.
     """
     if depth < 1:
         raise InvalidInputError(f"depth must be >= 1, got {depth}")
@@ -248,14 +254,18 @@ def draw_words(model, count, depth, uniforms):
     init_cdf = np.cumsum(np.exp(log_init))
     trans_cdf = np.cumsum(np.exp(log_trans), axis=1)
     init_cdf[-1] = trans_cdf[:, -1] = 1.0
-    # Symbol j is the number of CDF entries of its row at or below u,
-    # counted one contiguous column at a time.
-    cols = [np.ascontiguousarray(col) for col in trans_cdf.T]
+    same = (trans_cdf == trans_cdf[0]).all(axis=0)
+    thresholds = trans_cdf[0, same].tolist()
+    cols = [np.ascontiguousarray(col) for col in trans_cdf.T[~same]]
     words = np.zeros((depth, count), dtype=np.uint8)
     words[0] = np.searchsorted(init_cdf, uniforms(0), side="right")
     for j in range(1, depth):
         u = uniforms(j)
-        for col in cols:
-            words[j] += u >= col[words[j - 1]]
+        for t in thresholds:
+            words[j] += u >= t
+        if cols:
+            prev = words[j - 1].astype(np.intp)
+            for col in cols:
+                words[j] += u >= col.take(prev)
     words += 1
     return words.T

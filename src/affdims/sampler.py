@@ -10,6 +10,10 @@ truncated here at depth K with an explicit tail bound.  Displacements are
 pure functions of (seed, word) via counter-based streams, so the same
 omega realization is seen by every point, in any order, on any number of
 threads; that is the whole reproducibility story.
+
+Points whose words share a prefix share the series' first terms, so a
+chunk of points evaluates its shallow levels once per prefix word and
+gathers each point's row from that table (`_cloud_chunk`).
 """
 
 import hashlib
@@ -120,29 +124,33 @@ def project(ifs, fld, word, K):
     )
 
 
-def _project_block(ifs, states, words, region_radius):
-    """Vectorized series evaluation for a block of equal-depth words.
+def _unit_prefix(ifs, count):
+    """Prefix products of the empty word, one per point.
 
-    states are the counter-stream states the words' symbols advance, one
-    per word.  They are copied once, and the copies and one buffer of
-    displacements are updated in place at every level, so the caller's
-    arrays never change.  region_radius scales the displacements.  When
-    every map is diagonal the prefix products are kept as one column per
-    coordinate: the general path's off-diagonal terms are exact zeros, so
-    positions are bitwise the same either way.
+    When every map is diagonal they are kept as one column per coordinate:
+    the full products' off-diagonal terms are exact zeros, so positions
+    are bitwise the same either way.
     """
-    count, depth = words.shape
+    mats = ifs.matrix_stack()
+    if not mats[:, ~np.eye(ifs.dim, dtype=bool)].any():
+        return np.ones((count, ifs.dim))
+    return np.broadcast_to(np.eye(ifs.dim), (count, ifs.dim, ifs.dim)).copy()
+
+
+def _add_levels(ifs, states, words, region_radius, pos, prefix, carry):
+    """Add the series terms of the levels of `words` to pos, in place.
+
+    states, pos and prefix hold each word's counter-stream states, partial
+    position and prefix product after the levels before these; states and
+    a diagonal prefix are updated in place.  The prefix is carried past
+    the last level only when carry is set.  Returns the prefix.
+    """
+    depth = words.shape[1]
     dim = ifs.dim
     mats = ifs.matrix_stack()
-    states = (states[0].copy(), states[1].copy())
-    pos = np.zeros((count, dim))
-    omega = np.empty((count, dim))
-    diagonal = not mats[:, ~np.eye(dim, dtype=bool)].any()
-    if diagonal:
-        diags = [mats[:, c, c] for c in range(dim)]
-        prefix = np.ones((count, dim))
-    else:
-        prefix = np.broadcast_to(np.eye(dim), (count, dim, dim)).copy()
+    diagonal = prefix.ndim == 2
+    diags = [mats[:, c, c] for c in range(dim)]
+    omega = np.empty_like(pos)
     for j in range(depth):
         sym = words[:, j]
         crng.advance(states, sym, out=states)
@@ -157,13 +165,29 @@ def _project_block(ifs, states, words, region_radius):
             pos += omega
         else:
             pos += np.einsum("nij,nj->ni", prefix, omega)
-        if j + 1 < depth:
+        if carry or j + 1 < depth:
             maps = sym - 1
             if diagonal:
                 for c in range(dim):
                     prefix[:, c] *= np.take(diags[c], maps)
             else:
                 prefix = np.matmul(prefix, mats[maps])
+    return prefix
+
+
+def _project_block(ifs, states, words, region_radius):
+    """Vectorized series evaluation for a block of equal-depth words.
+
+    states are the counter-stream states the words' symbols advance, one
+    per word.  They are copied once and the copies advanced in place, so
+    the caller's arrays never change.  region_radius scales the
+    displacements.
+    """
+    count = len(words)
+    states = (states[0].copy(), states[1].copy())
+    pos = np.zeros((count, ifs.dim))
+    _add_levels(ifs, states, words, region_radius, pos,
+                _unit_prefix(ifs, count), carry=False)
     return pos
 
 
@@ -172,6 +196,14 @@ def _cloud_chunk(ifs, model, fld, start, count, K, word_key):
 
     Symbol j of point i depends only on (word_key, i, j), so any
     contiguous or interleaved chunking reproduces the same words.
+
+    Points whose words share a prefix share that prefix's series terms.
+    The first J levels are evaluated once for each of the m^J words of
+    length J, for the deepest J < K with m^J <= count // 2 (J = 0 is the
+    empty word's table of one); each point then takes its states, partial
+    position and prefix product from its prefix's row, and only levels
+    J..K-1 run per point.  Every operation is the one the point would
+    have done itself, so every bit is the same.
     """
     hashes = crng.point_hashes(
         word_key, np.arange(start, start + count, dtype=np.uint64))
@@ -179,8 +211,30 @@ def _cloud_chunk(ifs, model, fld, start, count, K, word_key):
         model, count, K, lambda j: crng.hashed_uniforms(hashes, j)
     )
     del hashes  # projection holds the chunk's largest arrays; free this first
-    states = crng.root_states(fld.key(), count)
-    return words, _project_block(ifs, states, words, fld.region_radius)
+    m = ifs.m
+    J = 0
+    while J + 1 < K and m ** (J + 1) <= count // 2:
+        J += 1
+    # Row c of the table is the word whose symbols are c's base-m digits,
+    # the first the most significant; stored level-major like the words.
+    table = (np.indices((m,) * J, dtype=np.uint8).reshape(J, m ** J) + 1).T
+    table_states = crng.root_states(fld.key(), m ** J)
+    table_pos = np.zeros((m ** J, ifs.dim))
+    table_prefix = _add_levels(ifs, table_states, table, fld.region_radius,
+                               table_pos, _unit_prefix(ifs, m ** J),
+                               carry=True)
+    code = np.zeros(count, dtype=np.intp)
+    for j in range(J):
+        code *= m
+        code += words[:, j]
+        code -= 1
+    states = tuple(part.take(code) for part in table_states)
+    pos = table_pos.take(code, axis=0)
+    prefix = table_prefix.take(code, axis=0)
+    del table, table_states, table_pos, table_prefix, code
+    _add_levels(ifs, states, words[:, J:], fld.region_radius, pos, prefix,
+                carry=False)
+    return words, pos
 
 
 def sample_cloud(ifs, model, fld, n, K, threads=1, chunk=65536):

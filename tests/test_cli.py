@@ -285,6 +285,21 @@ def test_verify_scales_with_region_radius_past_squared_range(
     assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
+@pytest.mark.parametrize("seed", ["1", "4"])
+def test_verify_at_region_radius_near_float_range(tmp_path, capsys, seed):
+    # The attractor's diameter, about 5.1 * 3e307, is finite; the
+    # bounding box's diagonal squares past the float range.
+    path = tmp_path / "run.ini"
+    path.write_text(
+        "[ifs]\ndim = 2\n" + _ACCEPTANCE_4_MAPS
+        + "region_radius = 3e307\n[measure]\ntype = bernoulli\n"
+        "probs = 0.40 0.35 0.25\n[sample]\nn = 20000\n[estimate]\nq = 2\n")
+    code, stdout, _ = run_cli(capsys, "verify", "--config", str(path),
+                              "--out", str(tmp_path / "out"), "--seed", seed)
+    assert code == 0
+    assert json.loads(stdout)["payload"]["comparison"]
+
+
 def test_verify_smoke(tmp_path, capsys):
     cfg = write_ini(
         tmp_path,
@@ -730,6 +745,12 @@ def test_markov_config_accepted(tmp_path, capsys):
     ("solve", BASE_INI + "[solve]\nq =\n", [], "[solve] q"),
     ("sample", BASE_INI.replace("dim = 2", "dim = 2\nregion_radius = inf"),
      [], "[ifs] region_radius"),
+    ("sample", BASE_INI.replace("dim = 2", "dim = 2\nregion_radius = 1.5e308"),
+     [], "[ifs] region_radius"),
+    ("verify", BASE_INI.replace("dim = 2", "dim = 2\nregion_radius = 1.5e308")
+     + "[sample]\nn = 2000\n", [], "[ifs] region_radius"),
+    ("estimate", BASE_INI.replace("dim = 2", "dim = 2\nregion_radius = 1.5e308")
+     + "[sample]\nn = 2000\n", [], "[ifs] region_radius"),
     ("verify", BASE_INI + "[sample]\nn = 2000\n[estimate]\nr0 = nan\n", [],
      "[estimate] r0"),
     ("verify", BASE_INI + "[sample]\nn = 2000\n[estimate]\nr0 = inf\n", [],
@@ -745,7 +766,8 @@ def test_markov_config_accepted(tmp_path, capsys):
         "k-max-negative", "depth-negative", "correlation-fractional-q",
         "json-fractional-int", "solve-q-one-half", "grid-start-one",
         "grid-empty", "grid-stop-nan", "grid-too-long", "estimate-q-empty",
-        "solve-q-empty", "radius-inf", "r0-nan", "r0-inf",
+        "solve-q-empty", "radius-inf", "sample-diameter-overflow",
+        "verify-diameter-overflow", "estimate-diameter-overflow", "r0-nan", "r0-inf",
         "min-per-cube-nan", "min-per-cube-inf", "threads-past-cap"])
 def test_bad_input_rejected_before_work(tmp_path, capsys, monkeypatch,
                                         command, text, argv, named):

@@ -17,7 +17,13 @@ from affdims import (
     sample_cloud,
 )
 from affdims.errors import InsufficientDataError, InvalidInputError
-from affdims.estimator import MomentLadder, _bounds, _cube_counts, occupied_cubes
+from affdims.estimator import (
+    MomentLadder,
+    _bounds,
+    _cube_counts,
+    _diameter,
+    occupied_cubes,
+)
 
 from checks import diag_ifs
 
@@ -172,6 +178,13 @@ def test_build_ladder_accepts_cloud_or_array():
     a = build_ladder(cloud, 2.0, rungs=6)
     b = build_ladder(cloud.positions, 2.0, rungs=6)
     np.testing.assert_allclose(a.sums, b.sums)
+
+
+def test_diameter_of_extents_past_two_to_the_1023():
+    # The scaling power of two, 2^1024, is itself past the float range.
+    assert _diameter((1e308, 1e307)) == float(np.hypot(1e308, 1e307))
+    assert _diameter(np.array([3.0, 4.0])) == 5.0
+    assert _diameter((3.0 * 2.0 ** 600, 4.0 * 2.0 ** 600)) == 5.0 * 2.0 ** 600
 
 
 def test_build_ladder_validation():

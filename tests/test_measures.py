@@ -234,11 +234,18 @@ def _gather_compare_words(model, uniforms):
 
 
 @st.composite
-def _markov_uniforms(draw):
+def _model_uniforms(draw):
+    # Bernoulli columns are scalar thresholds, Markov columns are gathered.
     m = draw(st.integers(2, 4))
-    potential = np.array(draw(st.lists(
-        st.floats(-3.0, 3.0), min_size=m * m, max_size=m * m))).reshape(m, m)
-    model = MarkovGibbsModel(potential=potential)
+    if draw(st.booleans()):
+        p = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m,
+                                   max_size=m)))
+        model = BernoulliModel(probs=tuple(p / p.sum()))
+    else:
+        potential = np.array(draw(st.lists(
+            st.floats(-3.0, 3.0), min_size=m * m,
+            max_size=m * m))).reshape(m, m)
+        model = MarkovGibbsModel(potential=potential)
     count, depth = draw(st.integers(1, 12)), draw(st.integers(1, 6))
     log_init, log_trans = log_prob_tables(model)
     # CDF entries below 1, where the comparison is decided by equality.
@@ -253,7 +260,7 @@ def _markov_uniforms(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_markov_uniforms())
+@given(_model_uniforms())
 def test_draw_words_matches_gather_compare_oracle(case):
     model, u = case
     count, depth = u.shape

@@ -12,6 +12,7 @@ from affdims import (
     AffineIFS,
     BernoulliModel,
     DisplacementField,
+    MarkovGibbsModel,
     displacement,
     project,
     read_cloud,
@@ -30,7 +31,7 @@ from affdims.sampler import (
     truncation_tail,
 )
 
-from checks import diag_ifs
+from checks import diag_ifs, random_bernoulli, random_contraction
 
 
 def small_setup():
@@ -195,6 +196,79 @@ def test_project_block_leaves_given_states_unchanged(sheared):
     np.testing.assert_array_equal(
         first, _project_block(ifs, states, words, fld.region_radius))
     np.testing.assert_array_equal(first, _general_series(ifs, fld, words))
+
+
+def _prefix_depth(m, count, K):
+    """The deepest J < K with m^J <= count // 2: the chunk's table depth."""
+    return max((j for j in range(1, K) if m ** j <= count // 2), default=0)
+
+
+def _check_series(ifs, model, count, depths):
+    fld = DisplacementField(seed=43, region_radius=1.5)
+    for K in depths:
+        cloud = sample_cloud(ifs, model, fld, count, K)  # one chunk
+        np.testing.assert_array_equal(cloud.positions,
+                                      _general_series(ifs, fld, cloud.words))
+        for i in sorted({0, count // 2, count - 1}):
+            pt = project(ifs, fld, tuple(cloud.words[i]), K)
+            np.testing.assert_allclose(cloud.positions[i], pt.position,
+                                       rtol=1e-12, atol=1e-14)
+
+
+def _series_system(rng, dim, m, sheared, markov):
+    mats = [np.diag(rng.uniform(-0.5, 0.5, dim)) for _ in range(m)]
+    if sheared:
+        mats[-1] = random_contraction(rng, dim, 0.6)
+    model = (MarkovGibbsModel(potential=rng.uniform(-1.0, 1.0, (m, m)))
+             if markov else random_bernoulli(rng, m))
+    return AffineIFS(maps=tuple(mats)), model
+
+
+@pytest.mark.parametrize("markov", [False, True], ids=["bernoulli", "markov"])
+@pytest.mark.parametrize("dim, sheared", [
+    (1, False), (2, False), (2, True), (3, False), (3, True),
+], ids=["dim1", "dim2", "dim2-sheared", "dim3", "dim3-sheared"])
+def test_prefix_table_changes_no_bit(dim, sheared, markov):
+    # A chunk evaluates the first J levels once per word of length J and
+    # gathers each point's row; positions must be the per-point series'
+    # bits at every table depth, J = 0 (1 point) included, and at depths
+    # K = 1, J, J + 1 and 30.
+    rng = np.random.default_rng(dim * 4 + sheared * 2 + markov)
+    for m in (2, 3, 5):
+        ifs, model = _series_system(rng, dim, m, sheared, markov)
+        for count in (1, 2 * m - 1, 97, 5000):
+            J = _prefix_depth(m, count, 30)
+            _check_series(ifs, model, count,
+                          sorted({1, max(J, 1), J + 1, 30}))
+
+
+@pytest.mark.parametrize("sheared, markov", [(False, False), (True, True)],
+                         ids=["diagonal-bernoulli", "sheared-markov"])
+def test_prefix_table_of_255_maps_changes_no_bit(sheared, markov):
+    # 255 maps in one 50,000-point chunk: a table of the 255 one-symbol
+    # words.
+    assert _prefix_depth(255, 50_000, 30) == 1
+    ifs, model = _series_system(np.random.default_rng(255), 2, 255,
+                                sheared, markov)
+    _check_series(ifs, model, 50_000, [1, 2, 30])
+
+
+def test_cloud_chunk_peak_memory():
+    # The prefix table's rows are gathered into the buffers the per-point
+    # levels use, so no second copy of the chunk's states is held.
+    ifs = diag_ifs([0.45, 0.40], [0.40, 0.35], [0.35, 0.30])
+    model = BernoulliModel(probs=(0.40, 0.35, 0.25))
+    fld = DisplacementField(seed=7)
+    key = crng.derive_key(fld.seed, sampler._WORD_LABEL)
+    sampler._cloud_chunk(ifs, model, fld, 0, 500, 40, key)  # warm-up
+    tracemalloc.start()
+    try:
+        words, positions = sampler._cloud_chunk(ifs, model, fld, 0, 50_000,
+                                                40, key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (words.nbytes + positions.nbytes)
 
 
 def test_one_sheared_map_takes_general_series(monkeypatch):
