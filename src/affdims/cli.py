@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -489,9 +488,9 @@ def _ladder_r_min(cfg, ifs):
     return r0 * est["rho"] ** est["rungs"]
 
 
-def _sample(cfg, out_dir, threads):
-    """Sample and write the cloud; returns (payload, the Cloud itself)."""
-    ifs, model = build_system(cfg)
+def _sample(cfg, ifs, model, out_dir, threads):
+    """Sample and write the cloud; returns (payload, its positions): the
+    words, which estimation does not read, die here."""
     fld = DisplacementField(
         seed=cfg["run"]["seed"],
         region_radius=cfg["ifs"]["region_radius"],
@@ -524,22 +523,22 @@ def _sample(cfg, out_dir, threads):
         "cloud_path": str(cloud_path),
         "cloud_sha256": digest,
         "warnings": warnings,
-    }, cloud
+    }, cloud.positions
 
 
 def cmd_sample(cfg, out_dir, args):
-    return _sample(cfg, out_dir, args.threads)[0]
+    return _sample(cfg, *build_system(cfg), out_dir, args.threads)[0]
 
 
-def _estimate_payload(cfg, cloud, out_dir, threads):
+def _estimate_payload(cfg, positions, out_dir, threads):
     est = cfg["estimate"]
-    dim = cloud.positions.shape[1]
+    n, dim = positions.shape
     r0 = est["r0"] if est["r0"] > 0 else None
     forms = [est["form"]] if est["form"] != "both" \
         else ["mesh", "correlation"]
     # Every ladder in one pass: one tree and one count per rung for all q.
     ladders = build_ladders(
-        cloud, est["q"], forms, r0=r0, rho=est["rho"], rungs=est["rungs"],
+        positions, est["q"], forms, r0=r0, rho=est["rho"], rungs=est["rungs"],
         min_occupied=est["min_occupied"], min_per_cube=est["min_per_cube"],
         threads=threads,
     )
@@ -568,7 +567,7 @@ def _estimate_payload(cfg, cloud, out_dir, threads):
             row["forms_agree"] = bool(gap <= max(tol, 1e-12))
         estimates.append(row)
     _write_text(out_dir, "plot_ladder.py", _PLOT_SCRIPT)
-    return {"dim": dim, "n": len(cloud), "estimates": estimates}
+    return {"dim": dim, "n": n, "estimates": estimates}
 
 
 def cmd_estimate(cfg, out_dir, args):
@@ -577,29 +576,28 @@ def cmd_estimate(cfg, out_dir, args):
         raise ConfigError(
             "[estimate] cloud: no cloud file; set it or pass --reuse-cloud"
         )
-    return _estimate_payload(cfg, read_cloud(path), out_dir, args.threads)
+    return _estimate_payload(cfg, read_cloud(path).positions, out_dir,
+                             args.threads)
 
 
 def cmd_verify(cfg, out_dir, args):
     ifs, model = build_system(cfg)
     sol = cfg["solve"]
     if args.reuse_cloud:
-        cloud = read_cloud(args.reuse_cloud)
-        if cloud.dim != ifs.dim:
+        positions = read_cloud(args.reuse_cloud).positions
+        if positions.shape[1] != ifs.dim:
             raise ConfigError(
-                f"{args.reuse_cloud}: the cloud has dimension {cloud.dim}, "
-                f"but [ifs] dim = {ifs.dim}"
+                f"{args.reuse_cloud}: the cloud has dimension "
+                f"{positions.shape[1]}, but [ifs] dim = {ifs.dim}"
             )
-        sample_payload = {"reused": str(args.reuse_cloud), "n": len(cloud)}
+        sample_payload = {"reused": str(args.reuse_cloud), "n": len(positions)}
     # One table for every q, let go before any cloud; its build checks k_max.
     theory = _Levels(ifs, model, sol["k_max"] or None).solve_many(
         cfg["estimate"]["q"], sol["tol"])
     if not args.reuse_cloud:
-        sample_payload, cloud = _sample(cfg, out_dir, args.threads)
-        # Estimation reads positions only; keeping the words would add
-        # n * depth bytes to the run's peak memory.
-        cloud = replace(cloud, words=np.zeros((len(cloud), 0), np.uint8))
-    est_payload = _estimate_payload(cfg, cloud, out_dir, args.threads)
+        sample_payload, positions = _sample(cfg, ifs, model, out_dir,
+                                            args.threads)
+    est_payload = _estimate_payload(cfg, positions, out_dir, args.threads)
     rows = []
     for entry, res in zip(est_payload["estimates"], theory):
         q = entry["q"]

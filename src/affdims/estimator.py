@@ -67,20 +67,12 @@ def _cube_counts(pos, r, bounds):
 
 
 def _diameter(extents):
-    """Euclidean length of extents, which may square past the float range.
-
-    Where the plain norm overflows, it is taken of the extents over a power
-    of two at least their largest, times that power, which is exact.  The
-    scaling is by np.ldexp, so a power of two past the float range (the
-    largest extent at 2^1023 or above) is never formed.
-    """
+    """Euclidean length of extents, taken exactly as 2^e times that of
+    extents / 2^e, e with the largest extent in [2^(e-1), 2^e): no square
+    overflows, and none that shows in the sum underflows."""
     extents = np.asarray(extents, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        r = float(np.linalg.norm(extents))
-        if r == np.inf:
-            e = int(np.frexp(extents.max())[1])
-            r = float(np.ldexp(np.linalg.norm(np.ldexp(extents, -e)), e))
-    return r
+    e = int(np.frexp(extents.max())[1])
+    return float(np.ldexp(np.linalg.norm(np.ldexp(extents, -e)), e))
 
 
 def _check_radius(r):
@@ -117,12 +109,24 @@ def _falling_moment(counts, n, q):
     return float(np.mean(np.clip(est, 0.0, None)))
 
 
-def _kd_tree(pos):
+def _ball_counter(pos, bounds):
+    """counts(r, threads) of the points within r of each point of pos.
+
+    The k-d tree holds pos / 2^e and is queried at r / 2^e, which is exact,
+    e as in _diameter of bounds = _bounds(pos) (raised where a coordinate is
+    2^1000 times the largest extent, so the points stay finite): the counts
+    do not depend on the cloud's scale, and no squared distance overflows.
+    """
     # Imported here: scipy.spatial takes longer to load than the rest of
     # the package, and only the correlation form needs it.
     from scipy.spatial import cKDTree
 
-    return cKDTree(pos)
+    e = int(np.frexp(max(np.max(bounds[1] - bounds[0]),
+                         np.max(np.abs(bounds)) * 2.0 ** -1000))[1])
+    tree = cKDTree(np.ldexp(pos, -e))
+    return lambda r, threads=1: tree.query_ball_point(
+        tree.data, float(np.ldexp(r, -e)), return_length=True,
+        workers=threads)
 
 
 def mesh_moment_sum(points, r, q):
@@ -151,8 +155,7 @@ def correlation_integral(points, r, q):
     n = pos.shape[0]
     _check_radius(r)
     _check_q(q, "correlation", n)
-    counts = _kd_tree(pos).query_ball_point(pos, r, return_length=True)
-    return _falling_moment(counts, n, int(q))
+    return _falling_moment(_ball_counter(pos, _bounds(pos))(r), n, int(q))
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,7 @@ class MomentLadder:
         return sum(1 for u in self.usable if u)
 
 
-def _rung(pos, bounds, tree, r, entries, threads):
+def _rung(pos, bounds, ball_counts, r, entries, threads):
     """(occupied cubes, one sum per (q, form) entry) at radius r.
 
     The r-mesh is counted once for every entry and the r-balls at most
@@ -180,8 +183,7 @@ def _rung(pos, bounds, tree, r, entries, threads):
     """
     n = pos.shape[0]
     cubes = _cube_counts(pos, r, bounds)
-    balls = None if tree is None else \
-        tree.query_ball_point(pos, r, return_length=True, workers=threads)
+    balls = None if ball_counts is None else ball_counts(r, threads)
     return cubes.size, [
         _mesh_sum(cubes, n, q) if form == "mesh"
         else _falling_moment(balls, n, int(q))
@@ -211,9 +213,7 @@ def build_ladders(points, qs, forms=("mesh",), r0=None, rho=0.5, rungs=12,
         raise InvalidInputError(f"need at least 3 rungs, got {rungs}")
     bounds = _bounds(pos)
     if r0 is None:
-        r0 = _diameter(bounds[1] - bounds[0])
-        if r0 == 0.0:
-            r0 = 1.0
+        r0 = _diameter(bounds[1] - bounds[0]) or 1.0
     radii = [r0 * rho ** level for level in range(1, rungs + 1)]
     for r in radii:
         _check_radius(r)
@@ -226,11 +226,11 @@ def build_ladders(points, qs, forms=("mesh",), r0=None, rho=0.5, rungs=12,
         for form in row or forms:
             _check_q(q, form, n)
         entries.extend((i, q, form) for form in row)
-    tree = _kd_tree(pos) if any(f == "correlation" for _, _, f in entries) \
-        else None
+    ball_counts = _ball_counter(pos, bounds) \
+        if any(f == "correlation" for _, _, f in entries) else None
     occupied, sums = [], [[] for _ in entries]
     for r in radii:
-        occ, values = _rung(pos, bounds, tree, r, entries, threads)
+        occ, values = _rung(pos, bounds, ball_counts, r, entries, threads)
         occupied.append(occ)
         for col, val in zip(sums, values):
             col.append(val)

@@ -295,7 +295,9 @@ def attractor_radius(ifs, region_radius):
 
 
 def default_depth(ifs, region_radius, r_min):
-    """Smallest K whose truncation bound is below r_min / 10."""
+    """Smallest K whose truncation bound is below r_min / 10.  The CLI's
+    r_min takes 2 * attractor_radius for an automatic r0, more than the
+    cloud's diagonal, so the bound may pass a tenth of its finest rung."""
     _, a_plus = contraction_bounds(ifs)
     K = 1
     while truncation_tail(a_plus, region_radius, ifs.dim, K) >= r_min / 10.0:

@@ -260,44 +260,58 @@ def test_cloud_sha256_pinned(tmp_path, capsys, text, threads, digest):
 
 def test_verify_scales_with_region_radius_past_squared_range(
         tmp_path, capsys, recwarn):
-    # At 2^520 the bounding-box diagonal squares past the float range.
-    # Points, bounds and radii all scale by exactly 2^520, so the counts
-    # are those of region_radius = 1.
-    runs = []
-    for radius in (1.0, 2.0 ** 520):
-        path = tmp_path / "run.ini"
-        path.write_text(
-            "[ifs]\ndim = 2\n" + _ACCEPTANCE_4_MAPS
-            + f"region_radius = {radius!r}\n[measure]\ntype = bernoulli\n"
-            "probs = 0.40 0.35 0.25\n[sample]\nn = 20000\n[estimate]\nq = 2\n")
-        out = tmp_path / f"out{len(runs)}"
-        code, stdout, _ = run_cli(capsys, "verify", "--config", str(path),
-                                  "--out", str(out), "--seed", "3")
-        assert code == 0
-        lines = (out / "ladder_mesh_q2.csv").read_text().splitlines()[1:]
-        runs.append((json.loads(stdout)["payload"]["comparison"][0],
-                     [line.split(",") for line in lines]))
-    (small, small_rungs), (big, big_rungs) = runs
-    assert [r[1:] for r in big_rungs] == [r[1:] for r in small_rungs]
-    assert [float(r[0]) for r in big_rungs] == [
-        float(r[0]) * 2.0 ** 520 for r in small_rungs]
-    assert big["empirical"] == pytest.approx(small["empirical"], rel=1e-12)
+    # At 2^520 the bounding-box diagonal and the squared distances square
+    # past the float range; at 2^-530 they square below its normal
+    # numbers.  Points, bounds and radii all scale by exactly 2^k, so the
+    # counts and sums of both ladder forms are those of region_radius = 1.
+    for form, forms in (("mesh", ["mesh"]), ("both", ["mesh", "correlation"])):
+        runs = []
+        for k in (0, 520, -530):
+            path = tmp_path / "run.ini"
+            path.write_text(
+                "[ifs]\ndim = 2\n" + _ACCEPTANCE_4_MAPS
+                + f"region_radius = {math.ldexp(1.0, k)!r}\n[measure]\n"
+                "type = bernoulli\nprobs = 0.40 0.35 0.25\n[sample]\n"
+                f"n = 20000\n[estimate]\nq = 2\nform = {form}\n")
+            out = tmp_path / f"out_{form}{k}"
+            code, stdout, _ = run_cli(capsys, "verify", "--config", str(path),
+                                      "--out", str(out), "--seed", "3")
+            assert code == 0
+            rows = json.loads(stdout)["payload"]["comparison"]
+            assert [r["form"] for r in rows] == forms
+            runs.append((k, rows, {f: [line.split(",") for line in (
+                out / f"ladder_{f}_q2.csv").read_text().splitlines()[1:]]
+                for f in forms}))
+        _, unit_rows, unit_ladders = runs[0]
+        for k, rows, ladders in runs[1:]:
+            for f in forms:
+                assert [r[1:] for r in ladders[f]] == \
+                    [r[1:] for r in unit_ladders[f]]
+                assert [float(r[0]) for r in ladders[f]] == [
+                    math.ldexp(float(r[0]), k) for r in unit_ladders[f]]
+            for row, unit in zip(rows, unit_rows):
+                assert row["empirical"] == pytest.approx(unit["empirical"],
+                                                         rel=1e-12)
     assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
 @pytest.mark.parametrize("seed", ["1", "4"])
 def test_verify_at_region_radius_near_float_range(tmp_path, capsys, seed):
     # The attractor's diameter, about 5.1 * 3e307, is finite; the
-    # bounding box's diagonal squares past the float range.
-    path = tmp_path / "run.ini"
-    path.write_text(
-        "[ifs]\ndim = 2\n" + _ACCEPTANCE_4_MAPS
-        + "region_radius = 3e307\n[measure]\ntype = bernoulli\n"
-        "probs = 0.40 0.35 0.25\n[sample]\nn = 20000\n[estimate]\nq = 2\n")
-    code, stdout, _ = run_cli(capsys, "verify", "--config", str(path),
-                              "--out", str(tmp_path / "out"), "--seed", seed)
-    assert code == 0
-    assert json.loads(stdout)["payload"]["comparison"]
+    # bounding box's diagonal and the squared distances square past the
+    # float range.
+    for form, rows in (("mesh", 1), ("both", 2)):
+        path = tmp_path / "run.ini"
+        path.write_text(
+            "[ifs]\ndim = 2\n" + _ACCEPTANCE_4_MAPS
+            + "region_radius = 3e307\n[measure]\ntype = bernoulli\n"
+            "probs = 0.40 0.35 0.25\n[sample]\nn = 20000\n[estimate]\n"
+            f"q = 2\nform = {form}\n")
+        code, stdout, _ = run_cli(capsys, "verify", "--config", str(path),
+                                  "--out", str(tmp_path / form),
+                                  "--seed", seed)
+        assert code == 0
+        assert len(json.loads(stdout)["payload"]["comparison"]) == rows
 
 
 def test_verify_smoke(tmp_path, capsys):
@@ -1009,6 +1023,16 @@ def test_readme_config_resolves_verbatim(tmp_path):
     cfg = resolve_config(path)
     assert cfg["measure"] == {"type": "bernoulli",
                               "probs": [0.40, 0.35, 0.25]}
+
+
+def test_readme_library_example_runs_verbatim(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    theory, empirical, gap = map(float, capsys.readouterr().out.split())
+    # Acceptance 4's system, whose d_2 is 1.16934 to five places.
+    assert theory == pytest.approx(1.16934, abs=1e-4)
+    assert gap == empirical - min(theory, 2.0)
 
 
 def test_readme_config_markov_variant(tmp_path):

@@ -72,6 +72,15 @@ def test_correlation_integral_two_separated_clusters():
     # P(pair within r) = (6*5 + 4*3) / (10*9)
     want = (6 * 5 + 4 * 3) / (n * (n - 1))
     assert correlation_integral(pts, 1.0, 2) == pytest.approx(want)
+    # Points and radius 2^k times larger count the same pairs, also where
+    # their squared distances pass the float range.
+    for k in (520, -520):
+        assert correlation_integral(np.ldexp(pts, k), np.ldexp(1.0, k), 2) \
+            == correlation_integral(pts, 1.0, 2)
+    # A constant column far from the origin, against which the clusters'
+    # extent is tiny, still counts them.
+    far = np.column_stack([np.full(n, 1e300), pts[:, 0] * 1e-10])
+    assert correlation_integral(far, 1e-10, 2) == pytest.approx(want)
 
 
 def test_correlation_integral_validation():
@@ -185,6 +194,9 @@ def test_diameter_of_extents_past_two_to_the_1023():
     assert _diameter((1e308, 1e307)) == float(np.hypot(1e308, 1e307))
     assert _diameter(np.array([3.0, 4.0])) == 5.0
     assert _diameter((3.0 * 2.0 ** 600, 4.0 * 2.0 ** 600)) == 5.0 * 2.0 ** 600
+    # Squares below the normal range: the plain norm would be 0.
+    assert _diameter((3.0 * 2.0 ** -600, 4.0 * 2.0 ** -600)) \
+        == 5.0 * 2.0 ** -600
 
 
 def test_build_ladder_validation():
