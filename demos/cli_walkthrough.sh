@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# End-to-end command line walkthrough: solve, sample, estimate, verify.
+# End-to-end command line walkthrough: solve, sample, estimate (and its
+# rerun from the run's own resolved config), verify.
 set -euo pipefail
 
 workdir=$(mktemp -d)
@@ -42,9 +43,16 @@ affdims sample --config "$cfg" --out "$workdir/out" --threads 4 \
 
 echo
 echo "== estimate: empirical dimension from the saved cloud =="
-affdims estimate --config "$cfg" --out "$workdir/out" \
+affdims estimate --config "$cfg" --out "$workdir/estimate" \
     --reuse-cloud "$workdir/out/cloud.txt" \
     | grep -E '"(value|stderr|usable_rungs)"'
+
+echo
+echo "== estimate again, from its own resolved config alone =="
+affdims estimate --config "$workdir/estimate/resolved_config.json" \
+    --out "$workdir/rerun" > /dev/null
+cmp "$workdir/estimate/ladder_mesh_q2.csv" "$workdir/rerun/ladder_mesh_q2.csv"
+echo "rerun ladder identical: ladder_mesh_q2.csv"
 
 echo
 echo "== verify: theory vs estimate in one shot =="

@@ -9,9 +9,9 @@ verify       solve + sample + estimate, with per-q discrepancies
 multienergy  multienergy estimates, product-bound survey, decay check
 
 Configs are plain INI-style text with [section] headers, or a JSON file
-with the same nesting.  Every run writes the fully resolved config (all
-defaults filled in) next to its outputs, plus a machine-readable result
-record; reruns from those two files reproduce the run.
+with the same nesting.  Every run writes the fully resolved config (every
+default and flag filled in) next to its outputs, plus a machine-readable
+result record; a rerun from the resolved config reproduces the run.
 
 Exit codes: 0 success, 2 config or input error, 3 resource limit,
 4 insufficient data, 5 no root found, 1 anything unexpected.
@@ -244,11 +244,12 @@ def _check_range(section, key, value, where):
                               f"got {v!r}")
 
 
-def resolve_config(path, seed=None, out=None):
+def resolve_config(path, seed=None, out=None, cloud=None):
     """Parse a config file and fill in every default.
 
-    The returned dict is the complete run description; it is what gets
-    archived next to the outputs and hashed into result records.
+    seed, out and cloud override [run] seed, [run] out and [estimate]
+    cloud.  The returned dict is the complete run description; it is what
+    gets archived next to the outputs and hashed into result records.
     """
     raw = _load_raw(path)
     for section in raw:
@@ -289,12 +290,14 @@ def resolve_config(path, seed=None, out=None):
                                   f"integer q, got {values['q']}")
         if block:
             raise ConfigError(f"[{section}] {next(iter(block))}: unknown key")
-    _check_diameter(cfg)
+    _check_scales(cfg)
     if seed is not None:
         cfg["run"]["seed"] = int(seed)
         _check_range("run", "seed", cfg["run"]["seed"], "--seed")
     if out is not None:
         cfg["run"]["out"] = str(out)
+    if cloud is not None:
+        cfg["estimate"]["cloud"] = str(cloud)
     return cfg
 
 
@@ -308,15 +311,19 @@ def _build_ifs(cfg):
     return AffineIFS(maps=tuple(maps))
 
 
-def _check_diameter(cfg):
+def _check_scales(cfg):
     """A cloud's points and extents and the automatic r0 are bounded by
-    the attractor's diameter, so a region_radius that puts it past the
-    float range is rejected here rather than overflowing mid-run."""
+    the attractor's diameter: a region_radius that puts it past the float
+    range, or a finest ladder radius of 0, is rejected before any work."""
+    ifs = _build_ifs(cfg)
     radius = cfg["ifs"]["region_radius"]
-    if not math.isfinite(2.0 * attractor_radius(_build_ifs(cfg), radius)):
+    if not math.isfinite(2.0 * attractor_radius(ifs, radius)):
         raise ConfigError(
             f"[ifs] region_radius: {radius!r} puts the attractor's "
             "diameter past the float range")
+    if not _ladder_r_min(cfg, ifs) > 0:
+        raise ConfigError("[estimate] r0, rho, rungs: the finest ladder "
+                          "radius r0 * rho^rungs is 0")
 
 
 def build_system(cfg):
@@ -441,7 +448,7 @@ def _scan_grid(sol):
         ) from exc
 
 
-def cmd_solve(cfg, out_dir, args):
+def cmd_solve(cfg, out_dir, threads):
     ifs, model = build_system(cfg)
     sol = cfg["solve"]
     grid = _scan_grid(sol) if sol["scan"] else None
@@ -526,8 +533,8 @@ def _sample(cfg, ifs, model, out_dir, threads):
     }, cloud.positions
 
 
-def cmd_sample(cfg, out_dir, args):
-    return _sample(cfg, *build_system(cfg), out_dir, args.threads)[0]
+def cmd_sample(cfg, out_dir, threads):
+    return _sample(cfg, *build_system(cfg), out_dir, threads)[0]
 
 
 def _estimate_payload(cfg, positions, out_dir, threads):
@@ -570,34 +577,36 @@ def _estimate_payload(cfg, positions, out_dir, threads):
     return {"dim": dim, "n": n, "estimates": estimates}
 
 
-def cmd_estimate(cfg, out_dir, args):
-    path = args.reuse_cloud or cfg["estimate"]["cloud"]
+def _reused_positions(cfg):
+    """The positions of the cloud [estimate] cloud names, of [ifs] dim."""
+    path, dim = cfg["estimate"]["cloud"], cfg["ifs"]["dim"]
     if not path:
-        raise ConfigError(
-            "[estimate] cloud: no cloud file; set it or pass --reuse-cloud"
-        )
-    return _estimate_payload(cfg, read_cloud(path).positions, out_dir,
-                             args.threads)
+        raise ConfigError("[estimate] cloud: no cloud file; set it or pass "
+                          "--reuse-cloud")
+    positions = read_cloud(path).positions
+    if positions.shape[1] != dim:
+        raise ConfigError(f"{path}: the cloud has dimension "
+                          f"{positions.shape[1]}, but [ifs] dim = {dim}")
+    return positions
 
 
-def cmd_verify(cfg, out_dir, args):
+def cmd_estimate(cfg, out_dir, threads):
+    return _estimate_payload(cfg, _reused_positions(cfg), out_dir, threads)
+
+
+def cmd_verify(cfg, out_dir, threads):
     ifs, model = build_system(cfg)
     sol = cfg["solve"]
-    if args.reuse_cloud:
-        positions = read_cloud(args.reuse_cloud).positions
-        if positions.shape[1] != ifs.dim:
-            raise ConfigError(
-                f"{args.reuse_cloud}: the cloud has dimension "
-                f"{positions.shape[1]}, but [ifs] dim = {ifs.dim}"
-            )
-        sample_payload = {"reused": str(args.reuse_cloud), "n": len(positions)}
+    reused = cfg["estimate"]["cloud"]
+    if reused:
+        positions = _reused_positions(cfg)
+        sample_payload = {"reused": reused, "n": len(positions)}
     # One table for every q, let go before any cloud; its build checks k_max.
     theory = _Levels(ifs, model, sol["k_max"] or None).solve_many(
         cfg["estimate"]["q"], sol["tol"])
-    if not args.reuse_cloud:
-        sample_payload, positions = _sample(cfg, ifs, model, out_dir,
-                                            args.threads)
-    est_payload = _estimate_payload(cfg, positions, out_dir, args.threads)
+    if not reused:
+        sample_payload, positions = _sample(cfg, ifs, model, out_dir, threads)
+    est_payload = _estimate_payload(cfg, positions, out_dir, threads)
     rows = []
     for entry, res in zip(est_payload["estimates"], theory):
         q = entry["q"]
@@ -621,7 +630,7 @@ def cmd_verify(cfg, out_dir, args):
     }
 
 
-def cmd_multienergy(cfg, out_dir, args):
+def cmd_multienergy(cfg, out_dir, threads):
     ifs, model = build_system(cfg)
     me = cfg["multienergy"]
     s, q, k_max = me["s"], me["q"], me["decay_k_max"]
@@ -670,9 +679,9 @@ def cmd_multienergy(cfg, out_dir, args):
 # ---------------------------------------------------------------------------
 # Entry point.
 
-# Command name -> (command, whether it takes --reuse-cloud).  A command
-# takes (cfg, out_dir, args), writes its files through _out_file and
-# returns its payload.
+# Command name -> (command, whether it takes --reuse-cloud, which sets
+# [estimate] cloud).  A command takes (cfg, out_dir, threads), writes its
+# files through _out_file and returns its payload.
 _COMMANDS = {
     "solve": (cmd_solve, False),
     "sample": (cmd_sample, False),
@@ -707,10 +716,11 @@ def run_command(args):
     if not 1 <= args.threads <= _MAX_THREADS:
         raise ConfigError(f"--threads: need 1 to {_MAX_THREADS}, "
                           f"got {args.threads}")
-    cfg = resolve_config(args.config, seed=args.seed, out=args.out)
+    cfg = resolve_config(args.config, seed=args.seed, out=args.out,
+                         cloud=getattr(args, "reuse_cloud", None))
     out_dir = _out_dir(cfg)
     started = time.perf_counter()
-    payload = _COMMANDS[args.command][0](cfg, out_dir, args)
+    payload = _COMMANDS[args.command][0](cfg, out_dir, args.threads)
     record = {
         "command": args.command,
         "config_hash": config_hash(cfg),

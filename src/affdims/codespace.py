@@ -31,7 +31,7 @@ import numpy as np
 from .errors import InvalidInputError, ResourceLimitError
 from .linalg import _extend_products, compose, phi_s, singular_values_stack
 
-_MAX_CUT_SIZE = 250_000  # cut-set words, kept plus pending, per descent
+_MAX_WORDS = 250_000  # per solver level, and kept plus pending per descent
 _MAX_JOIN_LEVELS = 6  # join points count_join_configurations accepts
 _MAX_JOIN_DEPTH = 8  # deepest join level count_join_configurations accepts
 
@@ -195,9 +195,9 @@ def _cut_set_products(ifs, s, r):
     mats, logdet = np.eye(ifs.dim)[np.newaxis], np.zeros(1)
     out, kept = [], 0
     while len(words):
-        if kept + m * len(words) > _MAX_CUT_SIZE:
+        if kept + m * len(words) > _MAX_WORDS:
             raise ResourceLimitError(
-                f"cut set for r={r} exceeds budget of {_MAX_CUT_SIZE} words"
+                f"cut set for r={r} exceeds budget of {_MAX_WORDS} words"
             )
         words = np.column_stack(
             [np.repeat(words, m, axis=0), np.tile(symbols, len(words))])

@@ -26,14 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codespace import _cut_set_products
+from .codespace import _MAX_WORDS, _cut_set_products
 from .errors import InvalidInputError, NoRootError, ResourceLimitError
 from .linalg import _extend_products, log_phi_stack, singular_values_stack
 from .measures import (BernoulliModel, _check_model, log_prob_tables,
                        product_ratio_bounds)
 from .numerics import _logsumexp_into, logsumexp
 
-_SOLVER_MAX_TERMS = 250_000
 _CUT_RHO = 0.5  # d_q_plus_cutset's radius ratio between cut-set levels
 
 
@@ -48,13 +47,13 @@ def _check_levels(m, k_max):
     Raises unless the m^k_max words of the deepest level fit the budget.
     """
     if k_max is None:
-        k_max = max(1, int(math.log(_SOLVER_MAX_TERMS) / math.log(m)))
+        k_max = max(1, int(math.log(_MAX_WORDS) / math.log(m)))
     if k_max < 1:
         raise InvalidInputError(f"k_max must be >= 1, got {k_max}")
-    if m ** k_max > _SOLVER_MAX_TERMS:
+    if m ** k_max > _MAX_WORDS:
         raise ResourceLimitError(
             f"level {k_max} holds {m ** k_max} words, over the "
-            f"budget of {_SOLVER_MAX_TERMS}"
+            f"budget of {_MAX_WORDS}"
         )
     return k_max
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dimsolver import _check_q as _check_moment_q
 from .errors import InsufficientDataError, InvalidInputError
 from .numerics import fit_line
 
@@ -75,16 +76,20 @@ def _diameter(extents):
     return float(np.ldexp(np.linalg.norm(np.ldexp(extents, -e)), e))
 
 
-def _check_radius(r):
+def _check_radius(r, bounds=None):
+    """Raises unless r > 0 is finite and, given a cloud's bounds, every cell
+    index floor(x / r) is below 2^62 in size, so hi - lo + 1 fits int64."""
     if not 0 < r < np.inf:
         raise InvalidInputError(
             f"radius must be positive and finite, got r={r}")
+    if bounds is not None and np.max(np.abs(bounds)) / r >= 2.0 ** 62:
+        raise InvalidInputError(f"radius r={r} is too fine for the mesh: "
+                                "a cell index reaches 2^62")
 
 
 def _check_q(q, form, n):
     if form == "mesh":
-        if not q > 1:
-            raise InvalidInputError(f"mesh moments need q > 1, got q={q}")
+        _check_moment_q(q)
     elif form == "correlation":
         if not float(q).is_integer() or q < 2:
             raise InvalidInputError(
@@ -132,14 +137,17 @@ def _ball_counter(pos, bounds):
 def mesh_moment_sum(points, r, q):
     """M_r(q): sum of (cube mass)^q over occupied origin-anchored r-cubes."""
     pos = _positions(points)
-    _check_radius(r)
+    bounds = _bounds(pos)
+    _check_radius(r, bounds)
     _check_q(q, "mesh", pos.shape[0])
-    return _mesh_sum(_cube_counts(pos, r, _bounds(pos)), pos.shape[0], q)
+    return _mesh_sum(_cube_counts(pos, r, bounds), pos.shape[0], q)
 
 
 def occupied_cubes(points, r):
     pos = _positions(points)
-    return int(_cube_counts(pos, r, _bounds(pos)).size)
+    bounds = _bounds(pos)
+    _check_radius(r, bounds)
+    return int(_cube_counts(pos, r, bounds).size)
 
 
 def correlation_integral(points, r, q):
@@ -216,7 +224,7 @@ def build_ladders(points, qs, forms=("mesh",), r0=None, rho=0.5, rungs=12,
         r0 = _diameter(bounds[1] - bounds[0]) or 1.0
     radii = [r0 * rho ** level for level in range(1, rungs + 1)]
     for r in radii:
-        _check_radius(r)
+        _check_radius(r, bounds)
     entries = []  # (index into qs, q, form) in the order of the result
     for i, q in enumerate(qs):
         row = [f for f in forms

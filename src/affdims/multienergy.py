@@ -37,7 +37,7 @@ from .errors import (
 from .linalg import compose, log_phi_stack, phi_s
 from .measures import _check_symbols, draw_words, sample_words
 from .numerics import fit_line
-from .sampler import _project_block
+from .sampler import _add_levels
 
 _MC_LABEL = "multienergy/mc"
 _TRANS_LABEL = "multienergy/transversality"
@@ -501,8 +501,10 @@ def simulate_transversality(ifs, fld, u, v, s, trials):
 
     def positions(word):
         words = np.tile(np.asarray(word, dtype=np.uint8), (trials, 1))
-        states = crng.offset_states(key, idx)
-        return _project_block(ifs, states, words, fld.region_radius)
+        pos = np.zeros((trials, ifs.dim))
+        _add_levels(ifs, crng.offset_states(key, idx), words,
+                    fld.region_radius, pos)
+        return pos
 
     gaps = np.linalg.norm(positions(u) - positions(v), axis=1)
     empirical = float(np.mean(gaps ** (-s)))

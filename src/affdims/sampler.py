@@ -124,30 +124,26 @@ def project(ifs, fld, word, K):
     )
 
 
-def _unit_prefix(ifs, count):
-    """Prefix products of the empty word, one per point.
-
-    When every map is diagonal they are kept as one column per coordinate:
-    the full products' off-diagonal terms are exact zeros, so positions
-    are bitwise the same either way.
-    """
-    mats = ifs.matrix_stack()
-    if not mats[:, ~np.eye(ifs.dim, dtype=bool)].any():
-        return np.ones((count, ifs.dim))
-    return np.broadcast_to(np.eye(ifs.dim), (count, ifs.dim, ifs.dim)).copy()
-
-
-def _add_levels(ifs, states, words, region_radius, pos, prefix, carry):
+def _add_levels(ifs, states, words, region_radius, pos, prefix=None,
+                carry=False):
     """Add the series terms of the levels of `words` to pos, in place.
 
     states, pos and prefix hold each word's counter-stream states, partial
-    position and prefix product after the levels before these; states and
-    a diagonal prefix are updated in place.  The prefix is carried past
-    the last level only when carry is set.  Returns the prefix.
+    position and prefix product after the levels before these, prefix None
+    standing for the empty word's; states and a diagonal prefix are
+    updated in place.  When every map is diagonal, prefix products are
+    kept as one column per coordinate: the full products' off-diagonal
+    terms are exact zeros, so positions are bitwise the same either way.
+    The prefix is carried past the last level only when carry is set.
+    Returns the prefix.
     """
     depth = words.shape[1]
     dim = ifs.dim
     mats = ifs.matrix_stack()
+    if prefix is None and mats[:, ~np.eye(dim, dtype=bool)].any():
+        prefix = np.broadcast_to(np.eye(dim), (len(words), dim, dim)).copy()
+    elif prefix is None:
+        prefix = np.ones((len(words), dim))
     diagonal = prefix.ndim == 2
     diags = [mats[:, c, c] for c in range(dim)]
     omega = np.empty_like(pos)
@@ -173,22 +169,6 @@ def _add_levels(ifs, states, words, region_radius, pos, prefix, carry):
             else:
                 prefix = np.matmul(prefix, mats[maps])
     return prefix
-
-
-def _project_block(ifs, states, words, region_radius):
-    """Vectorized series evaluation for a block of equal-depth words.
-
-    states are the counter-stream states the words' symbols advance, one
-    per word.  They are copied once and the copies advanced in place, so
-    the caller's arrays never change.  region_radius scales the
-    displacements.
-    """
-    count = len(words)
-    states = (states[0].copy(), states[1].copy())
-    pos = np.zeros((count, ifs.dim))
-    _add_levels(ifs, states, words, region_radius, pos,
-                _unit_prefix(ifs, count), carry=False)
-    return pos
 
 
 def _cloud_chunk(ifs, model, fld, start, count, K, word_key):
@@ -221,8 +201,7 @@ def _cloud_chunk(ifs, model, fld, start, count, K, word_key):
     table_states = crng.root_states(fld.key(), m ** J)
     table_pos = np.zeros((m ** J, ifs.dim))
     table_prefix = _add_levels(ifs, table_states, table, fld.region_radius,
-                               table_pos, _unit_prefix(ifs, m ** J),
-                               carry=True)
+                               table_pos, carry=True)
     code = np.zeros(count, dtype=np.intp)
     for j in range(J):
         code *= m
@@ -232,8 +211,7 @@ def _cloud_chunk(ifs, model, fld, start, count, K, word_key):
     pos = table_pos.take(code, axis=0)
     prefix = table_prefix.take(code, axis=0)
     del table, table_states, table_pos, table_prefix, code
-    _add_levels(ifs, states, words[:, J:], fld.region_radius, pos, prefix,
-                carry=False)
+    _add_levels(ifs, states, words[:, J:], fld.region_radius, pos, prefix)
     return words, pos
 
 

@@ -535,8 +535,9 @@ def test_malformed_cloud_rejected(tmp_path, capsys, command, text, named):
     assert not out.exists()
 
 
-def test_verify_rejects_cloud_of_another_dimension(tmp_path, capsys,
-                                                    monkeypatch):
+@pytest.mark.parametrize("command", ["estimate", "verify"])
+def test_reused_cloud_of_another_dimension_rejected(tmp_path, capsys,
+                                                    monkeypatch, command):
     # A 3-D cloud against a 2-D system exits 2, naming the file and both
     # dimensions, before any solver work.
     cloud = tmp_path / "cloud3d.txt"
@@ -544,7 +545,7 @@ def test_verify_rejects_cloud_of_another_dimension(tmp_path, capsys,
                      + "0.1 0.2 0.3\n0.4 0.5 0.6\n")
     builds = count_table_builds(monkeypatch)
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, "verify", "--config",
+    code, _, err = run_cli(capsys, command, "--config",
                            str(write_ini(tmp_path)), "--out", str(out),
                            "--reuse-cloud", str(cloud))
     assert code == 2
@@ -552,6 +553,63 @@ def test_verify_rejects_cloud_of_another_dimension(tmp_path, capsys,
     assert "[ifs] dim = 2" in err
     assert not out.exists()
     assert not builds
+
+
+_RERUN_INI = "[sample]\nn = 3000\ndepth = 12\n[estimate]\nq = 2\nrungs = 8\n"
+
+
+def _sampled_cloud(tmp_path, capsys):
+    code, stdout, _ = run_cli(
+        capsys, "sample", "--config", str(write_ini(tmp_path, _RERUN_INI)),
+        "--out", str(tmp_path / "cloud"))
+    assert code == 0
+    return json.loads(stdout)["payload"]["cloud_path"]
+
+
+@pytest.mark.parametrize("command",
+                         ["solve", "sample", "estimate", "verify",
+                          "multienergy"])
+def test_rerun_from_resolved_config_reproduces_payload(tmp_path, capsys,
+                                                       command):
+    # --reuse-cloud is recorded as [estimate] cloud, so a rerun from the
+    # resolved config reads the same cloud; only cloud_path, which names
+    # the output directory, may differ.
+    argv = []
+    if command in ("estimate", "verify"):
+        argv = ["--reuse-cloud", _sampled_cloud(tmp_path, capsys)]
+    payloads = []
+    for config, out in ((write_ini(tmp_path, _RERUN_INI), "out"),
+                        (tmp_path / "out" / "resolved_config.json", "out2")):
+        code, stdout, _ = run_cli(capsys, command, "--config", str(config),
+                                  "--out", str(tmp_path / out), *argv)
+        assert code == 0
+        argv = []
+        payload = json.loads(stdout)["payload"]
+        for block in (payload, payload.get("sample", {})):
+            if "cloud_path" in block:
+                assert block.pop("cloud_path") == str(tmp_path / out
+                                                      / "cloud.txt")
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+
+
+def test_verify_reuses_the_cloud_its_config_names(tmp_path, capsys):
+    # [estimate] cloud in the config serves verify as --reuse-cloud does:
+    # the same payload, and no cloud sampled or written.
+    cloud = _sampled_cloud(tmp_path, capsys)
+    named = write_ini(tmp_path, _RERUN_INI + f"cloud = {cloud}\n",
+                      name="named.ini")
+    runs = [("named", named, []),
+            ("flag", write_ini(tmp_path, _RERUN_INI), ["--reuse-cloud", cloud])]
+    payloads = []
+    for out, config, argv in runs:
+        code, stdout, _ = run_cli(capsys, "verify", "--config", str(config),
+                                  "--out", str(tmp_path / out), *argv)
+        assert code == 0
+        assert not (tmp_path / out / "cloud.txt").exists()
+        payloads.append(json.loads(stdout)["payload"])
+    assert payloads[0]["sample"] == {"reused": cloud, "n": 3000}
+    assert payloads[0] == payloads[1]
 
 
 def test_estimate_q_sharing_a_ladder_file_rejected(tmp_path, capsys):
@@ -774,6 +832,12 @@ def test_markov_config_accepted(tmp_path, capsys):
     ("verify", BASE_INI + "[sample]\nn = 2000\n[estimate]\n"
      "min_per_cube = inf\n", [], "[estimate] min_per_cube"),
     ("verify", BASE_INI, ["--threads", "1000000"], "--threads"),
+    ("verify", BASE_INI + "[sample]\nn = 2000\ndepth = 20\n[estimate]\n"
+     "rungs = 2000\n", [], "[estimate] r0, rho, rungs"),
+    ("sample", BASE_INI + "[sample]\nn = 2000\n[estimate]\nrho = 1e-200\n"
+     "rungs = 3\n", [], "[estimate] r0, rho, rungs"),
+    ("estimate", BASE_INI + "[estimate]\nr0 = 1e-320\n", [],
+     "[estimate] r0, rho, rungs"),
 ], ids=["form", "mode", "threads", "nan-entry", "unknown-solve-key",
         "unknown-ifs-key", "unknown-measure-key", "tol-zero",
         "grid-step-zero", "two-rungs", "rho-above-one", "estimate-q-one",
@@ -782,7 +846,8 @@ def test_markov_config_accepted(tmp_path, capsys):
         "grid-empty", "grid-stop-nan", "grid-too-long", "estimate-q-empty",
         "solve-q-empty", "radius-inf", "sample-diameter-overflow",
         "verify-diameter-overflow", "estimate-diameter-overflow", "r0-nan", "r0-inf",
-        "min-per-cube-nan", "min-per-cube-inf", "threads-past-cap"])
+        "min-per-cube-nan", "min-per-cube-inf", "threads-past-cap",
+        "finest-radius-rungs", "finest-radius-rho", "finest-radius-r0"])
 def test_bad_input_rejected_before_work(tmp_path, capsys, monkeypatch,
                                         command, text, argv, named):
     builds = count_table_builds(monkeypatch)
@@ -1102,13 +1167,13 @@ RUN_FILES_DIGESTS = {
         "sample/cloud.txt": "8895691401de7aba",
         "sample/resolved_config.json": "ac64b0a00a24d473",
         "sample/sample_result.json": "eabfa0dfd24bb067",
-        "estimate/estimate_result.json": "0583c8a338642fbf",
+        "estimate/estimate_result.json": "668ab550a956db27",
         "estimate/ladder_correlation_q2.csv": "db82815931fa0554",
         "estimate/ladder_correlation_q3.csv": "f847354477b578fa",
         "estimate/ladder_mesh_q2.csv": "5c58024e6c9b24bb",
         "estimate/ladder_mesh_q3.csv": "f40a8df26241c043",
         "estimate/plot_ladder.py": "5aa1b50c06d531db",
-        "estimate/resolved_config.json": "ac64b0a00a24d473",
+        "estimate/resolved_config.json": "06ac1cd8d813e728",
         "verify/cloud.txt": "8895691401de7aba",
         "verify/ladder_correlation_q2.csv": "db82815931fa0554",
         "verify/ladder_correlation_q3.csv": "f847354477b578fa",

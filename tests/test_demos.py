@@ -83,9 +83,12 @@ def test_cli_walkthrough_demo_runs(tmp_path):
     })
     digest = "10ea2b08435b639f9a290f5f24015cf963d369656181c5cc406247c10bd39d70"
     assert f'    "cloud_sha256": "{digest}",' in lines
+    # The estimate run records its reused cloud, so its resolved config
+    # alone reruns it to the same ladder.
+    assert "rerun ladder identical: ladder_mesh_q2.csv" in lines
     assert "== verify: theory vs estimate in one shot ==" in lines
-    assert lines[-8:] == [
-        "cloud.txt", "estimate_result.json", "ladder_mesh_q2.csv",
-        "plot_ladder.py", "resolved_config.json", "sample_result.json",
-        "solve_result.json", "verify_result.json",
+    assert lines[-7:] == [
+        "cloud.txt", "ladder_mesh_q2.csv", "plot_ladder.py",
+        "resolved_config.json", "sample_result.json", "solve_result.json",
+        "verify_result.json",
     ]

@@ -16,6 +16,7 @@ from affdims import (
     mesh_moment_sum,
     sample_cloud,
 )
+from affdims import estimator
 from affdims.errors import InsufficientDataError, InvalidInputError
 from affdims.estimator import (
     MomentLadder,
@@ -254,6 +255,20 @@ def test_cube_counts_row_wise_past_packed_keys():
     counts = _cube_counts(pos, r, (lo, hi))
     np.testing.assert_array_equal(counts, _row_wise_counts(pos, r))
     np.testing.assert_array_equal(counts, [1, 3, 2])
+
+
+def test_mesh_radius_whose_cell_index_overflows_rejected(monkeypatch):
+    # floor(x / r) past 2^63 would wrap in the int64 cast: at r = 1e-300
+    # every point fell in one cube, at 1e-19 six cubes merged.  A ladder
+    # whose finest rung is too fine counts no rung.
+    pts = np.random.default_rng(0).uniform(size=(1000, 2))
+    assert occupied_cubes(pts, 2.0 ** -60) == 1000
+    monkeypatch.setattr(estimator, "_cube_counts", None)
+    for call in (lambda: mesh_moment_sum(pts, 1e-300, 2),
+                 lambda: occupied_cubes(pts, 1e-19),
+                 lambda: build_ladder(pts, 2.0, r0=1e-17, rungs=6)):
+        with pytest.raises(InvalidInputError, match=r"r=1\.?\d*e-.*2\^62"):
+            call()
 
 
 @cache

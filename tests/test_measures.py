@@ -330,7 +330,7 @@ _WIDE_CALLS = {
 def test_more_than_255_maps_rejected_before_drawing(monkeypatch, name):
     # Words hold their symbols as uint8, so symbol 256 would wrap to 0.
     monkeypatch.setattr(sampler, "_cloud_chunk", _must_not_run)
-    monkeypatch.setattr(multienergy, "_project_block", _must_not_run)
+    monkeypatch.setattr(multienergy, "_add_levels", _must_not_run)
     monkeypatch.setattr(multienergy, "_log_tables", _must_not_run)
     with pytest.raises(InvalidInputError, match="at most 255 maps"):
         _WIDE_CALLS[name](*_uniform_system(256))
