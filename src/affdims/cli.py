@@ -41,7 +41,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .estimator import build_ladders, estimate_dimension
-from .linalg import AffineIFS, LinearContraction, contraction_bounds
+from .linalg import AffineIFS, LinearContraction
 from .measures import BernoulliModel, MarkovGibbsModel
 from .multienergy import (
     _check_decay,
@@ -147,6 +147,7 @@ _RANGES = {
     ("solve", "q_grid_start"): (1, math.inf),
     ("solve", "q_grid_stop"): (1, math.inf),
     ("solve", "q_grid_step"): (0, math.inf),
+    ("sample", "n"): (0, math.inf),
     ("sample", "depth"): (-1, math.inf),
     ("estimate", "q"): (1, math.inf),
     ("estimate", "rho"): (0, 1),
@@ -314,16 +315,20 @@ def _build_ifs(cfg):
 def _check_scales(cfg):
     """A cloud's points and extents and the automatic r0 are bounded by
     the attractor's diameter: a region_radius that puts it past the float
-    range, or a finest ladder radius of 0, is rejected before any work."""
+    range, or a finest ladder radius of 0, is rejected before any work.
+    So is an explicit r0 whose finest radius is not above the attractor
+    radius times 2^-62, where a mesh cell index would reach 2^62."""
     ifs = _build_ifs(cfg)
     radius = cfg["ifs"]["region_radius"]
-    if not math.isfinite(2.0 * attractor_radius(ifs, radius)):
+    reach = attractor_radius(ifs, radius)
+    if not math.isfinite(2.0 * reach):
         raise ConfigError(
             f"[ifs] region_radius: {radius!r} puts the attractor's "
             "diameter past the float range")
-    if not _ladder_r_min(cfg, ifs) > 0:
+    floor = reach * 2.0 ** -62 if cfg["estimate"]["r0"] > 0 else 0.0
+    if not _ladder_r_min(cfg, ifs) > floor:
         raise ConfigError("[estimate] r0, rho, rungs: the finest ladder "
-                          "radius r0 * rho^rungs is 0")
+                          f"radius r0 * rho^rungs is not above {floor!r}")
 
 
 def build_system(cfg):
@@ -508,18 +513,15 @@ def _sample(cfg, ifs, model, out_dir, threads):
     warnings = []
     if K <= 0:
         K = default_depth(ifs, fld.region_radius, r_min)
-    else:
-        _, a_plus = contraction_bounds(ifs)
-        if truncation_tail(a_plus, fld.region_radius, ifs.dim, K) \
-                >= r_min / 10.0:
-            warning = (f"depth {K} leaves truncation error above a tenth "
-                       f"of the finest ladder radius {r_min!r}")
-            try:
-                warning += ("; suggest depth >= "
-                            f"{default_depth(ifs, fld.region_radius, r_min)}")
-            except ResourceLimitError:
-                pass  # no depth reaches that radius: no suggestion
-            warnings.append(warning)
+    elif truncation_tail(ifs, fld.region_radius, K) >= r_min / 10.0:
+        warning = (f"depth {K} leaves truncation error above a tenth "
+                   f"of the finest ladder radius {r_min!r}")
+        try:
+            warning += ("; suggest depth >= "
+                        f"{default_depth(ifs, fld.region_radius, r_min)}")
+        except ResourceLimitError:
+            pass  # no depth reaches that radius: no suggestion
+        warnings.append(warning)
     cloud = sample_cloud(ifs, model, fld, n, K, threads=threads)
     with _out_file(out_dir, "cloud.txt") as cloud_path:
         digest = write_cloud(cloud_path, cloud)

@@ -177,7 +177,9 @@ class _Levels:
         )
 
     def solve_many(self, qs, tol):
-        """`solve` for every q of qs, the bisections run in lockstep.
+        """Bisect the growth estimate for its root in s for every q of qs:
+        d_q for q > 1, the affinity dimension for q = 0 (where the growth
+        decreases in s).  The bisections run in lockstep.
 
         Each step groups the distinct q's by the s they ask for next and
         evaluates every group with one `log_sums`, so log phi^s is computed
@@ -215,29 +217,16 @@ class _Levels:
                 raise outcome[q]
         return [outcome[q] for q in qs]
 
-    def solve(self, q, tol):
-        """Bisect the growth estimate for its root in s: d_q for q > 1, the
-        affinity dimension for q = 0 (where the growth decreases in s)."""
-        return self.solve_many([q], tol)[0]
-
 
 def _flag_kinks(qs, values, tol):
     """The kink rule of `phase_transition_scan` on solved values."""
     steps = np.diff(qs)
     jumps = np.abs(np.diff(np.diff(values) / steps))
     threshold = 5.0 * (4.0 * tol / steps.min())
-    # One flag per contiguous run above threshold, at the largest jump.
-    kinks = []
-    i = 0
-    while i < jumps.size:
-        if jumps[i] > threshold:
-            j = i
-            while j + 1 < jumps.size and jumps[j + 1] > threshold:
-                j += 1
-            kinks.append(qs[i + int(np.argmax(jumps[i : j + 1])) + 1])
-            i = j + 1
-        else:
-            i += 1
+    # One flag per contiguous run above threshold, at its first largest jump.
+    above = np.flatnonzero(jumps > threshold)
+    runs = np.split(above, np.flatnonzero(np.diff(above) > 1) + 1)
+    kinks = [qs[run[np.argmax(jumps[run])] + 1] for run in runs if run.size]
     return PhaseScan(
         qs=tuple(qs), values=tuple(values), kink_qs=tuple(kinks),
         threshold=float(threshold),
@@ -329,7 +318,7 @@ def d_q_minus(ifs, model, q, tol=1e-4, k_max=None):
     k_max; the bracket narrows to width tol around the root.
     """
     _check_q(q)
-    return _Levels(ifs, model, k_max).solve(q, tol)
+    return _Levels(ifs, model, k_max).solve_many([q], tol)[0]
 
 
 def affinity_dimension(ifs, tol=1e-4, k_max=None):
@@ -341,7 +330,7 @@ def affinity_dimension(ifs, tol=1e-4, k_max=None):
     measure, whose masses drop out at q = 0.
     """
     uniform = BernoulliModel(probs=(1.0 / ifs.m,) * ifs.m)
-    return _Levels(ifs, uniform, k_max).solve(0.0, tol)
+    return _Levels(ifs, uniform, k_max).solve_many([0.0], tol)[0]
 
 
 def dq_identical_selfadjoint(alphas, probs, q):

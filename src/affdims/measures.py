@@ -151,35 +151,45 @@ def pressure(model):
     return float(np.log(model._lambda))
 
 
+def _word(model, word):
+    """The word as a tuple, each symbol checked to lie in 1..m."""
+    word = tuple(word)
+    for sym in word:
+        if not 1 <= sym <= model.m:
+            raise InvalidInputError(f"symbol {sym} outside 1..{model.m}")
+    return word
+
+
 def birkhoff_sum(model, word):
     """S_k f along a word, closing the final term with log h(last symbol).
 
     The k-th term of the orbit sum depends on the symbol after the word
     ends; summing the transfer weights over all continuations replaces it
     by log(lambda h), and the constant lambda is carried by the pressure
-    term, leaving log h of the final symbol.
+    term, leaving log h of the final symbol.  A Bernoulli model is the
+    chain of `pressure`, f(a, b) = log p_b with h = 1, so the sum is
+    that of log p over every symbol but the first.
     """
-    word = tuple(word)
+    word = _word(model, word)
     if not word:
         raise InvalidInputError("need a nonempty word")
-    f = model.potential
+    if isinstance(model, BernoulliModel):
+        f, h = np.log(model.transition_probs()), np.ones(model.m)
+    else:
+        f, h = model.potential, model._h
     total = 0.0
     for a, b in zip(word, word[1:]):
         total += f[a - 1, b - 1]
-    return float(total + np.log(model._h[word[-1] - 1]))
+    return float(total + np.log(h[word[-1] - 1]))
 
 
 def cylinder_mass(model, word):
     """mu(C_i) for a finite word i (1-based symbols)."""
-    word = tuple(word)
+    word = _word(model, word)
     if not word:
         return 1.0
     init = model.initial_probs()
     trans = model.transition_probs()
-    m = model.m
-    for sym in word:
-        if not 1 <= sym <= m:
-            raise InvalidInputError(f"symbol {sym} outside 1..{m}")
     mass = init[word[0] - 1]
     for a, b in zip(word, word[1:]):
         mass *= trans[a - 1, b - 1]

@@ -28,6 +28,7 @@ from .measures import _check_model, _check_symbols, draw_words
 from .linalg import compose, contraction_bounds
 
 _MAX_POINTS = 50_000_000
+_MAX_WORD_BYTES = 2 ** 31  # of the (n, K) uint8 words sample_cloud holds
 _MAX_THREADS = 256  # sample_cloud opens one pool worker per thread
 _WORD_LABEL = "sampler/words"
 _FIELD_LABEL = "sampler/field"
@@ -36,14 +37,15 @@ _HEADER_FIELDS = {"n": int, "dim": int, "seed": int, "depth": int,
                   "region_radius": float, "truncation_bound": float}
 
 
-def truncation_tail(a_plus, region_radius, dim, K):
+def truncation_tail(ifs, region_radius, K):
     """Bound on |Pi - Pi_K|: sum of the dropped series terms.
 
     Each dropped term T_{i|j-1} omega_{i|j} with j > K has norm at most
-    a_plus^j * R * sqrt(N); summing the geometric tail gives
-    a_plus^K * R * sqrt(N) / (1 - a_plus).
+    a_plus^j * R * sqrt(N), a_plus the largest singular value of the maps;
+    summing the geometric tail gives a_plus^K * R * sqrt(N) / (1 - a_plus).
     """
-    return a_plus ** K * region_radius * math.sqrt(dim) / (1.0 - a_plus)
+    _, a_plus = contraction_bounds(ifs)
+    return a_plus ** K * region_radius * math.sqrt(ifs.dim) / (1.0 - a_plus)
 
 
 @dataclass(frozen=True)
@@ -117,15 +119,13 @@ def project(ifs, fld, word, K):
         ifs.matrix(sym)  # rejects a symbol outside 1..m, the last one too
     pos = sum((compose(ifs, word[:j]) @ displacement(fld, word[:j + 1], dim)
                for j in range(K)), np.zeros(dim))
-    _, a_plus = contraction_bounds(ifs)
-    bound = truncation_tail(a_plus, fld.region_radius, dim, K)
     return CloudPoint(
-        position=pos, word_prefix=tuple(word[:K]), truncation_bound=bound
+        position=pos, word_prefix=tuple(word[:K]),
+        truncation_bound=truncation_tail(ifs, fld.region_radius, K),
     )
 
 
-def _add_levels(ifs, states, words, region_radius, pos, prefix=None,
-                carry=False):
+def _add_levels(ifs, states, words, region_radius, pos, prefix=None):
     """Add the series terms of the levels of `words` to pos, in place.
 
     states, pos and prefix hold each word's counter-stream states, partial
@@ -134,10 +134,9 @@ def _add_levels(ifs, states, words, region_radius, pos, prefix=None,
     updated in place.  When every map is diagonal, prefix products are
     kept as one column per coordinate: the full products' off-diagonal
     terms are exact zeros, so positions are bitwise the same either way.
-    The prefix is carried past the last level only when carry is set.
-    Returns the prefix.
+    Returns the prefix carried through the last level, from None each
+    word's product T_w as `compose` forms it.
     """
-    depth = words.shape[1]
     dim = ifs.dim
     mats = ifs.matrix_stack()
     if prefix is None and mats[:, ~np.eye(dim, dtype=bool)].any():
@@ -147,7 +146,7 @@ def _add_levels(ifs, states, words, region_radius, pos, prefix=None,
     diagonal = prefix.ndim == 2
     diags = [mats[:, c, c] for c in range(dim)]
     omega = np.empty_like(pos)
-    for j in range(depth):
+    for j in range(words.shape[1]):
         sym = words[:, j]
         crng.advance(states, sym, out=states)
         crng.unit_uniforms(states, dim, out=omega)
@@ -161,13 +160,12 @@ def _add_levels(ifs, states, words, region_radius, pos, prefix=None,
             pos += omega
         else:
             pos += np.einsum("nij,nj->ni", prefix, omega)
-        if carry or j + 1 < depth:
-            maps = sym - 1
-            if diagonal:
-                for c in range(dim):
-                    prefix[:, c] *= np.take(diags[c], maps)
-            else:
-                prefix = np.matmul(prefix, mats[maps])
+        maps = sym - 1
+        if diagonal:
+            for c in range(dim):
+                prefix[:, c] *= np.take(diags[c], maps)
+        else:
+            prefix = np.matmul(prefix, mats[maps])
     return prefix
 
 
@@ -201,7 +199,7 @@ def _cloud_chunk(ifs, model, fld, start, count, K, word_key):
     table_states = crng.root_states(fld.key(), m ** J)
     table_pos = np.zeros((m ** J, ifs.dim))
     table_prefix = _add_levels(ifs, table_states, table, fld.region_radius,
-                               table_pos, carry=True)
+                               table_pos)
     code = np.zeros(count, dtype=np.intp)
     for j in range(J):
         code *= m
@@ -229,6 +227,9 @@ def sample_cloud(ifs, model, fld, n, K, threads=1, chunk=65536):
         raise ResourceLimitError(f"{n} points exceeds the {_MAX_POINTS} cap")
     if K < 1:
         raise InvalidInputError(f"depth must be >= 1, got K={K}")
+    if n * K > _MAX_WORD_BYTES:
+        raise ResourceLimitError(f"{n} points at depth {K} hold {n * K} word "
+                                 f"bytes, past the {_MAX_WORD_BYTES} budget")
     _check_model(ifs, model)
     _check_symbols(ifs.m)
     if not 1 <= threads <= _MAX_THREADS or chunk < 1:
@@ -258,27 +259,25 @@ def sample_cloud(ifs, model, fld, n, K, threads=1, chunk=65536):
     else:
         for i in range(pieces):
             run(i)
-    _, a_plus = contraction_bounds(ifs)
-    bound = truncation_tail(a_plus, fld.region_radius, ifs.dim, K)
     return Cloud(
-        positions=positions, words=words, truncation_bound=bound,
+        positions=positions, words=words,
+        truncation_bound=truncation_tail(ifs, fld.region_radius, K),
         seed=fld.seed, depth=K, region_radius=fld.region_radius,
     )
 
 
 def attractor_radius(ifs, region_radius):
-    """Radius of a ball at the origin containing every construction point."""
-    _, a_plus = contraction_bounds(ifs)
-    return region_radius * math.sqrt(ifs.dim) / (1.0 - a_plus)
+    """Radius of a ball at the origin containing every construction point:
+    the depth-0 truncation tail, the bound on the whole series."""
+    return truncation_tail(ifs, region_radius, 0)
 
 
 def default_depth(ifs, region_radius, r_min):
     """Smallest K whose truncation bound is below r_min / 10.  The CLI's
     r_min takes 2 * attractor_radius for an automatic r0, more than the
     cloud's diagonal, so the bound may pass a tenth of its finest rung."""
-    _, a_plus = contraction_bounds(ifs)
     K = 1
-    while truncation_tail(a_plus, region_radius, ifs.dim, K) >= r_min / 10.0:
+    while truncation_tail(ifs, region_radius, K) >= r_min / 10.0:
         K += 1
         if K > 10_000:
             raise ResourceLimitError(

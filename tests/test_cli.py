@@ -711,6 +711,18 @@ def test_survey_tuple_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_word_budget_exit_code(tmp_path, capsys):
+    # 2000 points at depth 10^9 would be 2 TB of words: exit 3 before the
+    # words are allocated, with no output written.
+    path = write_ini(tmp_path, "[sample]\nn = 2000\ndepth = 1000000000\n")
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "sample", "--config", str(path),
+                           "--out", str(out))
+    assert code == 3
+    assert "2000 points at depth 1000000000" in err and str(2 ** 31) in err
+    assert not out.exists()
+
+
 _IMPORT_PROBE = """\
 import json, sys
 import affdims, affdims.cli
@@ -838,6 +850,11 @@ def test_markov_config_accepted(tmp_path, capsys):
      "rungs = 3\n", [], "[estimate] r0, rho, rungs"),
     ("estimate", BASE_INI + "[estimate]\nr0 = 1e-320\n", [],
      "[estimate] r0, rho, rungs"),
+    ("verify", BASE_INI + "[sample]\nn = 2000\ndepth = 20\n[estimate]\n"
+     "r0 = 1e-30\n", [], "[estimate] r0, rho, rungs"),
+    ("sample", BASE_INI + "[sample]\nn = 2000\ndepth = 20\n[estimate]\n"
+     "r0 = 1e-30\n", [], "[estimate] r0, rho, rungs"),
+    ("verify", BASE_INI + "[sample]\nn = 0\n", [], "[sample] n"),
 ], ids=["form", "mode", "threads", "nan-entry", "unknown-solve-key",
         "unknown-ifs-key", "unknown-measure-key", "tol-zero",
         "grid-step-zero", "two-rungs", "rho-above-one", "estimate-q-one",
@@ -847,7 +864,9 @@ def test_markov_config_accepted(tmp_path, capsys):
         "solve-q-empty", "radius-inf", "sample-diameter-overflow",
         "verify-diameter-overflow", "estimate-diameter-overflow", "r0-nan", "r0-inf",
         "min-per-cube-nan", "min-per-cube-inf", "threads-past-cap",
-        "finest-radius-rungs", "finest-radius-rho", "finest-radius-r0"])
+        "finest-radius-rungs", "finest-radius-rho", "finest-radius-r0",
+        "verify-radius-past-mesh", "sample-radius-past-mesh",
+        "sample-n-zero"])
 def test_bad_input_rejected_before_work(tmp_path, capsys, monkeypatch,
                                         command, text, argv, named):
     builds = count_table_builds(monkeypatch)

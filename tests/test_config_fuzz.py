@@ -8,7 +8,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affdims.cli import _SCHEMA, resolve_config
+from affdims.cli import _RANGES, _SCHEMA, resolve_config
 from affdims.errors import ConfigError
 
 VALID = {
@@ -86,3 +86,10 @@ def test_generated_configs_reach_both_outcomes():
 
     record()
     assert outcomes == {"resolved", "rejected"}
+
+
+def test_every_range_names_a_schema_key():
+    # resolve_config looks each range up by schema key, so a row under a
+    # misspelt key would check nothing.
+    for section, key in _RANGES:
+        assert key in _SCHEMA.get(section, {}), (section, key)

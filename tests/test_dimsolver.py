@@ -28,7 +28,7 @@ from affdims import (
     phi_s,
 )
 from affdims.codespace import _cut_set_products
-from affdims.dimsolver import _Levels
+from affdims.dimsolver import _flag_kinks, _Levels
 from affdims.errors import InvalidInputError, NoRootError, ResourceLimitError
 
 from checks import diag_ifs, random_bernoulli, random_ifs
@@ -340,7 +340,7 @@ def test_lockstep_bisection_equals_one_q_at_a_time(model):
     results = levels.solve_many(qs, 1e-5)
     assert [r.q for r in results] == qs
     for q, res in zip(qs, results):
-        assert res == levels.solve(q, 1e-5)
+        assert res == levels.solve_many([q], 1e-5)[0]
         assert (res.value, res.bracket, res.iterations, res.growth_lo,
                 res.growth_hi) == _one_q_bisection(levels, q, 1e-5)
         assert res.depth == 9
@@ -367,7 +367,7 @@ def test_lockstep_bisection_computes_log_phi_once_per_s_and_level(
     lockstep = len(calls)
     calls.clear()
     for q in qs:
-        levels.solve(q, 1e-4)
+        levels.solve_many([q], 1e-4)
     assert lockstep < len(calls)
 
 
@@ -379,7 +379,7 @@ def test_lockstep_bisection_raises_first_failing_q():
     for qs in ([3.0, 1.5, 5.0], [5.0, 3.0], [3.0, 0.5], [0.5, 3.0]):
         with pytest.raises((NoRootError, InvalidInputError)) as one_at_a_time:
             for q in qs:
-                levels.solve(q, 1e-4)
+                levels.solve_many([q], 1e-4)
         with pytest.raises(type(one_at_a_time.value),
                            match=re.escape(str(one_at_a_time.value))):
             levels.solve_many(qs, 1e-4)
@@ -451,6 +451,25 @@ def test_phase_scan_quiet_for_smooth_system():
     grid = np.arange(1.5, 3.0 + 1e-9, 0.1)
     scan = phase_transition_scan(ifs, model, grid, tol=5e-5)
     assert scan.kink_qs == ()
+
+
+@pytest.mark.parametrize("slopes, kinks", [
+    ([0, 1, 3, 3, 3, 1, 1], (3.0, 4.5)),
+    ([0, 0, 0, 1, 4], (4.0,)),
+    ([0, 2, 0, 2, 2, 2], (2.5,)),
+    ([0.25] * 6, ()),
+], ids=["two-runs", "run-at-last-jump", "tie-in-run", "no-run"])
+def test_flag_kinks_one_flag_per_run(slopes, kinks):
+    # Secant slopes on a grid of step 0.5 (threshold 0.04 at tol 1e-3), all
+    # exact in binary; each run above threshold is flagged at its first
+    # largest jump.  The kinks are those of the index-walking loop.
+    qs = [2.0 + 0.5 * i for i in range(len(slopes) + 1)]
+    values = [1.0]
+    for slope in slopes:
+        values.append(values[-1] + 0.5 * slope)
+    scan = _flag_kinks(qs, values, 1e-3)
+    assert scan.kink_qs == kinks
+    assert scan.threshold == 0.04
 
 
 def test_phase_scan_rejects_grid_points_not_above_one(monkeypatch):

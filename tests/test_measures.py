@@ -125,6 +125,29 @@ def test_gibbs_sandwich_depth_six():
     assert ratios.max() <= (1 + 1e-12) / a
 
 
+@pytest.mark.parametrize("word", [(0, 1), (3, 1), (1, 2, 0)],
+                         ids=["zero", "past-m", "zero-last"])
+def test_birkhoff_sum_checks_symbols(word):
+    # Symbol 0 would wrap to the last row, and m + 1 index past it; the
+    # check is cylinder_mass's.
+    for model in (markov_example(), BernoulliModel(probs=(0.6, 0.4))):
+        with pytest.raises(InvalidInputError, match="outside 1..2"):
+            birkhoff_sum(model, word)
+
+
+def test_bernoulli_birkhoff_sum_is_chain_of_pressure():
+    # f(a, b) = log p_b with h = 1: S_k f(w) sums log p over w_2..w_k, so
+    # the Gibbs ratio at pressure 0 is p of the first symbol.
+    model = BernoulliModel(probs=(0.6, 0.4))
+    assert birkhoff_sum(model, (1, 2, 2, 1)) == pytest.approx(
+        np.log(0.4 * 0.4 * 0.6), rel=1e-14)
+    assert birkhoff_sum(model, (2,)) == 0.0
+    for word in [(1,), (2, 1), (1, 2, 2, 1), (2, 2, 1, 1, 2)]:
+        gibbs = np.exp(birkhoff_sum(model, word) - len(word) * pressure(model))
+        assert cylinder_mass(model, word) / gibbs == pytest.approx(
+            model.probs[word[0] - 1], rel=1e-14)
+
+
 def test_quasi_bernoulli_constant_bounds_products():
     model = markov_example()
     a = quasi_bernoulli_constant(model)

@@ -13,6 +13,7 @@ from affdims import (
     BernoulliModel,
     DisplacementField,
     MarkovGibbsModel,
+    compose,
     displacement,
     project,
     read_cloud,
@@ -21,7 +22,7 @@ from affdims import (
 )
 from affdims import counterrng as crng
 from affdims import sampler
-from affdims.errors import InvalidInputError
+from affdims.errors import InvalidInputError, ResourceLimitError
 from affdims.sampler import (
     _WRITE_ROWS,
     Cloud,
@@ -41,13 +42,15 @@ def small_setup():
 
 
 def test_truncation_tail_formula():
-    # sum_{k >= K} a^k R sqrt(N) = a^K R sqrt(N) / (1 - a)
-    assert truncation_tail(0.5, 1.0, 2, 10) == pytest.approx(
-        0.5**10 * np.sqrt(2) / 0.5
-    )
-    assert truncation_tail(0.4, 2.0, 3, 5) == pytest.approx(
-        0.4**5 * 2.0 * np.sqrt(3) / 0.6
-    )
+    # sum_{k >= K} a^k R sqrt(N) = a^K R sqrt(N) / (1 - a), a the largest
+    # singular value of the maps
+    assert truncation_tail(diag_ifs([0.5, 0.3], [0.2, 0.1]), 1.0, 10) \
+        == pytest.approx(0.5**10 * np.sqrt(2) / 0.5)
+    assert truncation_tail(diag_ifs([0.1, 0.2, 0.4], [0.3, 0.3, 0.3]), 2.0,
+                           5) == pytest.approx(0.4**5 * 2.0 * np.sqrt(3) / 0.6)
+    ifs, _, fld = small_setup()
+    assert truncation_tail(ifs, fld.region_radius, 0) \
+        == attractor_radius(ifs, fld.region_radius)
 
 
 def test_displacement_deterministic_and_bounded():
@@ -233,6 +236,23 @@ def test_prefix_table_of_255_maps_changes_no_bit(sheared, markov):
     _check_series(ifs, model, 50_000, [1, 2, 30])
 
 
+@pytest.mark.parametrize("sheared", [False, True], ids=["diagonal", "sheared"])
+def test_add_levels_returns_each_words_product(sheared):
+    # The prefix table takes each table word's full product from
+    # _add_levels: bitwise that of compose, diagonal columns included.
+    rng = np.random.default_rng(17)
+    ifs, _ = _series_system(rng, 2, 3, sheared, False)
+    words = rng.integers(1, 4, size=(50, 6)).astype(np.uint8)
+    fld = DisplacementField(seed=5)
+    prefix = sampler._add_levels(ifs, crng.root_states(fld.key(), 50), words,
+                                 fld.region_radius, np.zeros((50, 2)))
+    products = np.array([compose(ifs, w) for w in words.tolist()])
+    if not sheared:
+        assert prefix.shape == (50, 2)
+        prefix = prefix[:, :, None] * np.eye(2)
+    np.testing.assert_array_equal(prefix, products)
+
+
 def test_cloud_chunk_peak_memory():
     # The prefix table's rows are gathered into the buffers the per-point
     # levels use, so no second copy of the chunk's states is held.
@@ -296,11 +316,8 @@ def test_default_depth_controls_tail():
     ifs, _, fld = small_setup()
     r_min = 1e-3
     K = default_depth(ifs, fld.region_radius, r_min)
-    from affdims.linalg import contraction_bounds
-
-    _, a_plus = contraction_bounds(ifs)
-    assert truncation_tail(a_plus, fld.region_radius, 2, K) < r_min / 10
-    assert truncation_tail(a_plus, fld.region_radius, 2, K - 1) >= r_min / 10
+    assert truncation_tail(ifs, fld.region_radius, K) < r_min / 10
+    assert truncation_tail(ifs, fld.region_radius, K - 1) >= r_min / 10
 
 
 def test_cloud_roundtrip(tmp_path):
@@ -439,6 +456,10 @@ def test_sample_cloud_validates_sizes():
         sample_cloud(ifs, model, fld, 0, 8)
     with pytest.raises(InvalidInputError):
         sample_cloud(ifs, model, fld, 10, 0)
+    # The (n, K) uint8 words are budgeted before they are allocated.
+    with pytest.raises(ResourceLimitError,
+                       match="2000 points at depth 1000000000 hold"):
+        sample_cloud(ifs, model, fld, 2000, 10 ** 9)
     # Checked before any pool exists: no thread is started.
     with pytest.raises(InvalidInputError, match="threads <= 256"):
         sample_cloud(ifs, model, fld, 10, 8, threads=10**6)
