@@ -40,7 +40,7 @@ from .errors import (
     NoRootError,
     ResourceLimitError,
 )
-from .estimator import build_ladders, estimate_dimension
+from .estimator import _bounds, _check_radius, build_ladders, estimate_dimension
 from .linalg import AffineIFS, LinearContraction
 from .measures import BernoulliModel, MarkovGibbsModel
 from .multienergy import (
@@ -55,6 +55,7 @@ from .multienergy import (
 from .sampler import (
     _MAX_THREADS,
     DisplacementField,
+    _check_cloud_size,
     attractor_radius,
     default_depth,
     read_cloud,
@@ -315,9 +316,9 @@ def _build_ifs(cfg):
 def _check_scales(cfg):
     """A cloud's points and extents and the automatic r0 are bounded by
     the attractor's diameter: a region_radius that puts it past the float
-    range, or a finest ladder radius of 0, is rejected before any work.
-    So is an explicit r0 whose finest radius is not above the attractor
-    radius times 2^-62, where a mesh cell index would reach 2^62."""
+    range is rejected before any work, as is a finest ladder radius that
+    `_check_radius` rejects, for an explicit r0 on the box of
+    +-attractor_radius (an automatic r0 follows the cloud: only 0)."""
     ifs = _build_ifs(cfg)
     radius = cfg["ifs"]["region_radius"]
     reach = attractor_radius(ifs, radius)
@@ -325,10 +326,17 @@ def _check_scales(cfg):
         raise ConfigError(
             f"[ifs] region_radius: {radius!r} puts the attractor's "
             "diameter past the float range")
-    floor = reach * 2.0 ** -62 if cfg["estimate"]["r0"] > 0 else 0.0
-    if not _ladder_r_min(cfg, ifs) > floor:
-        raise ConfigError("[estimate] r0, rho, rungs: the finest ladder "
-                          f"radius r0 * rho^rungs is not above {floor!r}")
+    _check_finest(_ladder_r_min(cfg, ifs),
+                  [reach] if cfg["estimate"]["r0"] > 0 else None)
+
+
+def _check_finest(r_min, bounds):
+    """`_check_radius` on the finest ladder radius, naming its keys."""
+    try:
+        _check_radius(r_min, bounds)
+    except InvalidInputError as exc:
+        raise ConfigError(
+            f"[estimate] r0, rho, rungs: the finest ladder {exc}") from exc
 
 
 def build_system(cfg):
@@ -493,6 +501,7 @@ def cmd_solve(cfg, out_dir, threads):
 
 
 def _ladder_r_min(cfg, ifs):
+    """r0 * rho^rungs; ifs is read only for an automatic r0."""
     est = cfg["estimate"]
     r0 = est["r0"]
     if r0 <= 0:
@@ -500,28 +509,34 @@ def _ladder_r_min(cfg, ifs):
     return r0 * est["rho"] ** est["rungs"]
 
 
-def _sample(cfg, ifs, model, out_dir, threads):
-    """Sample and write the cloud; returns (payload, its positions): the
-    words, which estimation does not read, die here."""
-    fld = DisplacementField(
-        seed=cfg["run"]["seed"],
-        region_radius=cfg["ifs"]["region_radius"],
-    )
-    n = cfg["sample"]["n"]
+def _sample_depth(cfg, ifs):
+    """(K, warnings): [sample] depth as given, or `default_depth` for 0,
+    checked with [sample] n against the sampler's budgets before any work."""
+    radius = cfg["ifs"]["region_radius"]
     K = cfg["sample"]["depth"]
     r_min = _ladder_r_min(cfg, ifs)
     warnings = []
     if K <= 0:
-        K = default_depth(ifs, fld.region_radius, r_min)
-    elif truncation_tail(ifs, fld.region_radius, K) >= r_min / 10.0:
+        K = default_depth(ifs, radius, r_min)
+    elif truncation_tail(ifs, radius, K) >= r_min / 10.0:
         warning = (f"depth {K} leaves truncation error above a tenth "
                    f"of the finest ladder radius {r_min!r}")
         try:
             warning += ("; suggest depth >= "
-                        f"{default_depth(ifs, fld.region_radius, r_min)}")
+                        f"{default_depth(ifs, radius, r_min)}")
         except ResourceLimitError:
             pass  # no depth reaches that radius: no suggestion
         warnings.append(warning)
+    _check_cloud_size(cfg["sample"]["n"], K)
+    return K, warnings
+
+
+def _sample(cfg, ifs, model, K, warnings, out_dir, threads):
+    """Sample at `_sample_depth`'s K and write the cloud; returns (payload,
+    positions): the words, which estimation does not read, die here."""
+    fld = DisplacementField(seed=cfg["run"]["seed"],
+                            region_radius=cfg["ifs"]["region_radius"])
+    n = cfg["sample"]["n"]
     cloud = sample_cloud(ifs, model, fld, n, K, threads=threads)
     with _out_file(out_dir, "cloud.txt") as cloud_path:
         digest = write_cloud(cloud_path, cloud)
@@ -536,7 +551,9 @@ def _sample(cfg, ifs, model, out_dir, threads):
 
 
 def cmd_sample(cfg, out_dir, threads):
-    return _sample(cfg, *build_system(cfg), out_dir, threads)[0]
+    ifs, model = build_system(cfg)
+    K, warnings = _sample_depth(cfg, ifs)
+    return _sample(cfg, ifs, model, K, warnings, out_dir, threads)[0]
 
 
 def _estimate_payload(cfg, positions, out_dir, threads):
@@ -580,7 +597,8 @@ def _estimate_payload(cfg, positions, out_dir, threads):
 
 
 def _reused_positions(cfg):
-    """The positions of the cloud [estimate] cloud names, of [ifs] dim."""
+    """The positions of the cloud [estimate] cloud names, of [ifs] dim; an
+    explicit r0's finest radius is checked against the cloud's bounds."""
     path, dim = cfg["estimate"]["cloud"], cfg["ifs"]["dim"]
     if not path:
         raise ConfigError("[estimate] cloud: no cloud file; set it or pass "
@@ -589,6 +607,8 @@ def _reused_positions(cfg):
     if positions.shape[1] != dim:
         raise ConfigError(f"{path}: the cloud has dimension "
                           f"{positions.shape[1]}, but [ifs] dim = {dim}")
+    if cfg["estimate"]["r0"] > 0:
+        _check_finest(_ladder_r_min(cfg, None), _bounds(positions))
     return positions
 
 
@@ -603,11 +623,14 @@ def cmd_verify(cfg, out_dir, threads):
     if reused:
         positions = _reused_positions(cfg)
         sample_payload = {"reused": reused, "n": len(positions)}
+    else:
+        K, warnings = _sample_depth(cfg, ifs)
     # One table for every q, let go before any cloud; its build checks k_max.
     theory = _Levels(ifs, model, sol["k_max"] or None).solve_many(
         cfg["estimate"]["q"], sol["tol"])
     if not reused:
-        sample_payload, positions = _sample(cfg, ifs, model, out_dir, threads)
+        sample_payload, positions = _sample(cfg, ifs, model, K, warnings,
+                                            out_dir, threads)
     est_payload = _estimate_payload(cfg, positions, out_dir, threads)
     rows = []
     for entry, res in zip(est_payload["estimates"], theory):

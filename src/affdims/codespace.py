@@ -33,7 +33,6 @@ from .linalg import _extend_products, compose, phi_s, singular_values_stack
 
 _MAX_WORDS = 250_000  # per solver level, and kept plus pending per descent
 _MAX_JOIN_LEVELS = 6  # join points count_join_configurations accepts
-_MAX_JOIN_DEPTH = 8  # deepest join level count_join_configurations accepts
 
 
 def wedge(u, v):
@@ -54,6 +53,18 @@ def is_prefix(u, v):
 def all_words(m, k):
     """All words of length k over {1..m} in lexicographic order."""
     return list(itertools.product(range(1, m + 1), repeat=k))
+
+
+def _word_index(words, m):
+    """Base-m index over the last axis, first symbol most significant, by
+    Horner's rule in place in intp: uint8 words are read, never copied."""
+    words = np.asarray(words)
+    code = np.zeros(words.shape[:-1], dtype=np.intp)
+    for j in range(words.shape[-1]):
+        code *= m
+        code += words[..., j]
+        code -= 1
+    return code[()]
 
 
 @dataclass(frozen=True)
@@ -356,7 +367,7 @@ def count_join_configurations(levels, m=2):
     Parameters
     ----------
     levels : sequence of int
-        Nonnegative vertex depths, repetitions allowed.
+        Nonnegative vertex depths, at most 6; only order and ties count.
     m : int
         Arity of the tree (default binary).
     """
@@ -371,9 +382,5 @@ def count_join_configurations(levels, m=2):
     if n > _MAX_JOIN_LEVELS:
         raise ResourceLimitError(
             f"{n} levels exceeds the limit of {_MAX_JOIN_LEVELS}"
-        )
-    if lv[-1] > _MAX_JOIN_DEPTH:
-        raise ResourceLimitError(
-            f"level {lv[-1]} exceeds the depth limit of {_MAX_JOIN_DEPTH}"
         )
     return len(_class_shapes(lv, m))

@@ -44,12 +44,12 @@ def _check_q(q):
 def _check_levels(m, k_max):
     """The depth of a level table, None for the deepest within the budget.
 
-    Raises unless the m^k_max words of the deepest level fit the budget.
+    Raises unless k_max >= 1 and its m^k_max words fit the word budget.
     """
     if k_max is None:
         k_max = max(1, int(math.log(_MAX_WORDS) / math.log(m)))
     if k_max < 1:
-        raise InvalidInputError(f"k_max must be >= 1, got {k_max}")
+        raise InvalidInputError(f"depth must be >= 1, got {k_max}")
     if m ** k_max > _MAX_WORDS:
         raise ResourceLimitError(
             f"level {k_max} holds {m ** k_max} words, over the "

@@ -151,12 +151,12 @@ def pressure(model):
     return float(np.log(model._lambda))
 
 
-def _word(model, word):
+def _word(m, word):
     """The word as a tuple, each symbol checked to lie in 1..m."""
     word = tuple(word)
     for sym in word:
-        if not 1 <= sym <= model.m:
-            raise InvalidInputError(f"symbol {sym} outside 1..{model.m}")
+        if not 1 <= sym <= m:
+            raise InvalidInputError(f"symbol {sym} outside 1..{m}")
     return word
 
 
@@ -170,7 +170,7 @@ def birkhoff_sum(model, word):
     chain of `pressure`, f(a, b) = log p_b with h = 1, so the sum is
     that of log p over every symbol but the first.
     """
-    word = _word(model, word)
+    word = _word(model.m, word)
     if not word:
         raise InvalidInputError("need a nonempty word")
     if isinstance(model, BernoulliModel):
@@ -185,7 +185,7 @@ def birkhoff_sum(model, word):
 
 def cylinder_mass(model, word):
     """mu(C_i) for a finite word i (1-based symbols)."""
-    word = _word(model, word)
+    word = _word(model.m, word)
     if not word:
         return 1.0
     init = model.initial_probs()

@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from . import counterrng as crng
-from .codespace import (_class_shapes, _realize_encoding,
+from .codespace import (_class_shapes, _realize_encoding, _word_index,
                         canonical_join_class, wedge)
 from .dimsolver import _check_levels, _Levels
 from .errors import (
@@ -35,7 +35,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .linalg import compose, log_phi_stack, phi_s
-from .measures import _check_symbols, draw_words, sample_words
+from .measures import _check_symbols, _word, draw_words, sample_words
 from .numerics import fit_line
 from .sampler import _add_levels
 
@@ -57,12 +57,6 @@ def _check_s(s, dim, allow_dim=True):
         )
 
 
-def _check_depth(m, depth):
-    if depth < 1:
-        raise InvalidInputError(f"depth must be >= 1, got {depth}")
-    _check_levels(m, depth)
-
-
 def _log_tables(ifs, model, s, depth):
     """log phi^s and log cylinder masses by level 0..depth and word index.
 
@@ -70,17 +64,10 @@ def _log_tables(ifs, model, s, depth):
     (first symbol most significant); level 0 holds the empty word.  Raises
     ResourceLimitError when m^depth exceeds the `_Levels` word budget.
     """
-    _check_depth(ifs.m, depth)
     levels = _Levels(ifs, model, depth)
     log_phi = [np.zeros(1)] + [log_phi_stack(la, s) for la in levels.log_alphas]
     log_mass = [np.zeros(1)] + levels.logmass
     return log_phi, log_mass
-
-
-def _word_index(words, m):
-    """Base-m index over the last axis, first symbol most significant."""
-    words = np.asarray(words, dtype=np.int64)
-    return (words - 1) @ m ** np.arange(words.shape[-1] - 1, -1, -1)
 
 
 def _log_kernels(log_phi, m, depth, codes):
@@ -144,7 +131,7 @@ def _check_mc(ifs, s, n, q, samples, depth, inner=64, unresolved="resample"):
         raise InvalidInputError(
             f"need at least one outer draw per batch: {samples} < {_BATCHES}"
         )
-    _check_depth(ifs.m, depth)
+    _check_levels(ifs.m, depth)
     _check_symbols(ifs.m)
     uniforms = depth * (samples // _BATCHES) * (1 + inner * n)
     if uniforms > _MAX_BATCH_UNIFORMS:
@@ -486,13 +473,11 @@ def simulate_transversality(ifs, fld, u, v, s, trials):
     constant is not computed here, only observed.
     """
     _check_symbols(ifs.m)
-    u, v = tuple(u), tuple(v)
+    u, v = _word(ifs.m, u), _word(ifs.m, v)
     if u == v:
         raise InvalidInputError("need two distinct rays")
     if len(u) != len(v):
         raise InvalidInputError("rays must share a common depth")
-    if not all(1 <= sym <= ifs.m for sym in u + v):
-        raise InvalidInputError(f"ray symbols must lie in 1..{ifs.m}")
     _check_s(s, ifs.dim, allow_dim=False)
     if trials < 1:
         raise InvalidInputError(f"need at least 1 trial, got {trials}")

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import counterrng as crng
+from .codespace import _word_index
 from .errors import InvalidInputError, ResourceLimitError
-from .measures import _check_model, _check_symbols, draw_words
+from .measures import _check_model, _check_symbols, _word, draw_words
 from .linalg import compose, contraction_bounds
 
 _MAX_POINTS = 50_000_000
@@ -115,8 +116,7 @@ def project(ifs, fld, word, K):
             f"word of length {len(word)} is shorter than depth K={K}"
         )
     dim = ifs.dim
-    for sym in word[:K]:
-        ifs.matrix(sym)  # rejects a symbol outside 1..m, the last one too
+    word = _word(ifs.m, word[:K])  # the last symbol too, which compose skips
     pos = sum((compose(ifs, word[:j]) @ displacement(fld, word[:j + 1], dim)
                for j in range(K)), np.zeros(dim))
     return CloudPoint(
@@ -200,17 +200,26 @@ def _cloud_chunk(ifs, model, fld, start, count, K, word_key):
     table_pos = np.zeros((m ** J, ifs.dim))
     table_prefix = _add_levels(ifs, table_states, table, fld.region_radius,
                                table_pos)
-    code = np.zeros(count, dtype=np.intp)
-    for j in range(J):
-        code *= m
-        code += words[:, j]
-        code -= 1
+    code = _word_index(words[:, :J], m)
     states = tuple(part.take(code) for part in table_states)
     pos = table_pos.take(code, axis=0)
     prefix = table_prefix.take(code, axis=0)
     del table, table_states, table_pos, table_prefix, code
     _add_levels(ifs, states, words[:, J:], fld.region_radius, pos, prefix)
     return words, pos
+
+
+def _check_cloud_size(n, K):
+    """sample_cloud's checks on n points and depth K, to run before it."""
+    if n < 1:
+        raise InvalidInputError(f"need n >= 1 points, got {n}")
+    if n > _MAX_POINTS:
+        raise ResourceLimitError(f"{n} points exceeds the {_MAX_POINTS} cap")
+    if K < 1:
+        raise InvalidInputError(f"depth must be >= 1, got K={K}")
+    if n * K > _MAX_WORD_BYTES:
+        raise ResourceLimitError(f"{n} points at depth {K} hold {n * K} word "
+                                 f"bytes, past the {_MAX_WORD_BYTES} budget")
 
 
 def sample_cloud(ifs, model, fld, n, K, threads=1, chunk=65536):
@@ -221,15 +230,7 @@ def sample_cloud(ifs, model, fld, n, K, threads=1, chunk=65536):
     identical for any thread count, and extending n keeps the existing
     points unchanged.
     """
-    if n < 1:
-        raise InvalidInputError(f"need n >= 1 points, got {n}")
-    if n > _MAX_POINTS:
-        raise ResourceLimitError(f"{n} points exceeds the {_MAX_POINTS} cap")
-    if K < 1:
-        raise InvalidInputError(f"depth must be >= 1, got K={K}")
-    if n * K > _MAX_WORD_BYTES:
-        raise ResourceLimitError(f"{n} points at depth {K} hold {n * K} word "
-                                 f"bytes, past the {_MAX_WORD_BYTES} budget")
+    _check_cloud_size(n, K)
     _check_model(ifs, model)
     _check_symbols(ifs.m)
     if not 1 <= threads <= _MAX_THREADS or chunk < 1:

@@ -711,15 +711,56 @@ def test_survey_tuple_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_word_budget_exit_code(tmp_path, capsys):
+def no_table_builds(monkeypatch):
+    """Fail the test at any level-table build from here on."""
+    def refused(self, *args, **kwargs):
+        raise AssertionError("a level table was built")
+
+    monkeypatch.setattr(_Levels, "__init__", refused)
+
+
+def test_word_budget_exit_code(tmp_path, capsys, monkeypatch):
     # 2000 points at depth 10^9 would be 2 TB of words: exit 3 before the
-    # words are allocated, with no output written.
-    path = write_ini(tmp_path, "[sample]\nn = 2000\ndepth = 1000000000\n")
+    # words are allocated, with no output written.  verify settles its
+    # cloud's depth and size before its level table, for a given depth and
+    # for the automatic one (83 here, past the budget at 50M points).
+    no_table_builds(monkeypatch)
+    for i, (command, extra, named) in enumerate([
+            ("sample", "n = 2000\ndepth = 1000000000\n",
+             "2000 points at depth 1000000000"),
+            ("verify", "n = 2000\ndepth = 1000000000\n",
+             "2000 points at depth 1000000000"),
+            ("verify", "n = 50000000\n[estimate]\nrho = 0.01\n",
+             "50000000 points at depth 83")]):
+        path = write_ini(tmp_path, "[sample]\n" + extra)
+        out = tmp_path / f"out{i}"
+        code, _, err = run_cli(capsys, command, "--config", str(path),
+                               "--out", str(out))
+        assert code == 3
+        assert named in err and str(2 ** 31) in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "verify"])
+def test_reused_cloud_checked_against_its_own_bounds(tmp_path, capsys,
+                                                     monkeypatch, command):
+    # The cloud was sampled at region_radius 1e10, the config says 1: an
+    # explicit r0's finest radius passes the config's bound but not the
+    # cloud's, and is rejected where the cloud is read, naming its keys.
+    big = write_ini(tmp_path, "[sample]\nn = 2000\ndepth = 20\n",
+                    name="big.ini")
+    big.write_text(big.read_text().replace("dim = 2",
+                                           "dim = 2\nregion_radius = 1e10"))
+    cloud = tmp_path / "s" / "cloud.txt"
+    assert run_cli(capsys, "sample", "--config", str(big),
+                   "--out", str(cloud.parent))[0] == 0
+    no_table_builds(monkeypatch)
+    path = write_ini(tmp_path, "[estimate]\nr0 = 1e-10\n")
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, "sample", "--config", str(path),
-                           "--out", str(out))
-    assert code == 3
-    assert "2000 points at depth 1000000000" in err and str(2 ** 31) in err
+    code, _, err = run_cli(capsys, command, "--config", str(path),
+                           "--out", str(out), "--reuse-cloud", str(cloud))
+    assert code == 2
+    assert "[estimate] r0, rho, rungs" in err and "too fine" in err
     assert not out.exists()
 
 

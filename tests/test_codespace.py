@@ -19,7 +19,7 @@ from affdims import (
     multienergy_kernel,
     wedge,
 )
-from affdims.codespace import _encode_join_set, is_prefix
+from affdims.codespace import _encode_join_set, _word_index, is_prefix
 from affdims.errors import InvalidInputError
 
 from checks import diag_ifs
@@ -36,6 +36,24 @@ def test_all_words_counts():
     assert len(all_words(2, 3)) == 8
     assert len(all_words(3, 2)) == 9
     assert all_words(2, 0) == [()]
+
+
+@pytest.mark.parametrize("m", [2, 3, 255])
+def test_word_index_is_the_base_m_rank(m):
+    # The in-place Horner index equals the matmul formula on every shape
+    # its callers pass: uint8 and int64 word arrays of any length, lists
+    # of tuples, and the root tuples.
+    rng = np.random.default_rng(m)
+    for length in (0, 1, 9, 20):
+        words = rng.integers(1, m + 1, size=(50, length))
+        want = (words - 1) @ m ** np.arange(length - 1, -1, -1)
+        for got in (_word_index(words.astype(np.uint8), m),
+                    _word_index(words, m),
+                    _word_index([tuple(w) for w in words.tolist()], m)):
+            assert got.dtype == np.intp and np.array_equal(got, want)
+    assert _word_index((), m) == 0
+    assert _word_index((1, 2), m) == 1
+    assert type(_word_index((2, 1), m)) is np.intp
 
 
 def test_join_set_chain_and_balanced():
@@ -189,6 +207,15 @@ def test_class_counts_exhaustive_depth3():
             by_levels[jc_levels] = by_levels.get(jc_levels, 0) + 1
         for levels, found in by_levels.items():
             assert count_join_configurations(levels) == found
+            # A count reads only the order and ties of the levels, so
+            # spreading them out, past any depth the tree was cut at,
+            # changes nothing: (0, 1) counts as (0, 9) does.
+            spread = tuple(9 * lvl for lvl in levels)
+            assert count_join_configurations(spread) == found
+    assert count_join_configurations((0, 9)) == \
+        count_join_configurations((0, 1))
+    assert count_join_configurations((0, 10, 20, 30, 40, 50), m=3) == \
+        count_join_configurations((0, 1, 2, 3, 4, 5), m=3) == 61
 
 
 def flatten_encoding(enc):

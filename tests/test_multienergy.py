@@ -568,6 +568,8 @@ def test_transversality_input_checks():
         simulate_transversality(ifs, fld, (1, 2), (1, 2), s=0.5, trials=10)
     with pytest.raises(InvalidInputError):
         simulate_transversality(ifs, fld, (1,), (1, 2), s=0.5, trials=10)
-    with pytest.raises(InvalidInputError):
-        simulate_transversality(ifs, fld, (1, 3), (1, 2), s=0.5, trials=10)
+    # Ray symbols are checked by measures._word, as every word is.
+    for ray in ((1, 3), (0, 2)):
+        with pytest.raises(InvalidInputError, match="outside 1..2"):
+            simulate_transversality(ifs, fld, ray, (1, 2), s=0.5, trials=10)
 

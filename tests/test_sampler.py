@@ -81,6 +81,12 @@ def test_project_is_prefix_sum_of_displacements():
     got = project(ifs, fld, word, K)
     np.testing.assert_allclose(got.position, pos, rtol=1e-12, atol=1e-15)
     assert got.word_prefix == word[:K]
+    # Symbol K is read by the last displacement only, never by compose,
+    # and is checked all the same; symbols past K are not read.
+    for bad in (0, 3):
+        with pytest.raises(InvalidInputError, match=f"{bad} outside 1..2"):
+            project(ifs, fld, word[:K - 1] + (bad,), K)
+    assert project(ifs, fld, word + (3,), K).word_prefix == word
 
 
 def test_project_common_prefix_shares_leading_terms():
@@ -460,6 +466,11 @@ def test_sample_cloud_validates_sizes():
     with pytest.raises(ResourceLimitError,
                        match="2000 points at depth 1000000000 hold"):
         sample_cloud(ifs, model, fld, 2000, 10 ** 9)
+    # The same checks, which the CLI runs before any other work.
+    for n, K, error in ((0, 8, InvalidInputError), (10, 0, InvalidInputError),
+                        (2000, 10 ** 9, ResourceLimitError)):
+        with pytest.raises(error):
+            sampler._check_cloud_size(n, K)
     # Checked before any pool exists: no thread is started.
     with pytest.raises(InvalidInputError, match="threads <= 256"):
         sample_cloud(ifs, model, fld, 10, 8, threads=10**6)
