@@ -136,44 +136,41 @@ class _Levels:
 
     def _bisection(self, q, tol):
         """The bisection of one q as a generator: it yields each s it needs,
-        is sent log Phi_k(s, q) for every k, and returns the result."""
+        is sent log Phi_k(s, q) for every k, and returns the result.  Each
+        step compares the signed log growth h, increasing in s, with 0; only
+        the result's two growths are exponentiated, so no q overflows."""
         if q != 0.0:
             _check_q(q)
         sign = -1.0 if q == 0.0 else 1.0
-
-        def g(sums):
-            return float(np.exp(self.log_growth(sums, q)))
-
         s_lo, s_hi = 1e-6, 2.0 * self.dim
-        g_lo = g((yield s_lo))
-        g_hi = g((yield s_hi))
-        if sign * (g_lo - 1.0) >= 0.0:
-            raise NoRootError(
-                f"no bracket: growth at s={s_lo} is already {g_lo:.6g}"
-            )
-        expansions = 0
-        while sign * (g_hi - 1.0) <= 0.0:
-            expansions += 1
-            if expansions > 3:
-                raise NoRootError(
-                    f"no bracket: growth at s={s_hi} is still {g_hi:.6g}"
-                )
+        h_lo = sign * self.log_growth((yield s_lo), q)
+        h_hi = sign * self.log_growth((yield s_hi), q)
+        if h_lo >= 0.0:
+            raise NoRootError(f"no bracket: log growth at s={s_lo} is "
+                              f"already {sign * h_lo:.6g}")
+        for _ in range(3):
+            if h_hi > 0.0:
+                break
             s_hi *= 2.0
-            g_hi = g((yield s_hi))
+            h_hi = sign * self.log_growth((yield s_hi), q)
+        if h_hi <= 0.0:
+            raise NoRootError(f"no bracket: log growth at s={s_hi} is "
+                              f"still {sign * h_hi:.6g}")
         iterations = max(1, math.ceil(math.log2((s_hi - s_lo) / tol)))
         for _ in range(iterations):
             mid = 0.5 * (s_lo + s_hi)
-            g_mid = g((yield mid))
-            if sign * (g_mid - 1.0) < 0.0:
-                s_lo, g_lo = mid, g_mid
+            h_mid = sign * self.log_growth((yield mid), q)
+            if h_mid < 0.0:
+                s_lo, h_lo = mid, h_mid
             else:
-                s_hi, g_hi = mid, g_mid
+                s_hi, h_hi = mid, h_mid
             if s_hi - s_lo <= tol:
                 break
         return DimensionResult(
             value=0.5 * (s_lo + s_hi), q=float(q), bracket=(s_lo, s_hi),
-            depth=self.k_max, iterations=iterations, growth_lo=g_lo,
-            growth_hi=g_hi,
+            depth=self.k_max, iterations=iterations,
+            growth_lo=float(np.exp(sign * h_lo)),
+            growth_hi=float(np.exp(sign * h_hi)),
         )
 
     def solve_many(self, qs, tol):

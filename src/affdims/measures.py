@@ -27,6 +27,8 @@ from .errors import InvalidInputError
 _MAX_SYMBOLS = 255  # words hold their symbols as uint8
 
 _PROB_TOL = 1e-12
+_PERRON_TOL = 1e-14  # relative Collatz-Wielandt gap that certifies _perron
+_PERRON_MAX_ITER = 100_000  # power iterations per _perron run
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,28 +61,28 @@ class BernoulliModel:
         return np.tile(p, (self.m, 1))
 
 
-def _perron(mat, tol=1e-14, max_iter=100000):
+def _perron(mat):
     """Perron root and positive right eigenvector via power iteration.
 
     Iterates to the Collatz-Wielandt sandwich min(Mx/x) <= lambda <= max(Mx/x)
-    with relative gap below tol, which certifies the root.  Roundoff can
-    hold the gap just above tol; a gap below 1e-12 that has not shrunk for
-    1000 iterations is accepted too.  A second eigenvalue near -lambda
-    stalls the iteration, so a run that ends unconverged is repeated once
-    on M + cI, c the stalled run's midpoint: same eigenvector, root
+    with relative gap below _PERRON_TOL, which certifies the root.
+    Roundoff can hold the gap just above it; a gap below 1e-12 that has not
+    shrunk for 1000 iterations is accepted too.  A second eigenvalue near
+    -lambda stalls the iteration, so a run that ends unconverged is repeated
+    once on M + cI, c the stalled run's midpoint: same eigenvector, root
     shifted by c, and the second eigenvalue now far below the first.
     """
     shift = 0.0
     for _ in range(2):
         x = np.ones(mat.shape[0])
         lam, best, stalled = np.nan, np.inf, 0
-        for _ in range(max_iter):
+        for _ in range(_PERRON_MAX_ITER):
             y = mat @ x + shift * x
             ratios = y / x
             lo, hi = ratios.min(), ratios.max()
             lam = 0.5 * (lo + hi)
             x = y / y.sum()
-            if hi - lo <= tol * lam:
+            if hi - lo <= _PERRON_TOL * lam:
                 return lam - shift, x
             best, stalled = (hi - lo, 0) if hi - lo < best else (best, stalled + 1)
             if stalled > 1000 and best <= 1e-12 * lam:

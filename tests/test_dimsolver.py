@@ -1,14 +1,20 @@
 """Moment sums and the generalized dimension solver."""
 
 import hashlib
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import affdims
 from affdims import (
     AffineIFS,
     BernoulliModel,
@@ -283,6 +289,115 @@ def test_identical_selfadjoint_closed_form_matches_solver():
         closed = dq_identical_selfadjoint(alphas, probs, q)
         solved = d_q_minus(ifs, model, q).value
         assert solved == pytest.approx(closed, abs=2e-4)
+
+
+ACCEPTANCE_4_DIAGONALS = ((0.45, 0.4), (0.4, 0.35), (0.35, 0.3))
+ACCEPTANCE_4_PROBS = (0.4, 0.35, 0.25)
+
+
+def acceptance4_system():
+    return (diag_ifs(*ACCEPTANCE_4_DIAGONALS),
+            BernoulliModel(probs=ACCEPTANCE_4_PROBS))
+
+
+def test_large_q_tends_to_smallest_single_map_root():
+    # As q -> inf on a diagonal ordered system, d_q tends to min_i s_i with
+    # phi^{s_i}(T_i) = p_i.  At q = 1000 the first bracket probe's growth
+    # is past the float range, so this also pins that the solver takes no
+    # exponential of a log growth while it bisects.
+    ifs, model = acceptance4_system()
+    roots = []
+    for (a1, a2), p in zip(ACCEPTANCE_4_DIAGONALS, ACCEPTANCE_4_PROBS):
+        lp, l1, l2 = math.log(p), math.log(a1), math.log(a2)
+        roots.append(lp / l1 if lp >= l1 else 1.0 + (lp - l1) / l2)
+    s_min = min(roots)
+    assert s_min == pytest.approx(1.1271943022617172, abs=1e-15)
+    value = d_q_minus(ifs, model, 1000.0).value
+    assert 0.0 < value - s_min <= 1e-3
+
+
+def test_q_near_one_tends_to_lyapunov_dimension():
+    # As q -> 1+, d_q tends to the Lyapunov dimension
+    # 1 + (h - |lambda_1|) / |lambda_2| of the diagonal system.
+    ifs, model = acceptance4_system()
+    p = np.array(ACCEPTANCE_4_PROBS)
+    log_diags = np.log(np.array(ACCEPTANCE_4_DIAGONALS))
+    entropy = -np.sum(p * np.log(p))
+    lyap1, lyap2 = -(p @ log_diags)
+    want = 1.0 + (entropy - lyap1) / lyap2
+    assert 1.0 < want < 2.0
+    assert d_q_minus(ifs, model, 1.001).value == pytest.approx(want,
+                                                              abs=1e-4)
+
+
+def test_solve_at_large_q_writes_nothing_to_stderr(tmp_path):
+    diagonals = "".join(f"map{i} = {a} 0 / 0 {b}\n"
+                        for i, (a, b) in enumerate(ACCEPTANCE_4_DIAGONALS, 1))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        "[run]\nseed = 1\n\n[ifs]\ndim = 2\n" + diagonals
+        + "\n[measure]\ntype = bernoulli\nprobs = "
+        + " ".join(map(str, ACCEPTANCE_4_PROBS)) + "\n\n[solve]\nq = 1000\n")
+    src = str(Path(affdims.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    done = subprocess.run(
+        [sys.executable, "-m", "affdims.cli", "solve", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    row, = json.loads(done.stdout)["payload"]["dimensions"]
+    assert row["d_q"] == d_q_minus(*acceptance4_system(), 1000.0).value
+
+
+def test_integer_crossing_bisected_in_q_matches_closed_form():
+    # At s = 1 both maps of diag(0.7, 0.2) give phi^1 = 0.7, so the log
+    # growth (1 - q) log 0.7 + log(0.8^q + 0.2^q) is 0 exactly where d_q
+    # crosses 1: at (0.8^q + 0.2^q)^(1/(q-1)) = 0.7.  One table serves every
+    # step of a bisection in q at fixed s.
+    from scipy.optimize import brentq
+
+    levels = _Levels(diag_ifs([0.7, 0.2], [0.7, 0.2]),
+                     BernoulliModel(probs=(0.8, 0.2)))
+    assert levels.k_max == 17
+    q_lo, q_hi = 1.5, 4.0
+    for _ in range(60):
+        mid = 0.5 * (q_lo + q_hi)
+        if levels.log_growth(levels.log_sums(1.0, [mid])[0], mid) < 0.0:
+            q_lo = mid
+        else:
+            q_hi = mid
+    q_star = brentq(lambda q: (0.8**q + 0.2**q) ** (1 / (q - 1)) - 0.7,
+                    1.5, 4.0, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    assert abs(0.5 * (q_lo + q_hi) - q_star) <= 1e-12
+
+
+def test_markov_diagonal_value_is_an_upper_estimate():
+    # For diagonal maps with consistently ordered diagonals phi^s is
+    # multiplicative along words, so d_q under a Markov model is the root
+    # of rho(M(s)) = 1 with M_ab = P_ab^q phi^s(T_b)^(1-q).  The solver's
+    # growth estimate is a lower bound, so `value` lies at or above it
+    # (here 0.77017 against 0.71961, the gap being the Markov weight).
+    from scipy.optimize import brentq
+
+    diagonals = np.array([[0.45, 0.40], [0.40, 0.30]])
+    model = MarkovGibbsModel(potential=np.array([[-0.7, -1.6],
+                                                 [-1.05, -0.8]]))
+    q, tol = 2.0, 1e-4
+    trans = model.transition_probs()
+
+    def log_spectral_radius(s):
+        log_phi = np.where(s <= 1.0, s * np.log(diagonals[:, 0]),
+                           np.log(diagonals[:, 0])
+                           + (s - 1.0) * np.log(diagonals[:, 1]))
+        mat = trans ** q * np.exp((1.0 - q) * log_phi)
+        return math.log(max(abs(np.linalg.eigvals(mat))))
+
+    closed = brentq(log_spectral_radius, 1e-6, 2.0, xtol=1e-12)
+    assert closed == pytest.approx(0.7196055, abs=1e-7)
+    value = d_q_minus(diag_ifs(*diagonals), model, q, tol=tol).value
+    assert value >= closed - tol
 
 
 def test_q_at_most_one_rejected():
