@@ -73,13 +73,15 @@ class _Levels:
     the matrices are rebound as soon as the next exist, so the old stack
     is freed before another is built.
 
-    A table holds the scratch its level sums are evaluated in: three
-    float arrays and one bool array the size of its deepest level, about
-    3.1 times that level's `logmass` in bytes, reused for every level, s
-    and q so that `log_sums` allocates nothing the size of a level.  The
-    first `log_sums` makes it, once the build's temporaries are freed, so
-    that it reuses their memory instead of raising the peak.  Every call
-    writes that scratch, so a table is not for concurrent use.
+    A table holds the scratch its level sums are evaluated in: log phi^s
+    of every level at the current s, as many floats as the table has
+    words, and two float arrays and one bool array the size of its
+    deepest level.  That is about 3.6 times the deepest `logmass` in bytes
+    at m = 3 and 4.1 times at m = 2.  It is reused for every s and q, so
+    that `log_sums` allocates nothing the size of a level.  The first
+    `_fill` makes it, once the build's temporaries are freed, so that it
+    reuses their memory instead of raising the peak.  Every call writes
+    that scratch, so a table is not for concurrent use.
     """
 
     def __init__(self, ifs, model, k_max=None):
@@ -101,28 +103,37 @@ class _Levels:
             self.logmass.append(logmass)
         self.k_max = k_max
         self.dim = ifs.dim
-        self._scratch = None
+        self._lphi = self._scratch = None
+
+    def _fill(self, s):
+        """Write log phi^s of every level into the table's scratch."""
+        if self._lphi is None:
+            self._lphi = [np.empty(lm.size) for lm in self.logmass]
+            size = self.logmass[-1].size
+            self._scratch = (np.empty(size), np.empty(size),
+                             np.empty(size, dtype=bool))
+        for la, lphi in zip(self.log_alphas, self._lphi):
+            log_phi_stack(la, s, out=lphi)
+
+    def _level_sums(self, q):
+        """log Phi_k(s, q) for k = 1..k_max at the s of the last `_fill`:
+        each level's exponent (1 - q) log phi^s + q log mu is formed and
+        summed in the table's scratch."""
+        sums = []
+        for lphi, lm in zip(self._lphi, self.logmass):
+            expo, prod, ties = (a[:lm.size] for a in self._scratch)
+            np.multiply(lphi, 1.0 - q, out=expo)
+            expo += np.multiply(lm, q, out=prod)
+            sums.append(_logsumexp_into(expo, ties))
+        return sums
 
     def log_sums(self, s, qs):
         """log Phi_k(s, q) for k = 1..k_max, one list for each q of qs.
 
-        log phi^s of a level is computed once for every q, and each q's
-        exponent (1 - q) log phi^s + q log mu is formed and summed in the
-        table's scratch.
+        log phi^s of every level is computed once for all of qs.
         """
-        if self._scratch is None:
-            size = self.logmass[-1].size
-            self._scratch = [np.empty(size) for _ in range(3)]
-            self._scratch.append(np.empty(size, dtype=bool))
-        sums = [[] for _ in qs]
-        for la, lm in zip(self.log_alphas, self.logmass):
-            lphi, expo, prod, ties = (a[:lm.size] for a in self._scratch)
-            log_phi_stack(la, s, out=lphi)
-            for row, q in zip(sums, qs):
-                np.multiply(lphi, 1.0 - q, out=expo)
-                expo += np.multiply(lm, q, out=prod)
-                row.append(_logsumexp_into(expo, ties))
-        return sums
+        self._fill(s)
+        return [self._level_sums(q) for q in qs]
 
     def log_growth(self, sums, q):
         """log of the growth estimate from one q's `log_sums`: for q > 1 the
@@ -134,38 +145,91 @@ class _Levels:
         log_w = q * self._log_c_min
         return max((v + log_w) / k for k, v in enumerate(sums, 1))
 
+    def _growth(self, q):
+        """`log_growth` of q at the s of the last `_fill`."""
+        return self.log_growth(self._level_sums(q), q)
+
+    def _shared_growths(self, qs):
+        """The log growth at the filled s of each q > 1 of qs, or -inf or
+        inf where another q's growth settles its sign.
+
+        For q > 1, fixed s and each k,
+
+            (c_min^q Phi_k)^(1/(q-1)) = c_min^(q/(q-1)) M(q),
+            M(q) = (sum_w mu_w (mu_w / phi^s(T_w))^(q-1))^(1/(q-1)),
+
+        where M is a power mean with weights mu_w (which sum to 1), so
+        nondecreasing in q, as is the first factor (c_min <= 1).  So the
+        sign of every term of the maximum in `log_growth`, and hence of
+        the growth, is nondecreasing in q: a negative growth at q makes
+        every smaller q's negative and a positive one every larger q's
+        positive.  The largest q is evaluated first, then the smallest,
+        then the middle of those still open; a growth of exactly 0
+        settles no other q.
+        """
+        growths, rest, probes = {}, sorted(qs), 0
+        while rest:
+            i = (len(rest) - 1, 0, len(rest) // 2)[min(probes, 2)]
+            probes += 1
+            q = rest[i]
+            h = growths[q] = self._growth(q)
+            if h < 0.0:
+                growths.update(dict.fromkeys(rest[:i], -math.inf))
+                rest = rest[i + 1:]
+            elif h > 0.0:
+                growths.update(dict.fromkeys(rest[i + 1:], math.inf))
+                rest = rest[:i]
+            else:
+                del rest[i]
+        return growths
+
     def _bisection(self, q, tol):
-        """The bisection of one q as a generator: it yields each s it needs,
-        is sent log Phi_k(s, q) for every k, and returns the result.  Each
-        step compares the signed log growth h, increasing in s, with 0; only
-        the result's two growths are exponentiated, so no q overflows."""
+        """The bisection of one q as a generator: it yields (s, exact) for
+        each s it needs and is sent the log growth there, or, for q > 1
+        and exact false, -inf or inf when only its sign is known.  Each
+        step compares the signed log growth h, increasing in s, with 0.
+        An end of the result or of an error text whose growth is only a
+        sign is asked for again, exactly; only the result's two growths
+        are exponentiated, so no q overflows."""
         if q != 0.0:
             _check_q(q)
         sign = -1.0 if q == 0.0 else 1.0
+
+        def evaluated(s, h):
+            if math.isinf(h):  # only its sign was sent: ask for h itself
+                h = sign * (yield s, True)
+            return h
+
         s_lo, s_hi = 1e-6, 2.0 * self.dim
-        h_lo = sign * self.log_growth((yield s_lo), q)
-        h_hi = sign * self.log_growth((yield s_hi), q)
+        h_lo = sign * (yield s_lo, False)
+        h_hi = sign * (yield s_hi, False)
         if h_lo >= 0.0:
+            h_lo = yield from evaluated(s_lo, h_lo)
             raise NoRootError(f"no bracket: log growth at s={s_lo} is "
                               f"already {sign * h_lo:.6g}")
         for _ in range(3):
             if h_hi > 0.0:
                 break
             s_hi *= 2.0
-            h_hi = sign * self.log_growth((yield s_hi), q)
+            h_hi = sign * (yield s_hi, False)
         if h_hi <= 0.0:
+            h_hi = yield from evaluated(s_hi, h_hi)
             raise NoRootError(f"no bracket: log growth at s={s_hi} is "
                               f"still {sign * h_hi:.6g}")
         iterations = max(1, math.ceil(math.log2((s_hi - s_lo) / tol)))
         for _ in range(iterations):
             mid = 0.5 * (s_lo + s_hi)
-            h_mid = sign * self.log_growth((yield mid), q)
+            if not s_lo < mid < s_hi:
+                break  # a fixed point: every later step would repeat this one
+            h_mid = sign * (yield mid, False)
             if h_mid < 0.0:
                 s_lo, h_lo = mid, h_mid
             else:
                 s_hi, h_hi = mid, h_mid
             if s_hi - s_lo <= tol:
                 break
+        h_lo = yield from evaluated(s_lo, h_lo)
+        h_hi = yield from evaluated(s_hi, h_hi)
         return DimensionResult(
             value=0.5 * (s_lo + s_hi), q=float(q), bracket=(s_lo, s_hi),
             depth=self.k_max, iterations=iterations,
@@ -179,21 +243,28 @@ class _Levels:
         decreases in s).  The bisections run in lockstep.
 
         Each step groups the distinct q's by the s they ask for next and
-        evaluates every group with one `log_sums`, so log phi^s is computed
-        once per distinct s and level, and a repeated q is solved once.
-        Every q takes the same steps on the same floats as alone.  If some
-        q fails, the error of the first failing q of qs is raised.
+        fills log phi^s of every level once for the group, so it is
+        computed once per distinct s and level, and a repeated q is solved
+        once.  Within a group, one evaluated q > 1 settles the sign of the
+        others' log growth where it can (`_shared_growths`); q = 0 is
+        always evaluated.  The sharing holds for the `log_growth` rule
+        only: another growth rule may share signs only if its sign is
+        nondecreasing in q too.  A step reads only the sign, so every q
+        takes the same steps on the same floats as alone, unless a
+        growth within rounding of 0 breaks that monotonicity in floats.
+        If some q fails, the error of the first failing q of qs is
+        raised.
         """
         if not 0.0 < tol < math.inf:
             raise InvalidInputError(f"need a tolerance tol in (0, inf), "
                                     f"got {tol}")
         runs = {q: self._bisection(q, tol) for q in dict.fromkeys(qs)}
         outcome = {}  # q -> its DimensionResult or the error it raised
-        asked = {}  # q -> the s its bisection waits for
+        asked = {}  # q -> the (s, exact) its bisection waits for
 
-        def advance(q, sums):
+        def advance(q, growth):
             try:
-                asked[q] = runs[q].send(sums)
+                asked[q] = runs[q].send(growth)
             except StopIteration as stop:
                 outcome[q] = stop.value
             except (InvalidInputError, NoRootError) as exc:
@@ -203,12 +274,16 @@ class _Levels:
             advance(q, None)
         while asked:
             groups = {}
-            for q, s in asked.items():
-                groups.setdefault(s, []).append(q)
+            for q, (s, exact) in asked.items():
+                groups.setdefault(s, []).append((q, exact))
             asked.clear()
             for s, group in groups.items():
-                for q, sums in zip(group, self.log_sums(s, group)):
-                    advance(q, sums)
+                self._fill(s)
+                growths = self._shared_growths(
+                    [q for q, exact in group if q != 0.0 and not exact])
+                for q, _ in group:
+                    advance(q, growths[q] if q in growths else
+                            self._growth(q))
         for q in qs:
             if isinstance(outcome[q], Exception):
                 raise outcome[q]

@@ -500,6 +500,118 @@ def test_lockstep_bisection_raises_first_failing_q():
             levels.solve_many(qs, 1e-4)
 
 
+def _result_fields(res):
+    return (res.value, res.bracket, res.iterations, res.growth_lo,
+            res.growth_hi)
+
+
+def test_shared_signs_give_the_one_q_results_on_seeded_tables():
+    # A dense, unsorted q list with repeats and 0.0, so that many q's ask
+    # for the same s and most growths reach the bisections as signs only.
+    qs = [2.0, 1.1, 4.0, 0.0, 1.5, 2.0, 3.0, 1.25, 1.2501, 6.0, 1.75, 0.0,
+          2.5, 1.05]
+    for levels in _seeded_tables():
+        for q, res in zip(qs, levels.solve_many(qs, 1e-4)):
+            assert res.q == q
+            assert _result_fields(res) == _one_q_bisection(levels, q, 1e-4)
+
+
+def test_shared_signs_keep_every_no_root_text():
+    # Every q of the grid fails on these nearly isometric maps, its last
+    # bracket end settled by the largest q's sign; the text each raises
+    # in lockstep is the one it raises alone, with its own growth.
+    ifs = diag_ifs([0.999, 0.999], [0.999, 0.999])
+    levels = _Levels(ifs, BernoulliModel(probs=(0.5, 0.5)), k_max=8)
+    grid = [1.5 + 0.25 * i for i in range(15)]
+    for i, q in enumerate(grid):
+        with pytest.raises(NoRootError) as alone:
+            levels.solve_many([q], 1e-4)
+        assert "inf" not in str(alone.value)
+        with pytest.raises(NoRootError) as lockstep:
+            levels.solve_many(grid[i:] + grid[:i], 1e-4)
+        assert str(lockstep.value) == str(alone.value)
+
+
+@pytest.fixture(scope="module")
+def acceptance4_levels():
+    return _Levels(*acceptance4_system())
+
+
+@pytest.fixture
+def level_sum_passes(monkeypatch):
+    """The q of every per-q level-sum pass of every table, in order."""
+    passes = []
+    level_sums = _Levels._level_sums
+
+    def counted(self, q):
+        passes.append(q)
+        return level_sums(self, q)
+
+    monkeypatch.setattr(_Levels, "_level_sums", counted)
+    return passes
+
+
+# The q's of `solve` in the solve-scan benchmark: its [solve] q, the
+# affinity dimension and the scan grid, 12 distinct.
+SOLVE_SCAN_QS = [1.5, 2.0, 3.0, 0.0] + [1.5 + 0.25 * i for i in range(11)]
+
+
+def test_shared_signs_halve_the_level_sum_passes(acceptance4_levels,
+                                                 level_sum_passes):
+    lockstep = acceptance4_levels.solve_many(SOLVE_SCAN_QS, 1e-4)
+    assert len(level_sum_passes) <= 110
+    level_sum_passes.clear()
+    alone = {q: acceptance4_levels.solve_many([q], 1e-4)[0]
+             for q in dict.fromkeys(SOLVE_SCAN_QS)}
+    assert len(level_sum_passes) == 12 * 18 == 216
+    assert lockstep == [alone[q] for q in SOLVE_SCAN_QS]
+
+
+def test_lockstep_bisection_allocates_nothing_the_size_of_a_level(
+        acceptance4_levels):
+    want = acceptance4_levels.solve_many(SOLVE_SCAN_QS, 1e-4)
+    tracemalloc.start()
+    try:
+        got = acceptance4_levels.solve_many(SOLVE_SCAN_QS, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < acceptance4_levels.logmass[-1].nbytes == 8 * 3 ** 11
+
+
+def test_bisection_stops_at_its_fixed_point(level_sum_passes):
+    # At tol 1e-300 the bracket reaches one ulp after about 53 of its 999
+    # planned steps; past it every midpoint is an end, so the bisection
+    # stops there and still reports the planned count.
+    levels = _Levels(*acceptance4_system(), k_max=8)
+    want = _one_q_bisection(levels, 2.0, 1e-300)
+    level_sum_passes.clear()
+    res = levels.solve_many([2.0], 1e-300)[0]
+    assert _result_fields(res) == want
+    assert res.iterations == want[2] == 999
+    assert len(level_sum_passes) <= 60
+
+
+@pytest.mark.parametrize("markov", [False, True], ids=["bernoulli", "markov"])
+def test_level_sum_signs_nondecreasing_in_q(markov):
+    # The power-mean lemma that lets one q settle another's sign: at fixed
+    # s, log Phi_k + q log c_min changes sign at most once along
+    # increasing q, from negative to nonnegative, for every k.
+    grid = [1.02 * 1.08 ** i for i in range(40)]
+    changes = 0
+    for i, levels in enumerate(_seeded_tables()):
+        if i % 2 != markov:
+            continue
+        for s in np.linspace(0.1, levels.dim, 12):
+            rows = np.array(levels.log_sums(s, grid)).T
+            for row in rows:
+                signs = row + np.array(grid) * levels._log_c_min >= 0.0
+                assert np.all(np.diff(signs.astype(int)) >= 0)
+                changes += signs[-1] != signs[0]
+    assert changes > 200
+
+
 def test_affinity_dimension_identical_similarities():
     # m equal similarity maps of ratio c: phi^s(T^k) m^k = 1 at s = log m / -log c
     ifs = diag_ifs([0.4, 0.4], [0.4, 0.4])
