@@ -359,16 +359,8 @@ def build_system(cfg):
 # Run files.
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
 def config_hash(cfg):
-    blob = json.dumps(cfg, sort_keys=True, default=_to_jsonable)
+    blob = json.dumps(cfg, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -403,7 +395,7 @@ def _write_text(out_dir, name, text):
 
 
 def _write_json(out_dir, name, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_to_jsonable)
+    text = json.dumps(obj, indent=2, sort_keys=True)
     _write_text(out_dir, name, text + "\n")
 
 
@@ -770,8 +762,7 @@ def main(argv=None):
                 return code
         raise
     try:
-        print(json.dumps(record, indent=2, sort_keys=True,
-                         default=_to_jsonable))
+        print(json.dumps(record, indent=2, sort_keys=True))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader is gone, and every run file is already written; with

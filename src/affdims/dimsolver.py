@@ -31,7 +31,7 @@ from .errors import InvalidInputError, NoRootError, ResourceLimitError
 from .linalg import _extend_products, log_phi_stack, singular_values_stack
 from .measures import (BernoulliModel, _check_model, log_prob_tables,
                        product_ratio_bounds)
-from .numerics import _logsumexp_into, logsumexp
+from .numerics import _exp, _logsumexp_into, logsumexp
 
 _CUT_RHO = 0.5  # d_q_plus_cutset's radius ratio between cut-set levels
 
@@ -78,10 +78,10 @@ class _Levels:
     words, and two float arrays and one bool array the size of its
     deepest level.  That is about 3.6 times the deepest `logmass` in bytes
     at m = 3 and 4.1 times at m = 2.  It is reused for every s and q, so
-    that `log_sums` allocates nothing the size of a level.  The first
-    `_fill` makes it, once the build's temporaries are freed, so that it
-    reuses their memory instead of raising the peak.  Every call writes
-    that scratch, so a table is not for concurrent use.
+    that `log_sums` allocates nothing the size of a level.  The build
+    makes it last, once its products are freed, so that it reuses their
+    memory instead of raising the peak.  Every call writes that scratch,
+    so a table is not for concurrent use.
     """
 
     def __init__(self, ifs, model, k_max=None):
@@ -103,17 +103,17 @@ class _Levels:
             self.logmass.append(logmass)
         self.k_max = k_max
         self.dim = ifs.dim
-        self._lphi = self._scratch = None
+        mats = logdet = _ = None  # freed, so the buffers reuse their memory
+        self._lphi = [np.empty(lm.size) for lm in self.logmass]
+        size = self.logmass[-1].size
+        self._scratch = (np.empty(size), np.empty(size),
+                         np.empty(size, dtype=bool))
 
     def _fill(self, s):
-        """Write log phi^s of every level into the table's scratch."""
-        if self._lphi is None:
-            self._lphi = [np.empty(lm.size) for lm in self.logmass]
-            size = self.logmass[-1].size
-            self._scratch = (np.empty(size), np.empty(size),
-                             np.empty(size, dtype=bool))
+        """log phi^s of every level, written into and returned as scratch."""
         for la, lphi in zip(self.log_alphas, self._lphi):
             log_phi_stack(la, s, out=lphi)
+        return self._lphi
 
     def _level_sums(self, q):
         """log Phi_k(s, q) for k = 1..k_max at the s of the last `_fill`:
@@ -200,13 +200,16 @@ class _Levels:
                 h = sign * (yield s, True)
             return h
 
+        weight = q * self._log_c_min
+        where = f"at table depth {self.k_max}" + (
+            f" (weight q log c_min {weight:.6g})" if weight else "")
         s_lo, s_hi = 1e-6, 2.0 * self.dim
         h_lo = sign * (yield s_lo, False)
         h_hi = sign * (yield s_hi, False)
         if h_lo >= 0.0:
             h_lo = yield from evaluated(s_lo, h_lo)
-            raise NoRootError(f"no bracket: log growth at s={s_lo} is "
-                              f"already {sign * h_lo:.6g}")
+            raise NoRootError(f"no bracket {where}: log growth at s={s_lo} "
+                              f"is already {sign * h_lo:.6g}")
         for _ in range(3):
             if h_hi > 0.0:
                 break
@@ -214,8 +217,8 @@ class _Levels:
             h_hi = sign * (yield s_hi, False)
         if h_hi <= 0.0:
             h_hi = yield from evaluated(s_hi, h_hi)
-            raise NoRootError(f"no bracket: log growth at s={s_hi} is "
-                              f"still {sign * h_hi:.6g}")
+            raise NoRootError(f"no bracket {where}: log growth at s={s_hi} "
+                              f"is still {sign * h_hi:.6g}")
         iterations = max(1, math.ceil(math.log2((s_hi - s_lo) / tol)))
         for _ in range(iterations):
             mid = 0.5 * (s_lo + s_hi)
@@ -233,8 +236,7 @@ class _Levels:
         return DimensionResult(
             value=0.5 * (s_lo + s_hi), q=float(q), bracket=(s_lo, s_hi),
             depth=self.k_max, iterations=iterations,
-            growth_lo=float(np.exp(sign * h_lo)),
-            growth_hi=float(np.exp(sign * h_hi)),
+            growth_lo=_exp(sign * h_lo), growth_hi=_exp(sign * h_hi),
         )
 
     def solve_many(self, qs, tol):
@@ -331,20 +333,21 @@ class MomentSumTable:
 
 
 def moment_table(ifs, model, s, q, k_max):
-    """All level sums up to k_max at fixed (s, q)."""
+    """All level sums up to k_max at fixed (s, q), inf past the float range."""
     _check_q(q)
     levels = _Levels(ifs, model, k_max)
-    sums = tuple(float(np.exp(v)) for v in levels.log_sums(s, [q])[0])
+    sums = tuple(_exp(v) for v in levels.log_sums(s, [q])[0])
     return MomentSumTable(s=float(s), q=float(q), sums=sums)
 
 
 def moment_sum(ifs, model, s, q, k):
-    """Phi_k(s, q) = sum over level-k words of phi^s(T_i)^(1-q) mu(C_i)^q."""
+    """Phi_k(s, q) = sum over level-k words of phi^s(T_i)^(1-q) mu(C_i)^q,
+    inf past the float range."""
     return moment_table(ifs, model, s, q, k).sums[-1]
 
 
 def growth_rate(ifs, model, s, q, k_max=None):
-    """Estimate of lim_k Phi_k(s, q)^(1/k).
+    """Estimate of lim_k Phi_k(s, q)^(1/k), inf past the float range.
 
     Uses the supermultiplicative lower bound max_k (w Phi_k)^(1/k), where
     the weight w is 1 for Bernoulli models and the q-th power of the
@@ -353,7 +356,7 @@ def growth_rate(ifs, model, s, q, k_max=None):
     """
     _check_q(q)
     levels = _Levels(ifs, model, k_max)
-    return float(np.exp(levels.log_growth(levels.log_sums(s, [q])[0], q)))
+    return _exp(levels.log_growth(levels.log_sums(s, [q])[0], q))
 
 
 @dataclass(frozen=True)
@@ -435,11 +438,11 @@ def d_q_plus_cutset(ifs, model, q, s, l_max=8):
     """Moment sums over the cut sets J^s(2^-l) for l = 1..l_max.
 
     Reported as diagnostics: bounded sums down the ladder support s below
-    the upper dimension, growth indicates s above it.  No root finding is
-    attempted on these.  Sums are taken in log space, as `_Levels` does.
-    The ladder stops before the first radius whose cut set is over the
-    word budget and returns the rows finished above it; only a first
-    radius (r = 1/2) over the budget raises ResourceLimitError.
+    the upper dimension, growth indicates s above it; no root is sought.
+    Sums are taken in log space, as `_Levels` does, and are inf past the
+    float range.  The ladder stops before the first radius whose cut set
+    is over the word budget and returns the rows finished above it; only
+    a first radius (r = 1/2) over the budget raises ResourceLimitError.
     """
     _check_q(q)
     _check_model(ifs, model)
@@ -463,7 +466,7 @@ def d_q_plus_cutset(ifs, model, q, s, l_max=8):
             terms.append((1.0 - q) * log_phi_stack(log_alphas, s)
                          + q * logmass)
         terms = np.concatenate(terms)
-        out.append(CutSetSum(r=r, value=float(np.exp(logsumexp(terms))),
+        out.append(CutSetSum(r=r, value=_exp(logsumexp(terms)),
                              size=terms.size))
     return out
 

@@ -62,34 +62,38 @@ class BernoulliModel:
 
 
 def _perron(mat):
-    """Perron root and positive right eigenvector via power iteration.
+    """Perron root and positive right eigenvector, certified.
 
-    Iterates to the Collatz-Wielandt sandwich min(Mx/x) <= lambda <= max(Mx/x)
-    with relative gap below _PERRON_TOL, which certifies the root.
-    Roundoff can hold the gap just above it; a gap below 1e-12 that has not
-    shrunk for 1000 iterations is accepted too.  A second eigenvalue near
-    -lambda stalls the iteration, so a run that ends unconverged is repeated
-    once on M + cI, c the stalled run's midpoint: same eigenvector, root
-    shifted by c, and the second eigenvalue now far below the first.
+    Power iteration runs to the Collatz-Wielandt sandwich min(Mx/x) <=
+    lambda <= max(Mx/x) with relative gap below _PERRON_TOL.  Roundoff can
+    hold the gap just above it; a gap below 1e-12 that has not shrunk for
+    1000 iterations is accepted too.  A second eigenvalue near +-lambda
+    stalls the iteration; then a dense eigen-solve's vector of the
+    eigenvalue of largest real part is taken if its ratios agree to 1e-12.
     """
-    shift = 0.0
-    for _ in range(2):
-        x = np.ones(mat.shape[0])
-        lam, best, stalled = np.nan, np.inf, 0
-        for _ in range(_PERRON_MAX_ITER):
-            y = mat @ x + shift * x
-            ratios = y / x
-            lo, hi = ratios.min(), ratios.max()
-            lam = 0.5 * (lo + hi)
-            x = y / y.sum()
-            if hi - lo <= _PERRON_TOL * lam:
-                return lam - shift, x
-            best, stalled = (hi - lo, 0) if hi - lo < best else (best, stalled + 1)
-            if stalled > 1000 and best <= 1e-12 * lam:
-                return lam - shift, x
-        shift = lam
-    raise InvalidInputError("power iteration failed to converge; "
-                            "is the transfer matrix strictly positive?")
+    x = np.ones(mat.shape[0])
+    best, stalled = np.inf, 0
+    for _ in range(_PERRON_MAX_ITER):
+        y = mat @ x
+        ratios = y / x
+        lo, hi = ratios.min(), ratios.max()
+        lam = 0.5 * (lo + hi)
+        x = y / y.sum()
+        if hi - lo <= _PERRON_TOL * lam:
+            return lam, x
+        best, stalled = (hi - lo, 0) if hi - lo < best else (best, stalled + 1)
+        if stalled > 1000 and best <= 1e-12 * lam:
+            return lam, x
+    values, vectors = np.linalg.eig(mat)
+    x = np.abs(vectors[:, np.argmax(values.real)].real)
+    x /= x.sum()
+    ratios = mat @ x / x
+    lo, hi = ratios.min(), ratios.max()
+    if hi - lo <= 1e-12 * hi:
+        return 0.5 * (lo + hi), x
+    raise InvalidInputError("no certified Perron root by power iteration "
+                            "or eigen-solve; is the transfer matrix strictly "
+                            "positive?")
 
 
 @dataclass(frozen=True, eq=False)

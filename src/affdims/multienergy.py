@@ -34,14 +34,14 @@ from .errors import (
     InvalidInputError,
     ResourceLimitError,
 )
-from .linalg import compose, log_phi_stack, phi_s
+from .linalg import compose, phi_s
 from .measures import _check_symbols, _word, draw_words, sample_words
-from .numerics import fit_line
+from .numerics import _exp, fit_line
 from .sampler import _add_levels
 
 _MC_LABEL = "multienergy/mc"
 _TRANS_LABEL = "multienergy/transversality"
-_MAX_TREE_VERTICES = 20_000
+_MAX_SERIES_COEFFS = 2 ** 17  # (n + 1) per tree vertex in the exact sum
 _BATCHES = 32
 _MAX_BATCH_UNIFORMS = 2 ** 24  # 128 MiB of float64 per Monte Carlo batch
 
@@ -65,7 +65,7 @@ def _log_tables(ifs, model, s, depth):
     ResourceLimitError when m^depth exceeds the `_Levels` word budget.
     """
     levels = _Levels(ifs, model, depth)
-    log_phi = [np.zeros(1)] + [log_phi_stack(la, s) for la in levels.log_alphas]
+    log_phi = [np.zeros(1)] + levels._fill(s)
     log_mass = [np.zeros(1)] + levels.logmass
     return log_phi, log_mass
 
@@ -231,23 +231,16 @@ def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
 
 
 def _check_exact(ifs, s, n, q, depth):
-    """The input checks of exact_truncated_multienergy."""
+    """The input checks of exact_truncated_multienergy: n <= 170, so that
+    n! is a finite double, and (n + 1) * vertices <= 2^17, the series
+    coefficients the sum holds over the vertices of the depth-D tree."""
     _check_nq(n, q)
     _check_s(s, ifs.dim)
-    m = ifs.m
-    # Caps the log count of the (n+1)-tuples the sum stands for, which also
-    # keeps n <= 85, far below n = 171, where n! overflows a double.
-    log_tuples = (n + 1) * depth * math.log(m)
-    if log_tuples > 60.0:
+    n_vertices = (ifs.m ** (depth + 1) - 1) // (ifs.m - 1)
+    if n > 170 or (n + 1) * n_vertices > _MAX_SERIES_COEFFS:
         raise ResourceLimitError(
-            f"(n+1) * depth * log(m) = {log_tuples:.1f}, the log count of "
-            "(n+1)-tuples of depth-D words, exceeds the budget of 60")
-    n_vertices = (m ** (depth + 1) - 1) // (m - 1)
-    if n_vertices > _MAX_TREE_VERTICES:
-        raise ResourceLimitError(
-            f"depth {depth} needs {n_vertices} tree vertices, over the "
-            f"budget of {_MAX_TREE_VERTICES}"
-        )
+            f"n = {n} at depth {depth}, over {n_vertices} tree vertices, "
+            f"needs n <= 170 and (n+1) * vertices <= {_MAX_SERIES_COEFFS}")
 
 
 def _series_mul(a, b):
@@ -447,7 +440,8 @@ def check_decay_criterion(ifs, model, s, q, k_max):
 
     A negative fitted slope with margin (2 stderr plus a small absolute
     floor) predicts a finite multienergy integral; the fitted
-    lambda = exp(slope) is exact for identical-map systems.
+    lambda = exp(slope), inf past the float range, is exact for
+    identical-map systems.
     """
     _check_decay(ifs, k_max)
     levels = _Levels(ifs, model, k_max)
@@ -456,7 +450,7 @@ def check_decay_criterion(ifs, model, s, q, k_max):
     slope, stderr = fit_line(ks, logs)
     margin = 2.0 * stderr + 1e-3
     return DecayCheck(
-        lambda_fit=float(np.exp(slope)),
+        lambda_fit=_exp(slope),
         geometric=bool(slope < -margin),
         slope=slope,
         stderr=stderr,

@@ -49,6 +49,12 @@ def _logsumexp_into(a, ties):
         return float(np.log1p(s) + np.log(m) + a_max)
 
 
+def _exp(x):
+    """np.exp(x) as a float, inf with no warning past the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(x))
+
+
 def fit_line(x, y):
     """(slope, stderr of the slope) of the least-squares line of y on x.
 

@@ -810,6 +810,29 @@ def test_insufficient_data_exit_code(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_near_degenerate_markov_potential_solves(tmp_path, capsys):
+    # The transfer matrix exp(f) has |lambda_2| / lambda_1 = 0.99997, which
+    # stalls power iteration; the model is built all the same.
+    path = tmp_path / "markov.ini"
+    path.write_text(BASE_INI.replace(
+        "type = bernoulli\nprobs = 0.6 0.4",
+        "type = markov\npotential = 0 -10 / -12 0") + "[solve]\nq = 2\n"
+        "k_max = 8\n")
+    code, stdout, _ = run_cli(capsys, "solve", "--config", str(path),
+                              "--out", str(tmp_path / "out"))
+    assert code == 0
+    d = json.loads(stdout)["payload"]["dimensions"][0]["d_q"]
+    assert d == pytest.approx(2.7485659866867067, abs=1e-4)
+
+
+def test_json_config_of_a_list_rejected(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("[1, 2]\n")
+    code, _, err = run_cli(capsys, "solve", "--config", str(path))
+    assert code == 2
+    assert "bad.json: expected an object of section objects" in err
+
+
 def test_markov_config_accepted(tmp_path, capsys):
     path = tmp_path / "markov.ini"
     path.write_text(
@@ -896,6 +919,13 @@ def test_markov_config_accepted(tmp_path, capsys):
     ("sample", BASE_INI + "[sample]\nn = 2000\ndepth = 20\n[estimate]\n"
      "r0 = 1e-30\n", [], "[estimate] r0, rho, rungs"),
     ("verify", BASE_INI + "[sample]\nn = 0\n", [], "[sample] n"),
+    ("solve", '{"ifs": \n', [], "bad.ini: not valid JSON"),
+    ("solve", "dim = 2\n" + BASE_INI, [], "bad.ini: File contains no section"),
+    ("solve", BASE_INI.replace("type = bernoulli\nprobs = 0.6 0.4",
+                               "type = markov\npotential = 0 1 / 1 0 / 0 0"),
+     [], "[measure] potential"),
+    ("solve", BASE_INI.replace("probs = 0.6 0.4", "probs = 0.5 0.6"), [],
+     "[measure]: probabilities sum to"),
 ], ids=["form", "mode", "threads", "nan-entry", "unknown-solve-key",
         "unknown-ifs-key", "unknown-measure-key", "tol-zero",
         "grid-step-zero", "two-rungs", "rho-above-one", "estimate-q-one",
@@ -907,7 +937,8 @@ def test_markov_config_accepted(tmp_path, capsys):
         "min-per-cube-nan", "min-per-cube-inf", "threads-past-cap",
         "finest-radius-rungs", "finest-radius-rho", "finest-radius-r0",
         "verify-radius-past-mesh", "sample-radius-past-mesh",
-        "sample-n-zero"])
+        "sample-n-zero", "json-invalid", "key-before-section",
+        "potential-rows", "probs-sum"])
 def test_bad_input_rejected_before_work(tmp_path, capsys, monkeypatch,
                                         command, text, argv, named):
     builds = count_table_builds(monkeypatch)

@@ -233,6 +233,22 @@ def test_count_bound_factorial():
             assert count_join_configurations(levels) <= math.factorial(n - 1)
 
 
+def _zigzag(n):
+    """The Euler zigzag number E_n by the Seidel-Entringer triangle."""
+    row = [1]
+    for _ in range(n):
+        row = list(itertools.accumulate(reversed(row), initial=0))
+    return row[-1]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_count_with_distinct_levels_is_the_zigzag_number(m):
+    # n joins at distinct levels form a decreasing binary tree up to child
+    # swaps, counted by E_n whatever the arity: 1, 1, 2, 5, 16, 61.
+    for n in range(1, 7):
+        assert count_join_configurations(tuple(range(n)), m) == _zigzag(n)
+
+
 def test_count_zero_for_unrealizable_multiset():
     # A binary tree has a single vertex at level 0.
     assert count_join_configurations((0, 0, 0)) == 0

@@ -1,6 +1,7 @@
 """Moment sums and the generalized dimension solver."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from affdims import (
     MarkovGibbsModel,
     affinity_dimension,
     all_words,
+    check_decay_criterion,
     compose,
     cut_set,
     cylinder_mass,
@@ -316,6 +319,22 @@ def test_large_q_tends_to_smallest_single_map_root():
     assert 0.0 < value - s_min <= 1e-3
 
 
+def test_sums_and_growths_past_the_float_range_are_inf():
+    # At q = 1000 every level sum and growth at s = 2 is past the float
+    # range: each is returned as inf, and numpy warns of no overflow.
+    ifs, model = acceptance4_system()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert moment_sum(ifs, model, 2.0, 1000.0, 3) == math.inf
+        assert moment_table(ifs, model, 2.0, 1000.0, 3).sums[-1] == math.inf
+        assert growth_rate(ifs, model, 2.0, 1000.0, k_max=6) == math.inf
+        rows = d_q_plus_cutset(ifs, model, 1000.0, 1.5, l_max=2)
+        assert rows[-1].value == math.inf
+        decay = check_decay_criterion(ifs, model, 2.0, 1000.0, 6)
+        assert decay.lambda_fit == math.inf
+        assert d_q_minus(ifs, model, 1000.0).value == 1.1279609230880738
+
+
 def test_q_near_one_tends_to_lyapunov_dimension():
     # As q -> 1+, d_q tends to the Lyapunov dimension
     # 1 + (h - |lambda_1|) / |lambda_2| of the diagonal system.
@@ -411,8 +430,20 @@ def test_no_root_when_contractions_too_weak():
     # Nearly-isometric maps push the root beyond every doubled bracket.
     ifs = diag_ifs([0.999, 0.999], [0.999, 0.999])
     model = BernoulliModel(probs=(0.5, 0.5))
-    with pytest.raises(NoRootError):
+    with pytest.raises(NoRootError, match=r"^no bracket at table depth 17: "
+                       r"log growth at s=32\.0 is still -"):
         d_q_minus(ifs, model, 5.0)
+
+
+def test_no_root_text_names_the_depth_and_the_markov_weight():
+    # Seeded Markov table 1 (1-D, depth 6) has d_q <= 1 at q = 1.01, but
+    # the weight q log c_min enters every level's term and shrinks only
+    # as 1/k, so no s up to 16 brings the lower bound to 1 at this depth.
+    levels = next(itertools.islice(_seeded_tables(), 1, None))
+    with pytest.raises(NoRootError, match=re.escape(
+            "no bracket at table depth 6 (weight q log c_min -2.79001): "
+            "log growth at s=16.0 is still -0.319745")):
+        levels.solve_many([1.01], 1e-4)
 
 
 def _one_q_bisection(levels, q, tol):
@@ -708,6 +739,16 @@ def test_phase_scan_rejects_grid_points_not_above_one(monkeypatch):
     ifs, model = worked_system()
     with pytest.raises(InvalidInputError, match="q > 1"):
         phase_transition_scan(ifs, model, [0.5, 1.0, 1.5])
+
+
+def test_phase_scan_rejects_unsorted_grid(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a level table was built")
+
+    monkeypatch.setattr(_Levels, "__init__", no_table)
+    ifs, model = worked_system()
+    with pytest.raises(InvalidInputError, match="strictly increasing"):
+        phase_transition_scan(ifs, model, [1.5, 2.5, 2.0])
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf])

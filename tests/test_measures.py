@@ -172,13 +172,25 @@ def test_markov_model_accepts_perron_gap_held_by_roundoff():
 
 def test_markov_model_with_second_eigenvalue_near_minus_root():
     # Eigenvalues 60.953 and -60.940: plain power iteration stalls, the
-    # shifted rerun converges.
+    # certified eigen-solve takes over.
     f = np.array([[-4.59, 2.81], [5.41, -5.84]])
     model = MarkovGibbsModel(potential=f)
     want = max(np.linalg.eigvals(np.exp(f)).real)
     assert model._lambda == pytest.approx(want, rel=1e-12)
     pi, trans = model.initial_probs(), model.transition_probs()
     np.testing.assert_allclose(pi @ trans, pi, rtol=1e-12)
+
+
+@pytest.mark.parametrize("potential", [[[0, -10], [-12, 0]],
+                                       [[0, -9], [-11, 0]]])
+def test_markov_model_with_near_degenerate_spectrum(potential):
+    # |lambda_2| / lambda_1 is 0.99997 and 0.99991: power iteration does
+    # not converge in its iteration budget, so the eigen-solve decides.
+    model = MarkovGibbsModel(potential=potential)
+    want = max(np.linalg.eigvals(np.exp(potential)).real)
+    assert model._lambda == pytest.approx(want, rel=1e-15)
+    pi, trans = model.initial_probs(), model.transition_probs()
+    np.testing.assert_allclose(pi @ trans, pi, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("potential, lam, pi, trans", [

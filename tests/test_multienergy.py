@@ -42,6 +42,13 @@ def hetero_system():
     return ifs, model
 
 
+def sheared_system():
+    """The system of acceptance 6: one diagonal and one sheared map."""
+    ifs = AffineIFS(maps=(np.diag([0.5, 0.3]),
+                          np.array([[0.4, 0.1], [0.0, 0.35]])))
+    return ifs, BernoulliModel(probs=(0.6, 0.4))
+
+
 # --- independent brute-force oracle for the truncated integral ---
 
 def _mult_kernel(ifs, s, words):
@@ -232,6 +239,21 @@ def test_budget_guard():
         exact_truncated_multienergy(ifs, model, s=0.55, n=3, q=3.5, depth=40)
 
 
+def test_exact_budget_counts_series_coefficients():
+    # The sum holds n + 1 coefficients at each of the 2^(D+1) - 1 tree
+    # vertices, at most 2^17 in all, and n! must stay a finite double.
+    ifs, model = sheared_system()
+    got = exact_truncated_multienergy(ifs, model, s=0.55, n=6, q=3.0,
+                                      depth=13)
+    assert got == pytest.approx(12.925392682844343, rel=1e-12)
+    assert math.isfinite(exact_truncated_multienergy(
+        ifs, model, s=0.55, n=170, q=3.0, depth=8))
+    for n, depth in ((171, 1), (8, 13)):
+        with pytest.raises(ResourceLimitError, match="tree vertices"):
+            exact_truncated_multienergy(ifs, model, s=0.55, n=n, q=3.0,
+                                        depth=depth)
+
+
 def test_mc_depth_limited_by_level_table_budget():
     # 2^18 words exceed the 250,000-word table; 2^17 fit.
     ifs, model = hetero_system()
@@ -301,6 +323,16 @@ def test_mc_resample_mode_fails_at_tiny_depth():
             ifs, model, s=0.55, n=2, q=2.5, samples=320, depth=1,
             seed=1, inner=32, unresolved="resample",
         )
+
+
+def test_mc_resample_failures_past_one_percent_raise():
+    # Every batch keeps some resolved tuple, but 158 of the 2048 stay
+    # unresolved after the redraws, over the 1% the run allows.
+    ifs, model = sheared_system()
+    with pytest.raises(DepthInsufficientError,
+                       match="158 of 2048 tuples unresolved at depth 1"):
+        mc_multienergy(ifs, model, s=0.55, n=1, q=1.8, samples=32, depth=1,
+                       seed=1, inner=64, unresolved="resample")
 
 
 def test_mc_validates_q_range():
@@ -496,6 +528,15 @@ def test_class_sums_add_up_to_elementary_symmetric_masses(m, depth, root,
         found = _class_sums(log_phi, log_mass, m, root, depth, n)
         total = math.fsum(lhs for _, lhs in found.values())
         assert total == pytest.approx(math.factorial(n) * e[n], rel=1e-12)
+
+
+def test_class_deeper_than_the_depth_rejected():
+    # The rays (1,1,1) and (1,1,2) join at level 2, which depth 2 cannot
+    # resolve.
+    ifs, model = sheared_system()
+    jc = canonical_join_class(join_set(((1, 1, 1), (1, 1, 2), (2, 1, 1))))
+    with pytest.raises(InvalidInputError, match="cannot resolve a class"):
+        check_prop71_bound(ifs, model, 0.55, 3.0, jc, depth=2)
 
 
 def test_spread_above_q_rejected():

@@ -1,13 +1,15 @@
-"""Package structure: no dead imports, no private name that nothing reads,
-and no private default that nothing sets.
+"""Package structure: no dead imports, no private name that nothing reads
+or calls, and no private default that nothing sets.
 
 Every module of `src/affdims` is parsed with `ast`.  Outside `__init__.py`,
 which re-exports the public names, each imported name must be read in its
 module.  Each module-level private function, class or constant must be
 named by some other line of the package: a load, an attribute or an
 import.  A helper left behind when its last caller moved, or a limit whose
-check was deleted, fails here.  Each defaulted parameter of a module-level
-private function must be passed by some call in the package or its tests.
+check was deleted, fails here.  Each module-level private function and
+each private method must be called by name in the package or its tests,
+and each defaulted parameter of a module-level private function must be
+passed by some call there.
 """
 
 import ast
@@ -90,9 +92,9 @@ def _passes(call, index, name):
             or index < len(call.args))
 
 
-def test_every_default_of_a_private_function_is_passed_somewhere():
-    # A defaulted parameter that no call in the package or its tests ever
-    # sets is a constant in disguise.
+def _calls():
+    """Every call in the package and its tests, by the name it calls: a
+    plain name or the attribute of a method call."""
     tests = Path(__file__).resolve().parent
     calls = {}
     for path in [*PACKAGE.glob("*.py"), *tests.glob("*.py")]:
@@ -102,12 +104,36 @@ def test_every_default_of_a_private_function_is_passed_somewhere():
                 name = func.id if isinstance(func, ast.Name) else \
                     getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_every_private_function_and_method_is_called():
+    # A private helper that is only passed around, never called by name,
+    # such as a hook no value reaches, is dead weight.
+    calls = _calls()
+    uncalled = []
+    for module, tree in _trees().items():
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            uncalled += [f"{module}: {func.name}" for func in body
+                         if isinstance(func, ast.FunctionDef)
+                         and _private(func.name) and func.name not in calls]
+    assert not uncalled
+
+
+def test_every_default_of_a_private_function_is_passed_somewhere():
+    # A defaulted parameter that no call in the package or its tests ever
+    # sets is a constant in disguise.
+    calls = _calls()
     unset = []
     for module, tree in _trees().items():
         for node in tree.body:
             if not isinstance(node, ast.FunctionDef) \
-                    or not node.name.startswith("_") \
-                    or node.name.startswith("__"):
+                    or not _private(node.name):
                 continue
             for index, name in _defaulted_parameters(node):
                 if not any(_passes(call, index, name)
