@@ -32,7 +32,7 @@ from .errors import InvalidInputError, ResourceLimitError
 from .linalg import _extend_products, compose, phi_s, singular_values_stack
 
 _MAX_WORDS = 250_000  # per solver level, and kept plus pending per descent
-_MAX_JOIN_LEVELS = 6  # join points count_join_configurations accepts
+_MAX_JOIN_LEVELS = 9  # join points count_join_configurations accepts
 
 
 def wedge(u, v):
@@ -265,6 +265,10 @@ def _encode_join_set(jset):
 
 
 def _realize_encoding(encoding, root):
+    """The join class of a canonical encoding, laid out below root: the one
+    constructor of JoinClass.  Child subtrees take branches 1, 2, ... in
+    encoding order, so equal encodings give equal classes.
+    """
     verts = {}
 
     def place(parent_word, parent_depth, node, branch):
@@ -279,24 +283,15 @@ def _realize_encoding(encoding, root):
 
     for idx, node in enumerate(encoding):
         place(tuple(root), 0, node, idx + 1)
-    return JoinSet(root=tuple(root), vertices=tuple(verts.items()))
+    rep = JoinSet(root=root, vertices=tuple(verts.items()))
+    return JoinClass(root=rep.root, canonical_form=rep, spread=rep.spread,
+                     levels=rep.levels())
 
 
 def canonical_join_class(jset):
-    """Canonical class of a join set under root-preserving automorphisms.
-
-    The representative re-lays the same tree shape below the original root
-    with child subtrees in canonical order, so equal classes have equal
-    representatives.
-    """
-    encoding = _encode_join_set(jset)
-    rep = _realize_encoding(encoding, jset.root)
-    return JoinClass(
-        root=jset.root,
-        canonical_form=rep,
-        spread=jset.spread,
-        levels=jset.levels(),
-    )
+    """Canonical class of a join set under root-preserving automorphisms:
+    its encoding realized below the same root (`_realize_encoding`)."""
+    return _realize_encoding(_encode_join_set(jset), jset.root)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +362,8 @@ def count_join_configurations(levels, m=2):
     Parameters
     ----------
     levels : sequence of int
-        Nonnegative vertex depths, at most 6; only order and ties count.
+        Nonnegative vertex depths, at most 9 of them; only order and ties
+        count.
     m : int
         Arity of the tree (default binary).
     """

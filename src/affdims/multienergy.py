@@ -26,8 +26,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from . import counterrng as crng
-from .codespace import (_class_shapes, _realize_encoding, _word_index,
-                        canonical_join_class, wedge)
+from .codespace import _class_shapes, _realize_encoding, _word_index, wedge
 from .dimsolver import _check_levels, _Levels
 from .errors import (
     DepthInsufficientError,
@@ -330,12 +329,13 @@ def _class_sums(log_phi, log_mass, m, root, depth, n):
     """Restricted sums over ordered n-tuples of distinct depth-D rays below root.
 
     Returns {class encoding: (join class, sum of kernel^-1 * masses)} over
-    every shape with n - 1 joins above depth D that `_class_shapes` lists.
+    every shape with n - 1 joins above depth D that `_class_shapes` lists;
+    each class is built once, from its encoding (`_realize_encoding`).
     """
     levels = combinations_with_replacement(range(depth - len(root)), n - 1)
     shapes, nodes = {}, {}
     keys = set().union(*(_class_shapes(lv, m, shapes) for lv in levels))
-    return {key: (canonical_join_class(_realize_encoding(key, root)),
+    return {key: (_realize_encoding(key, root),
                   _class_lhs(log_phi, log_mass, m, root, n, key, nodes))
             for key in keys}
 

@@ -19,8 +19,9 @@ from affdims import (
     multienergy_kernel,
     wedge,
 )
-from affdims.codespace import _encode_join_set, _word_index, is_prefix
-from affdims.errors import InvalidInputError
+from affdims.codespace import (_class_shapes, _encode_join_set,
+                               _realize_encoding, _word_index, is_prefix)
+from affdims.errors import InvalidInputError, ResourceLimitError
 
 from checks import diag_ifs
 
@@ -185,12 +186,15 @@ def test_canonical_class_invariant_under_relabeling():
     assert c1.encoding() == c2.encoding()
     assert c1.levels == c2.levels
     assert c1.spread == c2.spread
+    assert c1 == c2 == canonical_join_class(c1.canonical_form)
 
 
 def test_canonical_class_distinguishes_chain_from_balanced():
     chain = canonical_join_class(join_set(((1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2))))
     bal = canonical_join_class(join_set(((1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1))))
     assert chain.levels != bal.levels or chain.encoding() != bal.encoding()
+    for jc in (chain, bal):
+        assert canonical_join_class(jc.canonical_form) == jc
 
 
 def test_class_counts_exhaustive_depth3():
@@ -200,6 +204,7 @@ def test_class_counts_exhaustive_depth3():
         seen = {}
         for combo in itertools.combinations(pool, n):
             jc = canonical_join_class(join_set(combo))
+            assert canonical_join_class(jc.canonical_form) == jc
             seen.setdefault((jc.root, jc.encoding()), 0)
         by_levels = {}
         for (_, enc) in seen:
@@ -244,9 +249,33 @@ def _zigzag(n):
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_count_with_distinct_levels_is_the_zigzag_number(m):
     # n joins at distinct levels form a decreasing binary tree up to child
-    # swaps, counted by E_n whatever the arity: 1, 1, 2, 5, 16, 61.
-    for n in range(1, 7):
+    # swaps, counted by E_n whatever the arity: 1, 1, 2, 5, 16, 61, 272,
+    # 1385, 7936.
+    assert [_zigzag(n) for n in (7, 8, 9)] == [272, 1385, 7936]
+    for n in range(1, 10):
         assert count_join_configurations(tuple(range(n)), m) == _zigzag(n)
+    # Each distinct level multiplies the enumeration's cost by about 8, so
+    # 9 is the cap: 9 levels take under 0.1 s, 11 several seconds.
+    with pytest.raises(ResourceLimitError,
+                       match="10 levels exceeds the limit of 9"):
+        count_join_configurations(tuple(range(10)), m)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("root", [(), (1, 2)])
+def test_every_listed_shape_realizes_to_its_encoding(m, root):
+    # Every level pattern of up to 7 joins, ties included, at consecutive
+    # depths from 0 and spread out from depth 1: the class built from each
+    # encoding _class_shapes lists encodes back to it, with those levels.
+    for n in range(1, 8):
+        for steps in itertools.product((0, 1), repeat=n - 1):
+            ranks = tuple(itertools.accumulate(steps, initial=0))
+            for levels in (ranks, tuple(2 * x + 1 for x in ranks)):
+                for enc in _class_shapes(levels, m):
+                    jc = _realize_encoding(enc, root)
+                    assert jc.encoding() == enc and jc.root == root
+                    assert jc.levels == tuple(len(root) + x for x in levels)
+                    assert jc.spread == n + 1
 
 
 def test_count_zero_for_unrealizable_multiset():

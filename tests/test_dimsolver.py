@@ -71,7 +71,7 @@ def test_moment_sum_identical_maps_factorizes():
 def test_moment_table_lengths_and_consistency():
     ifs, model = worked_system()
     table = moment_table(ifs, model, 0.8, 2.0, 5)
-    assert len(table.sums) == 5
+    assert len(table.sums) == table.k_max == 5
     assert table.sums[0] == pytest.approx(moment_sum(ifs, model, 0.8, 2.0, 1))
 
 
@@ -292,6 +292,13 @@ def test_identical_selfadjoint_closed_form_matches_solver():
         closed = dq_identical_selfadjoint(alphas, probs, q)
         solved = d_q_minus(ifs, model, q).value
         assert solved == pytest.approx(closed, abs=2e-4)
+    # Past the ambient dimension: five copies of diag(.5, .5) give
+    # d_2 = 2 log 5 / log 4.
+    closed = dq_identical_selfadjoint((0.5, 0.5), (0.2,) * 5, 2.0)
+    assert closed == 2.0 * math.log(5.0) / math.log(4.0)
+    solved = d_q_minus(diag_ifs(*[(0.5, 0.5)] * 5),
+                       BernoulliModel(probs=(0.2,) * 5), 2.0).value
+    assert solved == pytest.approx(closed, abs=2e-4)
 
 
 ACCEPTANCE_4_DIAGONALS = ((0.45, 0.4), (0.4, 0.35), (0.35, 0.3))
@@ -433,6 +440,15 @@ def test_no_root_when_contractions_too_weak():
     with pytest.raises(NoRootError, match=r"^no bracket at table depth 17: "
                        r"log growth at s=32\.0 is still -"):
         d_q_minus(ifs, model, 5.0)
+    # A map of mass 1e-8 puts the root below the lowest bracket end; with
+    # mass 1e-6 the same system solves.
+    ifs = diag_ifs([0.5, 0.3], [0.4, 0.35])
+    with pytest.raises(NoRootError, match=re.escape(
+            "no bracket at table depth 17: log growth at s=1e-06 is "
+            "already 6.73147e-07")):
+        d_q_minus(ifs, BernoulliModel(probs=(1.0 - 1e-8, 1e-8)), 2.0)
+    assert d_q_minus(ifs, BernoulliModel(probs=(1.0 - 1e-6, 1e-6)),
+                     2.0).value > 0.0
 
 
 def test_no_root_text_names_the_depth_and_the_markov_weight():

@@ -471,6 +471,8 @@ def test_sample_cloud_validates_sizes():
                         (2000, 10 ** 9, ResourceLimitError)):
         with pytest.raises(error):
             sampler._check_cloud_size(n, K)
+    with pytest.raises(ResourceLimitError, match="the 50000000 cap"):
+        sampler._check_cloud_size(50_000_001, 1)
     # Checked before any pool exists: no thread is started.
     with pytest.raises(InvalidInputError, match="threads <= 256"):
         sample_cloud(ifs, model, fld, 10, 8, threads=10**6)
