@@ -74,9 +74,9 @@ class _Levels:
     is freed before another is built.
 
     A table holds the scratch its level sums are evaluated in: log phi^s
-    of every level at the current s, as many floats as the table has
-    words, and two float arrays and one bool array the size of its
-    deepest level.  That is about 3.6 times the deepest `logmass` in bytes
+    of the levels reached at the current s (`_at`), as many floats as the
+    table has words, and two float arrays and one bool array the size of
+    its deepest level.  That is about 3.6 times the deepest `logmass` in bytes
     at m = 3 and 4.1 times at m = 2.  It is reused for every s and q, so
     that `log_sums` allocates nothing the size of a level.  The build
     makes it last, once its products are freed, so that it reuses their
@@ -109,49 +109,77 @@ class _Levels:
         self._scratch = (np.empty(size), np.empty(size),
                          np.empty(size, dtype=bool))
 
+    def _at(self, s):
+        """Make s the s of later level-sum passes; each level's log phi^s
+        is filled the first time a pass reaches that level."""
+        self._s, self._filled = s, 0
+
     def _fill(self, s):
         """log phi^s of every level, written into and returned as scratch."""
-        for la, lphi in zip(self.log_alphas, self._lphi):
-            log_phi_stack(la, s, out=lphi)
-        return self._lphi
+        self._at(s)
+        return list(self._level_phis())
+
+    def _level_phis(self):
+        """log phi^s of levels 1, 2, ... at the s of the last `_at`, each
+        computed into the table's scratch the first time it is reached."""
+        for k, (la, lphi) in enumerate(zip(self.log_alphas, self._lphi), 1):
+            if k > self._filled:
+                log_phi_stack(la, self._s, out=lphi)
+                self._filled = k
+            yield lphi
 
     def _level_sums(self, q):
-        """log Phi_k(s, q) for k = 1..k_max at the s of the last `_fill`:
-        each level's exponent (1 - q) log phi^s + q log mu is formed and
-        summed in the table's scratch."""
-        sums = []
-        for lphi, lm in zip(self._lphi, self.logmass):
+        """log Phi_k(s, q) for k = 1, 2, ..., k_max at the s of the last
+        `_at`, one level at a time: each level's exponent (1 - q) log phi^s
+        + q log mu is formed and summed in the table's scratch."""
+        for lphi, lm in zip(self._level_phis(), self.logmass):
             expo, prod, ties = (a[:lm.size] for a in self._scratch)
             np.multiply(lphi, 1.0 - q, out=expo)
             expo += np.multiply(lm, q, out=prod)
-            sums.append(_logsumexp_into(expo, ties))
-        return sums
+            yield _logsumexp_into(expo, ties)
 
     def log_sums(self, s, qs):
         """log Phi_k(s, q) for k = 1..k_max, one list for each q of qs.
 
         log phi^s of every level is computed once for all of qs.
         """
-        self._fill(s)
-        return [self._level_sums(q) for q in qs]
+        self._at(s)
+        return [list(self._level_sums(q)) for q in qs]
 
-    def log_growth(self, sums, q):
-        """log of the growth estimate from one q's `log_sums`: for q > 1 the
+    def log_growth(self, sums, q, exact=True):
+        """log of the growth estimate from one q's level sums: for q > 1 the
         certified lower bound of `growth_rate`, for the affinity sums
         (q = 0) min_k Phi_k^(1/k), an upper bound since those sums are
-        submultiplicative."""
-        if q == 0.0:
-            return min(v / k for k, v in enumerate(sums, 1))
-        log_w = q * self._log_c_min
-        return max((v + log_w) / k for k, v in enumerate(sums, 1))
+        submultiplicative.
 
-    def _growth(self, q):
-        """`log_growth` of q at the s of the last `_fill`."""
-        return self.log_growth(self._level_sums(q), q)
+        With exact false only the sign is asked for.  The sums are then
+        read from k = 1 up, and the first term that settles the sign (one
+        above 0 for q > 1, below 0 for q = 0) returns inf or -inf without
+        reading the rest, so an iterator of sums is evaluated no deeper.
+        Where no term settles it, the result is the exact growth.
+        """
+        if q == 0.0:
+            sign, pick = -1.0, min
+            terms = (v / k for k, v in enumerate(sums, 1))
+        else:
+            sign, pick, log_w = 1.0, max, q * self._log_c_min
+            terms = ((v + log_w) / k for k, v in enumerate(sums, 1))
+        read = []
+        for term in terms:
+            if not exact and sign * term > 0.0:
+                return sign * math.inf
+            read.append(term)
+        return pick(read)
+
+    def _growth(self, q, exact):
+        """`log_growth` of q at the s of the last `_at`, its levels summed
+        only as deep as it reads them."""
+        return self.log_growth(self._level_sums(q), q, exact)
 
     def _shared_growths(self, qs):
-        """The log growth at the filled s of each q > 1 of qs, or -inf or
-        inf where another q's growth settles its sign.
+        """The sign-only log growth (`log_growth` with exact false) at the
+        s of the last `_at` of each q > 1 of qs, or -inf or inf where
+        another q's growth settles its sign.
 
         For q > 1, fixed s and each k,
 
@@ -165,14 +193,16 @@ class _Levels:
         every smaller q's negative and a positive one every larger q's
         positive.  The largest q is evaluated first, then the smallest,
         then the middle of those still open; a growth of exactly 0
-        settles no other q.
+        settles no other q.  Each evaluated q's pass stops at the first
+        level whose term is positive, so the levels a pass never reaches
+        get no log phi^s at this s unless another q reaches them.
         """
         growths, rest, probes = {}, sorted(qs), 0
         while rest:
             i = (len(rest) - 1, 0, len(rest) // 2)[min(probes, 2)]
             probes += 1
             q = rest[i]
-            h = growths[q] = self._growth(q)
+            h = growths[q] = self._growth(q, exact=False)
             if h < 0.0:
                 growths.update(dict.fromkeys(rest[:i], -math.inf))
                 rest = rest[i + 1:]
@@ -185,9 +215,9 @@ class _Levels:
 
     def _bisection(self, q, tol):
         """The bisection of one q as a generator: it yields (s, exact) for
-        each s it needs and is sent the log growth there, or, for q > 1
-        and exact false, -inf or inf when only its sign is known.  Each
-        step compares the signed log growth h, increasing in s, with 0.
+        each s it needs and is sent the log growth there, or, for exact
+        false, -inf or inf when only its sign is known.  Each step
+        compares the signed log growth h, increasing in s, with 0.
         An end of the result or of an error text whose growth is only a
         sign is asked for again, exactly; only the result's two growths
         are exponentiated, so no q overflows."""
@@ -244,16 +274,20 @@ class _Levels:
         d_q for q > 1, the affinity dimension for q = 0 (where the growth
         decreases in s).  The bisections run in lockstep.
 
-        Each step groups the distinct q's by the s they ask for next and
-        fills log phi^s of every level once for the group, so it is
-        computed once per distinct s and level, and a repeated q is solved
-        once.  Within a group, one evaluated q > 1 settles the sign of the
-        others' log growth where it can (`_shared_growths`); q = 0 is
-        always evaluated.  The sharing holds for the `log_growth` rule
-        only: another growth rule may share signs only if its sign is
-        nondecreasing in q too.  A step reads only the sign, so every q
-        takes the same steps on the same floats as alone, unless a
-        growth within rounding of 0 breaks that monotonicity in floats.
+        Each step groups the distinct q's by the s they ask for next, so a
+        repeated q is solved once.  Within a group, one evaluated q > 1
+        settles the sign of the others' log growth where it can
+        (`_shared_growths`); q = 0 is evaluated on its own.  A growth
+        asked for its sign only, q = 0 included, stops at the first level
+        that settles it, and a level's log phi^s is computed once for the
+        group, when its first q reaches that level.  The sharing and the
+        early stop hold for the `log_growth` rule only: another growth
+        rule may share signs only if its sign is nondecreasing in q too,
+        and may stop early only if one level can settle its sign, as one
+        term of a max or min does.  A step reads only the sign, and a
+        bracket end that is only a sign is asked for again exactly, so
+        every q takes the same steps on the same floats as alone, unless
+        a growth within rounding of 0 breaks that monotonicity in floats.
         If some q fails, the error of the first failing q of qs is
         raised.
         """
@@ -280,12 +314,12 @@ class _Levels:
                 groups.setdefault(s, []).append((q, exact))
             asked.clear()
             for s, group in groups.items():
-                self._fill(s)
+                self._at(s)
                 growths = self._shared_growths(
                     [q for q, exact in group if q != 0.0 and not exact])
-                for q, _ in group:
+                for q, exact in group:
                     advance(q, growths[q] if q in growths else
-                            self._growth(q))
+                            self._growth(q, exact))
         for q in qs:
             if isinstance(outcome[q], Exception):
                 raise outcome[q]

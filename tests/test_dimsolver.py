@@ -154,16 +154,22 @@ def test_level_table_keeps_small_alpha_of_thin_products():
     assert d_q_minus(ifs, model, 2.0).value > 1.1
 
 
-def _seeded_tables():
-    """The 40 seeded level tables of the pinned-bits tests, dims 1-3,
-    Bernoulli and Markov in turn."""
+def _seeded_systems():
+    """The 40 seeded (ifs, model, k_max) of the pinned-bits tests, dims
+    1-3, Bernoulli and Markov in turn."""
     rng = np.random.default_rng(40)
     for i in range(40):
         m, dim = int(rng.integers(2, 5)), int(rng.integers(1, 4))
         ifs = random_ifs(rng, m, dim, max_norm=0.8)
         model = (MarkovGibbsModel(potential=rng.normal(size=(m, m))) if i % 2
                  else random_bernoulli(rng, m))
-        yield _Levels(ifs, model, k_max=int(math.log(5000) / math.log(m)))
+        yield ifs, model, int(math.log(5000) / math.log(m))
+
+
+def _seeded_tables():
+    """The level tables of `_seeded_systems`."""
+    for system in _seeded_systems():
+        yield _Levels(*system)
 
 
 def test_level_tables_pinned_bits():
@@ -509,23 +515,22 @@ def test_lockstep_bisection_equals_one_q_at_a_time(model):
 
 
 def test_lockstep_bisection_computes_log_phi_once_per_s_and_level(
-        monkeypatch):
-    import affdims.dimsolver as dimsolver
-
+        level_words):
+    # A sign-only pass fills only the levels it reads.  An (s, level) pair
+    # is computed twice only where a bracket end that was only a sign is
+    # asked for exactly after other s were filled: its exact pass refills
+    # the levels its first pass reached.
     ifs, model = worked_system()
     levels = _Levels(ifs, model, k_max=7)
-    calls = []
-    log_phi = dimsolver.log_phi_stack
-
-    def counted(log_alphas, s, out=None):
-        calls.append((s, len(log_alphas)))
-        return log_phi(log_alphas, s, out=out)
-
-    monkeypatch.setattr(dimsolver, "log_phi_stack", counted)
+    calls = level_words["phi"]
     qs = [1.5, 2.0, 3.0, 0.0, 1.75, 2.0, 2.25]
-    levels.solve_many(qs, 1e-4)
-    distinct = {s for s, _ in calls}
-    assert len(calls) == len(set(calls)) == 7 * len(distinct)
+    results = levels.solve_many(qs, 1e-4)
+    assert (len(calls), len(set(calls))) == (350, 344)
+    ends = {s for res in results for s in res.bracket}
+    repeats = {s for s, n in set(calls) if calls.count((s, n)) > 1}
+    assert repeats and repeats <= ends
+    assert all({(s, 2 ** k) for k in range(1, 8)} <= set(calls)
+               for s in ends)
     lockstep = len(calls)
     calls.clear()
     for q in qs:
@@ -563,6 +568,74 @@ def test_shared_signs_give_the_one_q_results_on_seeded_tables():
             assert _result_fields(res) == _one_q_bisection(levels, q, 1e-4)
 
 
+@pytest.mark.parametrize("tol", [1e-4, 1e-7])
+def test_single_q_paths_give_the_one_q_results_on_seeded_tables(tol):
+    # Alone, every growth but a re-asked bracket end is asked for its sign
+    # only and may stop at its first level; the one-q bisection reads
+    # every level of every growth.
+    for ifs, model, k_max in _seeded_systems():
+        levels = _Levels(ifs, model, k_max)
+        want = {q: _one_q_bisection(levels, q, tol) for q in (0.0, 2.0, 5.0)}
+        for q in want:
+            assert _result_fields(levels.solve_many([q], tol)[0]) == want[q]
+        for q in (2.0, 5.0):
+            assert _result_fields(d_q_minus(ifs, model, q, tol, k_max)) \
+                == want[q]
+        assert _result_fields(affinity_dimension(ifs, tol, k_max)) \
+            == want[0.0]
+
+
+def test_sign_only_growth_reads_no_level_past_the_first_that_settles():
+    levels = _Levels(*worked_system(), k_max=4)
+    read = []
+
+    def sums(values):
+        for v in values:
+            read.append(v)
+            yield v
+
+    # The first positive term (q > 1) or negative one (q = 0) settles the
+    # sign; without one, every level is read and the growth is exact.
+    for q, values, settled in [(2.0, [-1.0, 0.5, -3.0, 9.0], math.inf),
+                               (0.0, [1.0, -0.5, 3.0, -9.0], -math.inf),
+                               (2.0, [-1.0, -4.0, -0.5, -2.0], None),
+                               (0.0, [1.0, 4.0, 0.5, 2.0], None)]:
+        read.clear()
+        got = levels.log_growth(sums(values), q, exact=False)
+        if settled:
+            assert (got, read) == (settled, values[:2])
+        else:
+            assert (got, read) == (levels.log_growth(values, q), values)
+
+
+def test_sign_only_growth_of_exactly_zero_is_zero():
+    # Two copies of diag(.5, .5) with equal probabilities: at s = 1 every
+    # level sum at q = 2 and at q = 0 is exactly 0.0, so no term settles
+    # the sign and the sign-only growth is 0.0, never inf or -inf.
+    levels = _Levels(diag_ifs([0.5, 0.5], [0.5, 0.5]),
+                     BernoulliModel(probs=(0.5, 0.5)))
+    for q in (2.0, 0.0):
+        assert set(levels.log_sums(1.0, [q])[0]) == {0.0}
+        levels._at(1.0)
+        assert levels._growth(q, exact=False) == 0.0
+    assert levels._shared_growths([2.0]) == {2.0: 0.0}
+
+
+def test_affinity_no_root_text_carries_the_growth():
+    # Five nearly isometric maps: the affinity growth stays positive up to
+    # s = 32, no term settles its sign there, and the text, alone and in
+    # lockstep, holds the growth itself rather than inf.
+    ifs = diag_ifs(*[[0.999, 0.999]] * 5)
+    with pytest.raises(NoRootError, match=re.escape(
+            "no bracket at table depth 7: log growth at s=32.0 is still "
+            "1.57742")) as alone:
+        affinity_dimension(ifs)
+    assert "inf" not in str(alone.value)
+    levels = _Levels(ifs, BernoulliModel(probs=(0.2,) * 5))
+    with pytest.raises(NoRootError, match=re.escape(str(alone.value))):
+        levels.solve_many([0.0, 3.0], 1e-4)
+
+
 def test_shared_signs_keep_every_no_root_text():
     # Every q of the grid fails on these nearly isometric maps, its last
     # bracket end settled by the largest q's sign; the text each raises
@@ -585,6 +658,28 @@ def acceptance4_levels():
 
 
 @pytest.fixture
+def level_words(monkeypatch):
+    """The words of every level-sum exponentiation ("exp", one count a
+    call) and every log phi^s fill ("phi", one (s, words) pair a call)."""
+    import affdims.dimsolver as dimsolver
+
+    words = {"exp": [], "phi": []}
+    logsumexp_into, log_phi = dimsolver._logsumexp_into, dimsolver.log_phi_stack
+
+    def counted_sum(expo, ties):
+        words["exp"].append(expo.size)
+        return logsumexp_into(expo, ties)
+
+    def counted_phi(log_alphas, s, out=None):
+        words["phi"].append((s, len(log_alphas)))
+        return log_phi(log_alphas, s, out=out)
+
+    monkeypatch.setattr(dimsolver, "_logsumexp_into", counted_sum)
+    monkeypatch.setattr(dimsolver, "log_phi_stack", counted_phi)
+    return words
+
+
+@pytest.fixture
 def level_sum_passes(monkeypatch):
     """The q of every per-q level-sum pass of every table, in order."""
     passes = []
@@ -603,14 +698,21 @@ def level_sum_passes(monkeypatch):
 SOLVE_SCAN_QS = [1.5, 2.0, 3.0, 0.0] + [1.5 + 0.25 * i for i in range(11)]
 
 
-def test_shared_signs_halve_the_level_sum_passes(acceptance4_levels,
-                                                 level_sum_passes):
+def test_shared_signs_and_early_stops_cut_the_exponentiated_words(
+        acceptance4_levels, level_words):
+    # Words exponentiated in level sums and words given log phi^s.  Each
+    # bound is the count when every pass reads every level; a sign-only
+    # pass stops at the first level that settles the sign, and the
+    # results keep their bits.
     lockstep = acceptance4_levels.solve_many(SOLVE_SCAN_QS, 1e-4)
-    assert len(level_sum_passes) <= 110
-    level_sum_passes.clear()
+    exp_words = sum(level_words["exp"])
+    phi_words = sum(n for _, n in level_words["phi"])
+    assert exp_words == 15_411_873 < 27_369_057
+    assert phi_words == 13_286_034 < 17_537_454
+    level_words["exp"].clear()
     alone = {q: acceptance4_levels.solve_many([q], 1e-4)[0]
              for q in dict.fromkeys(SOLVE_SCAN_QS)}
-    assert len(level_sum_passes) == 12 * 18 == 216
+    assert sum(level_words["exp"]) == 29_495_160 < 57_395_304
     assert lockstep == [alone[q] for q in SOLVE_SCAN_QS]
 
 
