@@ -27,6 +27,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -111,51 +112,45 @@ def _matrix(value, where):
     return [_floats(row, where) for row in rows]
 
 
+@dataclass(frozen=True)
+class _Bounded:
+    """A key's default and the open bounds lo < value < hi it must keep."""
+
+    default: object
+    lo: float
+    hi: float = math.inf
+
+
 # Section -> key -> default.  The default's type is the key's type: int is
 # strict, a list holds numbers, a tuple lists the allowed words (default
-# first) and a bare type marks a required key.  The ifs maps and the
+# first) and a bare type marks a required key.  A `_Bounded` default also
+# bounds its key (every entry of a list), where a value would otherwise
+# fail deep in a run, only after sampling, or (the 64-bit seed) wrap
+# silently.  k_max and depth take 0 for "choose automatically", r0 <= 0
+# does too; (-inf, inf) rejects only NaN and inf.  The ifs maps and the
 # measure's probs/potential depend on other keys and are resolved by hand.
 _SCHEMA = {
-    "run": {"seed": 0, "out": "affdims-out"},
-    "ifs": {"dim": int, "region_radius": 1.0},
+    "run": {"seed": _Bounded(0, -1, 2 ** 64), "out": "affdims-out"},
+    "ifs": {"dim": int, "region_radius": _Bounded(1.0, 0)},
     "measure": {"type": ("bernoulli", "markov")},
     "solve": {
-        "q": [2.0], "tol": 1e-4, "k_max": 0, "scan": False,
-        "q_grid_start": 1.5, "q_grid_stop": 4.0, "q_grid_step": 0.05,
+        "q": _Bounded([2.0], 1), "tol": _Bounded(1e-4, 0),
+        "k_max": _Bounded(0, -1), "scan": False,
+        "q_grid_start": _Bounded(1.5, 1), "q_grid_stop": _Bounded(4.0, 1),
+        "q_grid_step": _Bounded(0.05, 0),
     },
-    "sample": {"n": 100_000, "depth": 0},
+    "sample": {"n": _Bounded(100_000, 0), "depth": _Bounded(0, -1)},
     "estimate": {
-        "q": [2.0], "rho": 0.5, "rungs": 12,
-        "form": ("mesh", "correlation", "both"), "r0": 0.0,
-        "min_occupied": 5, "min_per_cube": 10.0, "cloud": "",
+        "q": _Bounded([2.0], 1), "rho": _Bounded(0.5, 0, 1),
+        "rungs": _Bounded(12, 2), "form": ("mesh", "correlation", "both"),
+        "r0": _Bounded(0.0, -math.inf), "min_occupied": 5,
+        "min_per_cube": _Bounded(10.0, -math.inf), "cloud": "",
     },
     "multienergy": {
         "s": 0.55, "n": 2, "q": 2.5, "samples": 320, "inner": 64,
-        "depth": 6, "mode": ("collapse", "resample"), "survey_depth": 4,
-        "decay_k_max": 10,
+        "depth": 6, "mode": ("collapse", "resample"),
+        "survey_depth": _Bounded(4, 0), "decay_k_max": 10,
     },
-}
-# Open bounds lo < value < hi (on every entry of a list), for the values
-# that would otherwise fail deep in a run, only after sampling, or (the
-# 64-bit seed) wrap silently.  k_max and depth take 0 for "choose
-# automatically", r0 <= 0 does too; (-inf, inf) rejects only NaN and inf.
-_RANGES = {
-    ("run", "seed"): (-1, 2 ** 64),
-    ("ifs", "region_radius"): (0, math.inf),
-    ("solve", "q"): (1, math.inf),
-    ("solve", "tol"): (0, math.inf),
-    ("solve", "k_max"): (-1, math.inf),
-    ("solve", "q_grid_start"): (1, math.inf),
-    ("solve", "q_grid_stop"): (1, math.inf),
-    ("solve", "q_grid_step"): (0, math.inf),
-    ("sample", "n"): (0, math.inf),
-    ("sample", "depth"): (-1, math.inf),
-    ("estimate", "q"): (1, math.inf),
-    ("estimate", "rho"): (0, 1),
-    ("estimate", "rungs"): (2, math.inf),
-    ("estimate", "r0"): (-math.inf, math.inf),
-    ("estimate", "min_per_cube"): (-math.inf, math.inf),
-    ("multienergy", "survey_depth"): (0, math.inf),
 }
 _TRUE, _FALSE = ("true", "yes", "1", "on"), ("false", "no", "0", "off")
 
@@ -238,12 +233,11 @@ def _q_tag(q):
     return f"{q:g}".replace(".", "p")
 
 
-def _check_range(section, key, value, where):
-    lo, hi = _RANGES[section, key]
+def _check_range(bounded, key, value, where):
     for v in value if isinstance(value, list) else [value]:
-        if not lo < v < hi:
-            raise ConfigError(f"{where}: expected {lo} < {key} < {hi}, "
-                              f"got {v!r}")
+        if not bounded.lo < v < bounded.hi:
+            raise ConfigError(f"{where}: expected {bounded.lo} < {key} < "
+                              f"{bounded.hi}, got {v!r}")
 
 
 def resolve_config(path, seed=None, out=None, cloud=None):
@@ -261,8 +255,9 @@ def resolve_config(path, seed=None, out=None, cloud=None):
     for section, schema in _SCHEMA.items():
         block = raw.get(section, {})
         values = cfg[section] = {}
-        for key, default in schema.items():
+        for key, spec in schema.items():
             where = f"[{section}] {key}"
+            default = spec.default if isinstance(spec, _Bounded) else spec
             if key in block:
                 values[key] = _parse(block.pop(key), default, where)
             elif isinstance(default, type):
@@ -270,8 +265,8 @@ def resolve_config(path, seed=None, out=None, cloud=None):
             else:
                 values[key] = default[0] if isinstance(default, tuple) \
                     else copy.copy(default)
-            if (section, key) in _RANGES:
-                _check_range(section, key, values[key], where)
+            if isinstance(spec, _Bounded):
+                _check_range(spec, key, values[key], where)
         if section == "ifs":
             values["maps"] = _resolve_maps(block, values["dim"])
         elif section == "measure":
@@ -294,8 +289,8 @@ def resolve_config(path, seed=None, out=None, cloud=None):
             raise ConfigError(f"[{section}] {next(iter(block))}: unknown key")
     _check_scales(cfg)
     if seed is not None:
+        _check_range(_SCHEMA["run"]["seed"], "seed", int(seed), "--seed")
         cfg["run"]["seed"] = int(seed)
-        _check_range("run", "seed", cfg["run"]["seed"], "--seed")
     if out is not None:
         cfg["run"]["out"] = str(out)
     if cloud is not None:

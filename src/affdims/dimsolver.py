@@ -37,8 +37,8 @@ _CUT_RHO = 0.5  # d_q_plus_cutset's radius ratio between cut-set levels
 
 
 def _check_q(q):
-    if not q > 1.0:
-        raise InvalidInputError(f"moment sums need q > 1, got q={q}")
+    if not 1.0 < q < math.inf:
+        raise InvalidInputError(f"moment sums need a finite q > 1, got q={q}")
 
 
 def _check_levels(m, k_max):

@@ -183,7 +183,7 @@ def log_phi_stack(logs, s, out=None):
     contractions, whose singular values are positive.
     """
     n = logs.shape[-1]
-    if s <= 0.0:
+    if not s > 0.0:
         raise InvalidInputError(f"phi^s needs s > 0, got {s}")
     if out is None:
         out = np.empty(logs.shape[:-1])

@@ -103,8 +103,9 @@ class MarkovGibbsModel:
     Parameters
     ----------
     potential : array_like, shape (m, m)
-        Log-weights f(a, b); the transfer matrix exp(f) must be strictly
-        positive, which holds for any finite potential.
+        Log-weights f(a, b), finite.  The Perron root, stationary law and
+        transitions built from exp(f) must come out finite and strictly
+        positive in floats, which an entry of 710 or -750 breaks.
     """
 
     potential: np.ndarray
@@ -119,13 +120,19 @@ class MarkovGibbsModel:
             raise InvalidInputError("potential entries must be finite")
         f = f.copy()
         f.setflags(write=False)
-        transfer = np.exp(f)
-        lam, h = _perron(transfer)
-        _, v = _perron(transfer.T)
-        pi = v * h
-        pi /= pi.sum()
-        trans = transfer * h[np.newaxis, :] / (lam * h[:, np.newaxis])
-        trans /= trans.sum(axis=1, keepdims=True)  # absorb roundoff
+        with np.errstate(all="ignore"):  # past the float range: raised below
+            transfer = np.exp(f)
+            lam, h = _perron(transfer)
+            _, v = _perron(transfer.T)
+            pi = v * h
+            pi /= pi.sum()
+            trans = transfer * h[np.newaxis, :] / (lam * h[:, np.newaxis])
+            trans /= trans.sum(axis=1, keepdims=True)  # absorb roundoff
+        chain = np.concatenate([[lam], pi, trans.ravel()])
+        if not np.all((chain > 0.0) & (chain < np.inf)):
+            raise InvalidInputError("the potential's chain leaves the float "
+                                    "range: its Perron root, stationary law "
+                                    "or a transition is not finite and > 0")
         object.__setattr__(self, "potential", f)
         object.__setattr__(self, "_lambda", float(lam))
         object.__setattr__(self, "_h", h)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import counterrng as crng
 from .codespace import _class_shapes, _realize_encoding, _word_index, wedge
-from .dimsolver import _check_levels, _Levels
+from .dimsolver import _check_levels, _check_q, _Levels
 from .errors import (
     DepthInsufficientError,
     InvalidInputError,
@@ -170,6 +170,8 @@ def mc_multienergy(ifs, model, s, n, q, samples, depth, seed=0,
     2^24 uniforms.
     """
     _check_mc(ifs, s, n, q, samples, depth, inner, unresolved)
+    if not 0 <= seed < 2 ** 64:  # the key derivation would wrap it
+        raise InvalidInputError("seed must fit in 64 bits")
     per_batch = samples // _BATCHES
     power = (q - 1.0) / n
     m = ifs.m
@@ -305,6 +307,7 @@ def check_prop71_bound(ifs, model, s, q, join_class, depth):
     is the closed-form product over the class levels.  Returns (lhs, rhs,
     holds) with holds = lhs <= rhs up to 1e-9 relative slack.
     """
+    _check_q(q)
     n = join_class.spread
     if n < 2:
         raise InvalidInputError(f"class spread must be >= 2, got {n}")
@@ -407,6 +410,7 @@ def prop71_survey(ifs, model, s, q, depth, max_spread=4, root=()):
     its shape (`_class_sums`) and compares it against its closed-form bound.
     Past m^depth = 250,000 words ResourceLimitError is raised before any work.
     """
+    _check_q(q)
     if max_spread < 2:
         raise InvalidInputError("survey needs max_spread >= 2")
     root = tuple(root)
@@ -443,6 +447,7 @@ def check_decay_criterion(ifs, model, s, q, k_max):
     lambda = exp(slope), inf past the float range, is exact for
     identical-map systems.
     """
+    _check_q(q)
     _check_decay(ifs, k_max)
     levels = _Levels(ifs, model, k_max)
     ks = np.arange(1, k_max + 1, dtype=np.float64)

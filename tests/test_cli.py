@@ -825,6 +825,24 @@ def test_near_degenerate_markov_potential_solves(tmp_path, capsys):
     assert d == pytest.approx(2.7485659866867067, abs=1e-4)
 
 
+@pytest.mark.parametrize("potential", ["710 0 / 0 0", "-750 0 / 0 0"],
+                         ids=["overflow", "underflow"])
+def test_potential_past_float_range_rejected(tmp_path, capsys, potential):
+    # exp(710) is inf and exp(-750) is 0.0: the chain would carry a NaN or
+    # a zero transition into the level table.
+    path = tmp_path / "markov.ini"
+    path.write_text(BASE_INI.replace(
+        "type = bernoulli\nprobs = 0.6 0.4",
+        f"type = markov\npotential = {potential}"))
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "solve", "--config", str(path),
+                                "--out", str(out))
+    assert code == 2
+    assert not stdout
+    assert "[measure]: the potential's chain leaves the float range" in err
+    assert not out.exists()
+
+
 def test_json_config_of_a_list_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2]\n")

@@ -2,13 +2,16 @@
 
 import copy
 import json
+import math
+import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affdims.cli import _RANGES, _SCHEMA, resolve_config
+from affdims.cli import _SCHEMA, _Bounded, resolve_config
 from affdims.errors import ConfigError
 
 VALID = {
@@ -88,8 +91,28 @@ def test_generated_configs_reach_both_outcomes():
     assert outcomes == {"resolved", "rejected"}
 
 
-def test_every_range_names_a_schema_key():
-    # resolve_config looks each range up by schema key, so a row under a
-    # misspelt key would check nothing.
-    for section, key in _RANGES:
-        assert key in _SCHEMA.get(section, {}), (section, key)
+BOUNDED = [(section, key, spec) for section, keys in _SCHEMA.items()
+           for key, spec in keys.items() if isinstance(spec, _Bounded)]
+
+
+def _edge_values(spec):
+    """Each finite bound, and NaN for a float key, in the key's shape."""
+    edges = [b for b in (spec.lo, spec.hi) if math.isfinite(b)]
+    if not isinstance(spec.default, int):
+        edges.append(math.nan)
+    return [[v] if isinstance(spec.default, list) else v for v in edges]
+
+
+@pytest.mark.parametrize("section, key, spec", BOUNDED,
+                         ids=[f"{s}.{k}" for s, k, _ in BOUNDED])
+def test_bounded_key_rejects_its_bounds(tmp_path, section, key, spec):
+    # Every bounded key, including any added later, rejects the values on
+    # its bounds and NaN, naming itself.
+    edges = _edge_values(spec)
+    assert edges
+    for value in edges:
+        cfg = copy.deepcopy(VALID)
+        cfg.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"[{section}] {key}: ")):
+            resolve_json(tmp_path, cfg)

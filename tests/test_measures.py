@@ -216,6 +216,16 @@ def test_markov_model_pinned_bits(potential, lam, pi, trans):
     np.testing.assert_array_equal(model.transition_probs(), hexes(trans))
 
 
+@pytest.mark.parametrize("potential", [[[710.0, 0.0], [0.0, 0.0]],
+                                       [[-750.0, 0.0], [0.0, 0.0]]],
+                         ids=["overflow", "underflow"])
+def test_markov_potential_past_float_range_rejected(potential):
+    # exp(710) is inf, which gave NaN initial and transition probabilities;
+    # exp(-750) is 0.0, which gave a zero transition probability.
+    with pytest.raises(InvalidInputError, match="leaves the float range"):
+        MarkovGibbsModel(potential=potential)
+
+
 def test_quasi_bernoulli_constant_is_one_for_bernoulli():
     model = BernoulliModel(probs=(0.6, 0.4))
     assert quasi_bernoulli_constant(model) == pytest.approx(1.0)

@@ -316,6 +316,20 @@ def test_mc_deterministic_for_seed():
     assert a.value != c.value
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_mc_seed_outside_64_bits_rejected(monkeypatch, seed):
+    # The key derivation masks the seed to 64 bits: seed -1 drew the
+    # estimate of seed 2^64 - 1, bit for bit.
+    def no_work(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(multienergy, "_log_tables", no_work)
+    ifs, model = hetero_system()
+    with pytest.raises(InvalidInputError, match="seed must fit in 64 bits"):
+        mc_multienergy(ifs, model, s=0.55, n=1, q=1.8, samples=128, depth=4,
+                       seed=seed)
+
+
 def test_mc_resample_mode_fails_at_tiny_depth():
     # At depth 1 most pairs share their one-symbol prefix and cannot resolve.
     ifs, model = hetero_system()
