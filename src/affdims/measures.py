@@ -29,6 +29,8 @@ _MAX_SYMBOLS = 255  # words hold their symbols as uint8
 _PROB_TOL = 1e-12
 _PERRON_TOL = 1e-14  # relative Collatz-Wielandt gap that certifies _perron
 _PERRON_MAX_ITER = 100_000  # power iterations per _perron run
+_FLOAT_RANGE = ("the potential's chain leaves the float range: its Perron "
+                "root, stationary law or a transition is not finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +124,11 @@ class MarkovGibbsModel:
         f.setflags(write=False)
         with np.errstate(all="ignore"):  # past the float range: raised below
             transfer = np.exp(f)
+            # lambda is at least the smallest row sum, so an inf one is
+            # fatal before any Perron iteration, as is an entry of 0 or inf.
+            if not (np.all((transfer > 0.0) & (transfer < np.inf))
+                    and transfer.sum(axis=1).min() < np.inf):
+                raise InvalidInputError(_FLOAT_RANGE)
             lam, h = _perron(transfer)
             _, v = _perron(transfer.T)
             pi = v * h
@@ -130,9 +137,7 @@ class MarkovGibbsModel:
             trans /= trans.sum(axis=1, keepdims=True)  # absorb roundoff
         chain = np.concatenate([[lam], pi, trans.ravel()])
         if not np.all((chain > 0.0) & (chain < np.inf)):
-            raise InvalidInputError("the potential's chain leaves the float "
-                                    "range: its Perron root, stationary law "
-                                    "or a transition is not finite and > 0")
+            raise InvalidInputError(_FLOAT_RANGE)
         object.__setattr__(self, "potential", f)
         object.__setattr__(self, "_lambda", float(lam))
         object.__setattr__(self, "_h", h)

@@ -1,5 +1,7 @@
 """Empirical generalized dimensions from point clouds."""
 
+import hashlib
+import math
 from functools import cache
 
 import numpy as np
@@ -20,11 +22,13 @@ from affdims import estimator
 from affdims.errors import InsufficientDataError, InvalidInputError
 from affdims.estimator import (
     MomentLadder,
+    _ball_counter,
     _bounds,
     _cube_counts,
     _diameter,
     occupied_cubes,
 )
+from affdims.sampler import attractor_radius, default_depth
 
 from checks import diag_ifs
 
@@ -332,3 +336,82 @@ def test_ladders_do_not_depend_on_query_threads(system):
     kw = dict(forms=["mesh", "correlation"], **_LADDER_KW)
     assert build_ladders(cloud, [2.0, 3.0], threads=2, **kw) \
         == build_ladders(cloud, [2.0, 3.0], threads=1, **kw)
+
+
+def _brute_ball_counts(pos, radii):
+    """Per radius, the all-pairs count of the points within r of each
+    point: d^2 = sum (x - y)^2 <= r * r, a block of rows at a time."""
+    counts = [[] for _ in radii]
+    for start in range(0, len(pos), 256):
+        block = pos[start:start + 256]
+        d2 = ((block[:, None] - pos[None]) ** 2).sum(-1)
+        for col, r in zip(counts, radii):
+            col.append((d2 <= r * r).sum(1))
+    return [np.concatenate(col) for col in counts]
+
+
+def _ladder_radii(pos, rungs=12):
+    bounds = _bounds(pos)
+    r0 = _diameter(bounds[1] - bounds[0])
+    return [r0 * 0.5 ** level for level in range(1, rungs + 1)]
+
+
+def _lattice(side, dim, rng):
+    axes = np.meshgrid(*[np.arange(side, dtype=np.float64)] * dim,
+                       indexing="ij")
+    return rng.permutation(np.stack(axes, axis=-1).reshape(-1, dim))
+
+
+# Radii on which lattice points tie: distances of exactly r.
+_LATTICE_RADII = (1.0, 2.0, 3.0, 5.0, math.sqrt(2.0), 4.0, 8.0, 16.0, 32.0)
+
+
+def _ball_input(name):
+    """(points, radii) of one brute-force check."""
+    rng = np.random.default_rng(5)
+    if name == "lattice-2d":
+        return _lattice(60, 2, rng), _LATTICE_RADII
+    if name == "lattice-2d-tenths":
+        return (_lattice(60, 2, rng) * 0.1,
+                [r * 0.1 for r in _LATTICE_RADII])
+    if name == "lattice-3d-eighths":
+        return _lattice(16, 3, rng) / 8, [r / 8 for r in _LATTICE_RADII]
+    if name == "repeated":
+        pos = rng.permutation(np.repeat(rng.random((500, 2)), 4, axis=0))
+    elif name in ("sheared-2d", "diagonal-3d"):
+        pos = _shared_pass_cloud(name).positions
+    else:  # fewer points than one leaf, one leaf's worth, one more
+        pos = rng.random((int(name.split("-")[0]), 2))
+    return pos, _ladder_radii(pos)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", [
+    "lattice-2d", "lattice-2d-tenths", "lattice-3d-eighths", "repeated",
+    "sheared-2d", "diagonal-3d", "10-points", "64-points", "65-points"])
+def test_ball_counts_equal_brute_force(name, threads):
+    # An oracle outside the k-d tree: ladders and correlation_integral
+    # both count through _ball_counter, so they cannot check it.
+    pos, radii = _ball_input(name)
+    counts = _ball_counter(pos, _bounds(pos))
+    for r, want in zip(radii, _brute_ball_counts(pos, radii)):
+        np.testing.assert_array_equal(counts(r, threads), want)
+
+
+def test_ball_counts_pinned_at_verify_corr_size():
+    # Acceptance 6's system at 7,000 points and the CLI's default depth for
+    # 12 rungs, as verify-corr samples it.  The digest of the 12 rungs'
+    # counts was recorded on a tree of scipy's default 16-point leaves,
+    # queried in the cloud's order.
+    ifs = AffineIFS(maps=(np.array([[0.5, 0.0], [0.0, 0.3]]),
+                          np.array([[0.4, 0.1], [0.0, 0.35]])))
+    r_min = 2.0 * attractor_radius(ifs, 1.0) * 0.5 ** 12
+    pos = sample_cloud(ifs, BernoulliModel(probs=(0.6, 0.4)),
+                       DisplacementField(seed=2024, region_radius=1.0), 7000,
+                       default_depth(ifs, 1.0, r_min)).positions
+    counts = _ball_counter(pos, _bounds(pos))
+    digest = hashlib.sha256()
+    for r in _ladder_radii(pos):
+        digest.update(counts(r).tobytes())
+    assert digest.hexdigest() == ("6c146cda0f23ff6a52b04be40f513e1d"
+                                  "2265a4adcb2b1439a6b1c683faeb1422")

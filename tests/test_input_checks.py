@@ -43,7 +43,7 @@ from affdims import multienergy
 from affdims.dimsolver import _Levels
 from affdims.errors import InvalidInputError
 from affdims.linalg import log_phi_stack
-from affdims.measures import draw_words
+from affdims.measures import _perron, draw_words
 
 from checks import diag_ifs
 
@@ -101,16 +101,32 @@ def test_moment_order_must_be_finite_above_one(monkeypatch, name, q):
         call(q)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: log_phi_stack(np.zeros((1, 2)), math.nan),
-    lambda: phi_s(np.diag([0.5, 0.3]), math.nan),
-    lambda: moment_table(IFS, MODEL, math.nan, 2.0, 3),
-    lambda: growth_rate(IFS, MODEL, math.nan, 2.0, 3),
-], ids=["log_phi_stack", "phi_s", "moment_table", "growth_rate"])
-def test_nan_exponent_rejected(call):
+# Every entry that takes the singular value exponent s, at that s.
+_S_CALLS = {
+    "log_phi_stack": lambda s: log_phi_stack(np.zeros((1, 2)), s),
+    "phi_s": lambda s: phi_s(np.diag([0.5, 0.3]), s),
+    "moment_table": lambda s: moment_table(IFS, MODEL, s, 2.0, 3),
+    "growth_rate": lambda s: growth_rate(IFS, MODEL, s, 2.0, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_S_CALLS))
+def test_nan_exponent_rejected(name):
     # math.ceil(nan) raised a bare ValueError.
     with pytest.raises(InvalidInputError, match="phi\\^s needs s > 0"):
-        call()
+        _S_CALLS[name](math.nan)
+
+
+@pytest.mark.parametrize("name", list(_S_CALLS))
+def test_infinite_exponent_rejected(name):
+    # phi^inf came out 0.0, and the moment sums and growth rates inf.
+    with pytest.raises(InvalidInputError, match="phi\\^s needs s > 0"):
+        _S_CALLS[name](math.inf)
+
+
+def _nilpotent_perron():
+    with np.errstate(all="ignore"):  # its ratios divide by zero
+        return _perron(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def _misshapen_cloud(tmp_path):
@@ -167,11 +183,14 @@ _CHECKS = {
     "MarkovGibbsModel-finite": (
         lambda tmp: MarkovGibbsModel(potential=[[0.0, math.inf], [0.0, 0.0]]),
         "entries must be finite"),
-    # exp(f) is nilpotent: power iteration and the eigen-solve both fail.
+    # exp(f) has zero entries: rejected before any Perron iteration.
     "MarkovGibbsModel-perron": (
         lambda tmp: MarkovGibbsModel(
             potential=[[-800.0, 0.0], [-800.0, -800.0]]),
-        "no certified Perron root"),
+        "leaves the float range"),
+    # A nilpotent matrix: power iteration and the eigen-solve both fail.
+    "_perron-nilpotent": (
+        lambda tmp: _nilpotent_perron(), "no certified Perron root"),
     "birkhoff_sum-empty": (
         lambda tmp: birkhoff_sum(MODEL, ()), "nonempty word"),
     "draw_words-depth": (

@@ -31,7 +31,7 @@ from affdims import (
     sample_words,
     simulate_transversality,
 )
-from affdims import multienergy, sampler
+from affdims import measures, multienergy, sampler
 from affdims.errors import InvalidInputError
 from affdims.measures import draw_words, log_prob_tables
 
@@ -217,11 +217,18 @@ def test_markov_model_pinned_bits(potential, lam, pi, trans):
 
 
 @pytest.mark.parametrize("potential", [[[710.0, 0.0], [0.0, 0.0]],
-                                       [[-750.0, 0.0], [0.0, 0.0]]],
-                         ids=["overflow", "underflow"])
-def test_markov_potential_past_float_range_rejected(potential):
+                                       [[-750.0, 0.0], [0.0, 0.0]],
+                                       [[709.0] * 3] * 3],
+                         ids=["overflow", "underflow", "row-sum-overflow"])
+def test_markov_potential_past_float_range_rejected(monkeypatch, potential):
     # exp(710) is inf, which gave NaN initial and transition probabilities;
-    # exp(-750) is 0.0, which gave a zero transition probability.
+    # exp(-750) is 0.0, which gave a zero transition probability.  Every row
+    # sum of exp(709) is inf, and so is lambda.  Each is rejected before
+    # the Perron iteration, which ran to its cap on the last (0.65 s).
+    def no_perron(mat):
+        raise AssertionError("Perron iteration ran")
+
+    monkeypatch.setattr(measures, "_perron", no_perron)
     with pytest.raises(InvalidInputError, match="leaves the float range"):
         MarkovGibbsModel(potential=potential)
 
