@@ -74,7 +74,7 @@ class _Levels:
     is freed before another is built.
 
     A table holds the scratch its level sums are evaluated in: log phi^s
-    of the levels reached at the current s (`_at`), as many floats as the
+    of the levels reached at the s of the last pass, as many floats as the
     table has words, and two float arrays and one bool array the size of
     its deepest level.  That is about 3.6 times the deepest `logmass` in bytes
     at m = 3 and 4.1 times at m = 2.  It is reused for every s and q, so
@@ -105,34 +105,28 @@ class _Levels:
         self.dim = ifs.dim
         mats = logdet = _ = None  # freed, so the buffers reuse their memory
         self._lphi = [np.empty(lm.size) for lm in self.logmass]
+        self._s, self._filled = None, 0  # the s of _lphi, levels filled
         size = self.logmass[-1].size
         self._scratch = (np.empty(size), np.empty(size),
                          np.empty(size, dtype=bool))
 
-    def _at(self, s):
-        """Make s the s of later level-sum passes; each level's log phi^s
-        is filled the first time a pass reaches that level."""
-        self._s, self._filled = s, 0
-
-    def _fill(self, s):
-        """log phi^s of every level, written into and returned as scratch."""
-        self._at(s)
-        return list(self._level_phis())
-
-    def _level_phis(self):
-        """log phi^s of levels 1, 2, ... at the s of the last `_at`, each
-        computed into the table's scratch the first time it is reached."""
+    def _level_phis(self, s):
+        """log phi^s of levels 1, 2, ..., each computed into the table's
+        scratch the first time a pass at this s reaches it; a pass at
+        another s than the last fill's starts again from level 1."""
+        if s != self._s:
+            self._s, self._filled = s, 0
         for k, (la, lphi) in enumerate(zip(self.log_alphas, self._lphi), 1):
             if k > self._filled:
-                log_phi_stack(la, self._s, out=lphi)
+                log_phi_stack(la, s, out=lphi)
                 self._filled = k
             yield lphi
 
-    def _level_sums(self, q):
-        """log Phi_k(s, q) for k = 1, 2, ..., k_max at the s of the last
-        `_at`, one level at a time: each level's exponent (1 - q) log phi^s
-        + q log mu is formed and summed in the table's scratch."""
-        for lphi, lm in zip(self._level_phis(), self.logmass):
+    def _level_sums(self, s, q):
+        """log Phi_k(s, q) for k = 1, 2, ..., k_max, one level at a time:
+        each level's exponent (1 - q) log phi^s + q log mu is formed and
+        summed in the table's scratch."""
+        for lphi, lm in zip(self._level_phis(s), self.logmass):
             expo, prod, ties = (a[:lm.size] for a in self._scratch)
             np.multiply(lphi, 1.0 - q, out=expo)
             expo += np.multiply(lm, q, out=prod)
@@ -143,8 +137,7 @@ class _Levels:
 
         log phi^s of every level is computed once for all of qs.
         """
-        self._at(s)
-        return [list(self._level_sums(q)) for q in qs]
+        return [list(self._level_sums(s, q)) for q in qs]
 
     def log_growth(self, sums, q, exact=True):
         """log of the growth estimate from one q's level sums: for q > 1 the
@@ -171,15 +164,10 @@ class _Levels:
             read.append(term)
         return pick(read)
 
-    def _growth(self, q, exact):
-        """`log_growth` of q at the s of the last `_at`, its levels summed
-        only as deep as it reads them."""
-        return self.log_growth(self._level_sums(q), q, exact)
-
-    def _shared_growths(self, qs):
-        """The sign-only log growth (`log_growth` with exact false) at the
-        s of the last `_at` of each q > 1 of qs, or -inf or inf where
-        another q's growth settles its sign.
+    def _shared_growths(self, s, qs):
+        """The sign-only log growth (`log_growth` with exact false) at s of
+        each q > 1 of qs, or -inf or inf where another q's growth settles
+        its sign.
 
         For q > 1, fixed s and each k,
 
@@ -202,7 +190,8 @@ class _Levels:
             i = (len(rest) - 1, 0, len(rest) // 2)[min(probes, 2)]
             probes += 1
             q = rest[i]
-            h = growths[q] = self._growth(q, exact=False)
+            h = growths[q] = self.log_growth(self._level_sums(s, q), q,
+                                             exact=False)
             if h < 0.0:
                 growths.update(dict.fromkeys(rest[:i], -math.inf))
                 rest = rest[i + 1:]
@@ -314,12 +303,11 @@ class _Levels:
                 groups.setdefault(s, []).append((q, exact))
             asked.clear()
             for s, group in groups.items():
-                self._at(s)
                 growths = self._shared_growths(
-                    [q for q, exact in group if q != 0.0 and not exact])
+                    s, [q for q, exact in group if q != 0.0 and not exact])
                 for q, exact in group:
-                    advance(q, growths[q] if q in growths else
-                            self._growth(q, exact))
+                    advance(q, growths[q] if q in growths else self.log_growth(
+                        self._level_sums(s, q), q, exact))
         for q in qs:
             if isinstance(outcome[q], Exception):
                 raise outcome[q]

@@ -64,7 +64,7 @@ def _log_tables(ifs, model, s, depth):
     ResourceLimitError when m^depth exceeds the `_Levels` word budget.
     """
     levels = _Levels(ifs, model, depth)
-    log_phi = [np.zeros(1)] + levels._fill(s)
+    log_phi = [np.zeros(1), *levels._level_phis(s)]
     log_mass = [np.zeros(1)] + levels.logmass
     return log_phi, log_mass
 

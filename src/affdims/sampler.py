@@ -247,19 +247,15 @@ def sample_cloud(ifs, model, fld, n, K, threads=1, chunk=65536):
     words = np.empty((n, K), dtype=np.uint8)
     positions = np.empty((n, ifs.dim))
 
-    def run(i):  # each chunk fills its own rows
-        lo, hi = bounds[i], bounds[i + 1]
-        words[lo:hi], positions[lo:hi] = _cloud_chunk(
-            ifs, model, fld, lo, hi - lo, K, word_key)
+    def run(t):  # worker t fills the rows of chunks t, t + threads, ...
+        for lo, hi in zip(bounds[t:-1:threads], bounds[t + 1::threads]):
+            words[lo:hi], positions[lo:hi] = _cloud_chunk(
+                ifs, model, fld, lo, hi - lo, K, word_key)
 
-    if threads > 1 and pieces > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(pieces)))
-    else:
-        for i in range(pieces):
-            run(i)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(run, range(threads)))
     return Cloud(
         positions=positions, words=words,
         truncation_bound=truncation_tail(ifs, fld.region_radius, K),

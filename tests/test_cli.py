@@ -688,6 +688,23 @@ def test_no_root_exit_code(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_unexpected_error_propagates_for_exit_code_one(tmp_path, capsys,
+                                                       monkeypatch):
+    # An exception outside the mapped errors is raised again, so the process
+    # ends with code 1 and a traceback; nothing reaches stdout or the run
+    # directory.
+    def broken(cfg, out_dir, threads):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setitem(affdims.cli._COMMANDS, "solve", (broken, False))
+    cfg = write_ini(tmp_path, "[solve]\nq = 2\n")
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="unexpected"):
+        main(["solve", "--config", str(cfg), "--out", str(out)])
+    assert capsys.readouterr().out == ""
+    assert not list(out.glob("*"))
+
+
 def test_resource_limit_exit_code(tmp_path, capsys):
     path = write_ini(tmp_path, "[multienergy]\nn = 3\nq = 3.5\ndepth = 40\n")
     code, _, err = run_cli(capsys, "multienergy", "--config", str(path))

@@ -616,9 +616,9 @@ def test_sign_only_growth_of_exactly_zero_is_zero():
                      BernoulliModel(probs=(0.5, 0.5)))
     for q in (2.0, 0.0):
         assert set(levels.log_sums(1.0, [q])[0]) == {0.0}
-        levels._at(1.0)
-        assert levels._growth(q, exact=False) == 0.0
-    assert levels._shared_growths([2.0]) == {2.0: 0.0}
+        assert levels.log_growth(levels._level_sums(1.0, q), q,
+                                 exact=False) == 0.0
+    assert levels._shared_growths(1.0, [2.0]) == {2.0: 0.0}
 
 
 def test_affinity_no_root_text_carries_the_growth():
@@ -685,9 +685,9 @@ def level_sum_passes(monkeypatch):
     passes = []
     level_sums = _Levels._level_sums
 
-    def counted(self, q):
+    def counted(self, s, q):
         passes.append(q)
-        return level_sums(self, q)
+        return level_sums(self, s, q)
 
     monkeypatch.setattr(_Levels, "_level_sums", counted)
     return passes
@@ -714,6 +714,24 @@ def test_shared_signs_and_early_stops_cut_the_exponentiated_words(
              for q in dict.fromkeys(SOLVE_SCAN_QS)}
     assert sum(level_words["exp"]) == 29_495_160 < 57_395_304
     assert lockstep == [alone[q] for q in SOLVE_SCAN_QS]
+
+
+def test_same_s_pass_reuses_the_fill(level_words):
+    # The table remembers the s of its last fill: a second pass at that s
+    # computes no log phi^s, and a pass at another s in between makes the
+    # next pass at the first s fill every level again.
+    ifs, model = worked_system()
+    levels = _Levels(ifs, model, k_max=5)
+    calls = level_words["phi"]
+    fill = [(1.3, 2 ** k) for k in range(1, 6)]
+    first = levels.log_sums(1.3, [2.0])
+    assert calls == fill
+    levels.log_sums(1.3, [3.0])
+    assert calls == fill
+    levels.log_sums(0.7, [2.0])
+    calls.clear()
+    assert levels.log_sums(1.3, [2.0]) == first
+    assert calls == fill
 
 
 def test_lockstep_bisection_allocates_nothing_the_size_of_a_level(

@@ -39,7 +39,7 @@ from affdims import (
     read_cloud,
     simulate_transversality,
 )
-from affdims import multienergy
+from affdims import measures, multienergy
 from affdims.dimsolver import _Levels
 from affdims.errors import InvalidInputError
 from affdims.linalg import log_phi_stack
@@ -129,6 +129,23 @@ def _nilpotent_perron():
         return _perron(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _underflowing_transition():
+    # exp(-744) is a positive subnormal, so every entry of exp(f) passes
+    # the check before `_perron`; a transition then underflows to 0.
+    runs, perron = [], measures._perron
+
+    def counted(mat):
+        runs.append(mat)
+        return perron(mat)
+
+    measures._perron = counted
+    try:
+        MarkovGibbsModel(potential=[[0.0, 0.0], [-744.0, 700.0]])
+    finally:
+        measures._perron = perron
+        assert runs, "rejected before _perron ran"
+
+
 def _misshapen_cloud(tmp_path):
     path = tmp_path / "cloud.txt"
     path.write_text("# affdims cloud v1\n# seed=1 depth=4 dim=2 n=3 "
@@ -188,6 +205,8 @@ _CHECKS = {
         lambda tmp: MarkovGibbsModel(
             potential=[[-800.0, 0.0], [-800.0, -800.0]]),
         "leaves the float range"),
+    "MarkovGibbsModel-transition": (
+        lambda tmp: _underflowing_transition(), "leaves the float range"),
     # A nilpotent matrix: power iteration and the eigen-solve both fail.
     "_perron-nilpotent": (
         lambda tmp: _nilpotent_perron(), "no certified Perron root"),
